@@ -3,11 +3,10 @@
 from .zm_core import (ZmContext, Residue, TileSet, GridSpec, factorize,
                       prime_factorization, euler_phi, radical_quotient,
                       gcd_divisor, realize_grid, grid, line, plane, fiber)
-from .cyclotomic import (IntPoly, CycloProfile, cyclotomic_poly, phi_at_one,
-                         mask_poly, divides_mask, cyclo_profile, check_T1,
-                         check_T2)
+from .cyclotomic import (CycloProfile, phi_at_one, divides_mask, cyclo_profile,
+                         check_T1, check_T2)
 from .tiling import (Tiling, IsometryTable, verify_direct, div_set,
-                     verify_sands, verify_cyclotomic, dilate,
+                     verify_sands, verify_cyclotomic,
                      tijdeman_orbit_check, plane_exchange,
                      is_divisor_isometry, dilation_stabilizer,
                      simultaneous_dilation, find_complements,

@@ -29,8 +29,6 @@ from .cyclotomic import (
     check_T2,
     cyclo_profile,
     divides_mask,
-    load_cache,
-    save_cache,
 )
 from .tiling import (
     Tiling,
@@ -261,8 +259,10 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list,
     except InvariantViolationError as exc:
         _record(violations, t, "box_product", str(exc))
 
-    if not tijdeman_orbit_check(t):
-        _record(violations, t, "tijdeman_orbit", "some coprime dilate fails")
+    try:
+        tijdeman_orbit_check(t)
+    except InvariantViolationError as exc:
+        _record(violations, t, "tijdeman_orbit", str(exc))
 
     for side, tt in (("A", t), ("B", t.swapped())):
         for i, (p, n) in enumerate(ctx.primes):
@@ -470,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    load_cache()
     try:
         if args.subcommand == "verify":
             return cmd_verify(args.tiling, args.format)
@@ -498,8 +497,6 @@ def main(argv=None) -> int:
     except TilelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        save_cache()
 
 
 if __name__ == "__main__":

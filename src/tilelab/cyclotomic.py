@@ -1,8 +1,22 @@
-"""Mask polynomials and cyclotomic divisibility.
+"""Cyclotomic divisibility of mask polynomials, by the cuboid criterion.
 
 A tile A gets the mask polynomial A(X) = sum_{a in A} X^a (degree < M by
 construction).  The s-th cyclotomic polynomial Phi_s divides A(X) exactly or
-not at all; all arithmetic is over the integers, no floats anywhere.
+not at all, and for s | M that is decided on integers alone, no floats and
+no polynomial division anywhere:
+
+  Phi_s | A(X)  <=>  c * prod_{p | s} (1 - X^{s/p}) = 0  in Z[X] / (X^s - 1),
+
+where c(X) is A(X) folded mod X^s - 1, i.e. the counts c[x] = #{a in A :
+a = x mod s}.  Every s-th root of unity of order below s is a root of some
+1 - X^{s/p}, and X^s - 1 is squarefree, so the product vanishes exactly when
+the primitive ones are roots of A.  Applying the difference operators one
+prime at a time to the count vector leaves the signed vertex sums of the
+s-cuboids of A; Phi_s | A(X) when all of them are zero.  This is the cuboid
+criterion of Laba and Londner, "Combinatorial and harmonic-analytic methods
+for integer tilings", Forum Math. Pi 10 (2022), resting on de Bruijn (1953)
+and Lam and Leung, "On vanishing sums of roots of unity", J. Algebra 224
+(2000).
 
 The two classical conditions on a tile, with S_A the set of prime powers
 s | M whose Phi_s divides the mask:
@@ -10,132 +24,17 @@ s | M whose Phi_s divides the mask:
   T1:  A(1) = prod_{s in S_A} Phi_s(1)
   T2:  s_1, ..., s_k in S_A powers of distinct primes  =>  Phi_{s_1...s_k} | A
 
-Profiles are memoized per TileSet; the cyclotomic table itself can be
-persisted as JSON (see load_cache/save_cache, wired to TILELAB_CACHE_DIR by
-the CLI).
+Profiles are memoized per TileSet.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
 from .zm_core import TileSet, prime_factorization
-
-
-class IntPoly:
-    """Dense integer polynomial; coeffs constant-term first, no trailing zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1   # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"IntPoly({list(self.coeffs)})"
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPoly(out)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPoly(out)
-
-    def divmod_monic(self, divisor: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        """Long division by a monic divisor; stays in Z[X]."""
-        if divisor.is_zero() or divisor.coeffs[-1] != 1:
-            raise InputError("divisor must be monic")
-        rem = list(self.coeffs)
-        d = divisor.degree
-        if d == 0:
-            return IntPoly(rem), IntPoly(())
-        quot = [0] * max(0, len(rem) - d)
-        for top in range(len(rem) - 1, d - 1, -1):
-            c = rem[top]
-            if c:
-                quot[top - d] = c
-                for j, dc in enumerate(divisor.coeffs):
-                    rem[top - d + j] -= c * dc
-        return IntPoly(quot), IntPoly(rem)
-
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-
-def x_power_minus_one(n: int) -> IntPoly:
-    return IntPoly([-1] + [0] * (n - 1) + [1])
-
-
-def mask_poly(A: TileSet) -> IntPoly:
-    """A(X) = sum X^a; exponents are residues, so the degree is < M already."""
-    coeffs = [0] * (max(A.members) + 1) if len(A) else []
-    for a in A.members:
-        coeffs[a] = 1
-    return IntPoly(coeffs)
-
-
-_CYCLO_CACHE: dict[int, IntPoly] = {1: IntPoly([-1, 1])}
-
-
-def cyclotomic_poly(s: int) -> IntPoly:
-    """Phi_s(X), by exact division of X^s - 1 by all lower Phi_d, d | s."""
-    if s < 1:
-        raise InputError(f"index must be >= 1, got {s}")
-    got = _CYCLO_CACHE.get(s)
-    if got is not None:
-        return got
-    poly = x_power_minus_one(s)
-    for d in range(1, s):
-        if s % d == 0:
-            poly, rem = poly.divmod_monic(cyclotomic_poly(d))
-            assert rem.is_zero()
-    _CYCLO_CACHE[s] = poly
-    return poly
 
 
 def phi_at_one(s: int) -> int:
@@ -165,15 +64,31 @@ class CycloProfile:
     s_set: frozenset[int]              # the prime-power members (S_A)
 
 
+@lru_cache(maxsize=None)
+def _cuboid_steps(s: int) -> tuple[int, ...]:
+    """s/p for every prime p | s: the edge lengths of an s-cuboid."""
+    return tuple(s // p for p, _ in prime_factorization(s))
+
+
+def _cuboid_vanishes(members: tuple[int, ...], s: int) -> bool:
+    """Phi_s | A(X): fold A mod s, difference along every s/p, test for zero."""
+    counts = [0] * s
+    for a in members:
+        counts[a % s] += 1
+    for step in _cuboid_steps(s):
+        # (1 - X^step) * counts: entry x loses entry x - step, cyclically
+        counts = [c - d for c, d in zip(counts, counts[-step:] + counts[:-step])]
+        if not any(counts):   # the remaining operators keep it zero
+            return True
+    return False
+
+
 @lru_cache(maxsize=1 << 18)
 def cyclo_profile(A: TileSet) -> CycloProfile:
     if not len(A):
         raise InputError("cannot profile the empty tile")
-    poly = mask_poly(A)
-    hits = []
-    for s in A.context.divisors:
-        if s > 1 and poly.divmod_monic(cyclotomic_poly(s))[1].is_zero():
-            hits.append(s)
+    hits = [s for s in A.context.divisors
+            if s > 1 and _cuboid_vanishes(A.members, s)]
     s_set = frozenset(s for s in hits if len(prime_factorization(s)) == 1)
     return CycloProfile(A, frozenset(hits), s_set)
 
@@ -202,35 +117,3 @@ def check_T2(A: TileSet) -> bool:
                 if product not in profile.divisors_of_mask:
                     return False
     return True
-
-
-def load_cache(directory: str | None = None) -> int:
-    """Merge a persisted cyclotomic table; returns how many entries loaded."""
-    directory = directory or os.environ.get("TILELAB_CACHE_DIR")
-    if not directory:
-        return 0
-    path = os.path.join(directory, "cyclotomics.json")
-    if not os.path.exists(path):
-        return 0
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    count = 0
-    for key, coeffs in raw.items():
-        s = int(key)
-        if s >= 1 and s not in _CYCLO_CACHE:
-            _CYCLO_CACHE[s] = IntPoly(coeffs)
-            count += 1
-    return count
-
-
-def save_cache(directory: str | None = None) -> int:
-    """Persist the in-memory cyclotomic table; returns how many entries written."""
-    directory = directory or os.environ.get("TILELAB_CACHE_DIR")
-    if not directory:
-        return 0
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "cyclotomics.json")
-    payload = {str(s): list(p.coeffs) for s, p in sorted(_CYCLO_CACHE.items())}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    return len(payload)

@@ -176,12 +176,6 @@ def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
 # the splitting form of the slab conditions
 
 
-def _unit_residues(ctx: ZmContext) -> list[int]:
-    if ctx.M == 1:
-        return [0]
-    return [r for r in range(1, ctx.M) if ctx.gcd_table[r] == 1]
-
-
 def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
     """Three equivalent statements about splitting along one direction.
 
@@ -201,7 +195,7 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
     first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
 
     second = True
-    for r in _unit_residues(ctx):
+    for r in ctx.units:
         scaled = Tiling(t.A, t.B.dilate(r), check=False)
         if not split_report(scaled, direction).uniform_ba:
             second = False
@@ -243,6 +237,16 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
 # sufficient conditions and bounds
 
 
+def _plane_counts(B: TileSet, direction: int) -> dict[int, int]:
+    """|B intersect Pi(b, p^n)| keyed by the plane's coordinate in `direction`,
+    for the planes that meet B."""
+    coord = B.context.coord_tables[direction]
+    counts: dict[int, int] = {}
+    for b in B:
+        counts[coord[b]] = counts.get(coord[b], 0) + 1
+    return counts
+
+
 def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
     """Sufficient conditions under which A must satisfy the slab conditions.
 
@@ -261,13 +265,10 @@ def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
         any((a + k * f) % ctx.M in t.A for k in range(1, p))
         for a in t.A)
 
-    coord = ctx.coord_tables[direction]
-    counts: dict[int, int] = {}
-    for b in t.B:
-        counts[coord[b]] = counts.get(coord[b], 0) + 1
     expected = len(t.B) // math.gcd(len(t.B), q)
     saturated = (divides_mask(q, t.A)
-                 and all(counts[coord[b]] == expected for b in t.B))
+                 and all(c == expected
+                         for c in _plane_counts(t.B, direction).values()))
 
     if not (fibered or saturated):
         return False, False
@@ -288,11 +289,7 @@ def plane_bound_check(B: TileSet, direction: int) -> bool:
     ctx = B.context
     p, n = ctx.check_direction(direction)
     bound = math.gcd(len(B), ctx.M // p ** n)
-    coord = ctx.coord_tables[direction]
-    counts: dict[int, int] = {}
-    for b in B:
-        counts[coord[b]] = counts.get(coord[b], 0) + 1
-    return all(c <= bound for c in counts.values())
+    return all(c <= bound for c in _plane_counts(B, direction).values())
 
 
 def blowbound_check(t: Tiling, direction: int) -> tuple[bool, bool]:

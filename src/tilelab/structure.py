@@ -24,9 +24,6 @@ from typing import Optional
 from .errors import InputError, InvariantViolationError
 from .zm_core import Residue, TileSet, ZmContext, _same_context
 
-ExactRational = Fraction
-
-
 @dataclass(frozen=True)
 class DivisorCounts:
     """Counts of one tile's elements by divisor class relative to a base point."""
@@ -131,9 +128,8 @@ def dilation_count_identity(A: TileSet, B: TileSet, x, y) -> tuple[int, int]:
     yv = _base_value(ctx, y)
     M = ctx.M
     bmask = B.mask
-    units = [0] if M == 1 else [r for r in range(1, M) if ctx.gcd_table[r] == 1]
     lhs = 0
-    for r in units:
+    for r in ctx.units:
         for a in A.members:
             b = (yv - r * (a - xv)) % M
             if bmask >> b & 1:

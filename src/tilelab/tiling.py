@@ -140,10 +140,6 @@ def verify_cyclotomic(A: TileSet, B: TileSet) -> bool:
     return all(s in da or s in db for s in ctx.divisors if s > 1)
 
 
-def dilate(A: TileSet, r: int) -> TileSet:
-    return A.dilate(r)
-
-
 def tijdeman_orbit_check(t: Tiling) -> bool:
     """rA + B must tile for every r in [1, M) with gcd(r, |A|) = 1.
 
@@ -252,10 +248,6 @@ def is_divisor_isometry(psi: IsometryTable) -> bool:
     return True
 
 
-def _coprime_residues(ctx: ZmContext) -> tuple[int, ...]:
-    return tuple(r for r in range(ctx.M) if ctx.gcd_table[r] == 1)
-
-
 def dilation_stabilizer(x: Residue, x_prime: Residue) -> tuple[int, ...]:
     """All r coprime to M with r*x = x'; requires (x, M) = (x', M).
 
@@ -267,7 +259,7 @@ def dilation_stabilizer(x: Residue, x_prime: Residue) -> tuple[int, ...]:
     if ctx.gcd_table[x_prime.value] != m:
         raise InputError(
             f"(x, M) = {m} but (x', M) = {ctx.gcd_table[x_prime.value]}")
-    hits = tuple(r for r in _coprime_residues(ctx)
+    hits = tuple(r for r in ctx.units
                  if r * x.value % ctx.M == x_prime.value)
     expected = ctx.phi_table[ctx.M] // ctx.phi_table[ctx.M // m]
     if len(hits) != expected:

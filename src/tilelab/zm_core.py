@@ -3,8 +3,9 @@
 Everything downstream works inside a fixed cyclic group Z_M with
 M = p_1^{n_1} * ... * p_K^{n_K}.  A ZmContext precomputes the factorization,
 divisor lattice, Euler phi values, CRT basis elements M_j = M / p_j^{n_j} and
-per-residue CRT coordinates, plus a gcd table so that (x - y, M) lookups are
-O(1).  Directions are 0-based indices into the ascending prime list.
+per-residue CRT coordinates, the units of Z_M, plus a gcd table so that
+(x - y, M) lookups are O(1).  Directions are 0-based indices into the
+ascending prime list.
 
 Geometry: a grid L(x, D) = {x' : D | x - x'} for D | M; special cases are
 lines (D = M_j), planes (D = p_j^alpha) and fibers (D = M / p_j).  Sets of
@@ -74,6 +75,7 @@ class ZmContext:
     crt_basis: tuple[int, ...]               # M_j = M / p_j^{n_j}
     prime_powers: tuple[int, ...]            # p_j^{n_j}
     gcd_table: tuple[int, ...]               # v -> gcd(v, M), v in [0, M)
+    units: tuple[int, ...]                   # v in [0, M) with gcd(v, M) = 1
     coord_tables: tuple[tuple[int, ...], ...]  # per direction: v -> pi_j(v)
     full_mask: int
 
@@ -109,9 +111,6 @@ class ZmContext:
     def coords_of(self, value: int) -> tuple[int, ...]:
         return tuple(t[value] for t in self.coord_tables)
 
-    def to_coords(self, value: int) -> "Residue":
-        return self.residue(value)
-
     def from_coords(self, coords: Iterable[int]) -> "Residue":
         coords = tuple(coords)
         if len(coords) != len(self.primes):
@@ -126,16 +125,6 @@ class ZmContext:
 
     def gcd_with_m(self, value: int) -> int:
         return self.gcd_table[value % self.M]
-
-    def p_component(self, value: int, i: int) -> int:
-        """p_i^min(v_p(value), n_i) where value is read mod M; M itself dims to p_i^{n_i}."""
-        p, _ = self.check_direction(i)
-        g = self.gcd_table[value % self.M]
-        comp = 1
-        while g % p == 0:
-            comp *= p
-            g //= p
-        return comp
 
     def rotate(self, mask: int, k: int) -> int:
         """Cyclic shift of an M-bit mask: bit v -> bit (v + k) mod M."""
@@ -156,6 +145,7 @@ def factorize(M: int) -> ZmContext:
     prime_powers = tuple(p**n for p, n in primes)
     crt_basis = tuple(M // q for q in prime_powers)
     gcd_table = tuple(math.gcd(v, M) for v in range(M))
+    units = tuple(v for v in range(M) if gcd_table[v] == 1)   # (0,) at M = 1
     coord_tables = []
     for q, basis in zip(prime_powers, crt_basis):
         inv = pow(basis, -1, q)
@@ -168,6 +158,7 @@ def factorize(M: int) -> ZmContext:
         crt_basis=crt_basis,
         prime_powers=prime_powers,
         gcd_table=gcd_table,
+        units=units,
         coord_tables=tuple(coord_tables),
         full_mask=(1 << M) - 1,
     )

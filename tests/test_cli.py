@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import tilelab.cli
 from tilelab.cli import main
+from tilelab.errors import TheoremViolationError
 
 
 def run(capsys, *argv):
@@ -142,6 +144,24 @@ class TestSweep:
                              "--jobs", "2")
         assert serial == parallel
 
+    def test_failed_orbit_check_is_recorded(self, capsys, monkeypatch):
+        real = tilelab.cli.tijdeman_orbit_check
+
+        def failing_on_worked(t):
+            if list(t.A) == [0, 1, 6, 7] and list(t.B) == [0, 4, 8]:
+                raise TheoremViolationError("injected")
+            return real(t)
+
+        monkeypatch.setattr(tilelab.cli, "tijdeman_orbit_check",
+                            failing_on_worked)
+        code, rep, _ = run_json(capsys, "sweep", "12")
+        assert code == 1
+        assert rep["counts"] == {"tilings": 194, "fibers": 1940, "grids": 0}
+        assert rep["violations"] == [{
+            "check": "tijdeman_orbit",
+            "tiling": {"M": 12, "A": [0, 1, 6, 7], "B": [0, 4, 8]},
+            "detail": "injected"}]
+
     def test_three_prime_cardinalities_reported_not_failed(self, capsys):
         code, rep, _ = run_json(capsys, "sweep", "84", "--check", "t2",
                                 "--limit", "5")
@@ -177,9 +197,17 @@ class TestProve:
         assert "not a tiling" in err
 
 
-class TestCacheWiring:
-    def test_cache_file_written_to_env_dir(self, tmp_path, monkeypatch, capsys):
+class TestNoCyclotomicCache:
+    @pytest.mark.parametrize("content", ['{"6": [1, 1, 1]}', '{"6": [1, '],
+                             ids=["wrong_entry", "truncated"])
+    def test_cache_dir_is_ignored(self, tmp_path, monkeypatch, capsys,
+                                  content):
+        (tmp_path / "cyclotomics.json").write_text(content)
         monkeypatch.setenv("TILELAB_CACHE_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "verify", GOOD)
+        code, rep, _ = run_json(capsys, "analyze",
+                                '{"M":6,"A":[0,3],"B":[0,1,2]}')
         assert code == 0
-        assert (tmp_path / "cyclotomics.json").exists()
+        assert rep["tiles"]["A"]["mask_divisors"] == [2, 6]
+        assert rep["tiles"]["B"]["mask_divisors"] == [3]
+        assert [f.name for f in tmp_path.iterdir()] == ["cyclotomics.json"]
+        assert (tmp_path / "cyclotomics.json").read_text() == content

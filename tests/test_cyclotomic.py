@@ -1,45 +1,116 @@
-import json
 import random
+from functools import lru_cache
 
 import pytest
 import sympy
 
 import tilelab as tl
-from tilelab.cyclotomic import (IntPoly, cyclotomic_poly, phi_at_one,
-                                mask_poly, divides_mask, cyclo_profile,
-                                check_T1, check_T2, load_cache, save_cache)
+from tilelab.cyclotomic import (phi_at_one, divides_mask, cyclo_profile,
+                                check_T1, check_T2)
 from tilelab.errors import InputError
 
 from conftest import corpus
 
 
+@lru_cache(maxsize=None)
 def sympy_cyclo_coeffs(s):
+    """Phi_s from sympy, constant term first."""
     x = sympy.Symbol("x")
     return tuple(int(c) for c in reversed(
         sympy.Poly(sympy.cyclotomic_poly(s, x), x).all_coeffs()))
 
 
+def division_divides(members, s):
+    """Oracle: exact long division of A(X) = sum X^a by sympy's Phi_s."""
+    phi = sympy_cyclo_coeffs(s)
+    d = len(phi) - 1
+    lower = [(j, c) for j, c in enumerate(phi[:-1]) if c]   # Phi_s is monic
+    rem = [0] * (max(members) + 1)
+    for a in members:
+        rem[a] = 1
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top]
+        if c:
+            rem[top] = 0
+            for j, pc in lower:
+                rem[top - d + j] -= c * pc
+    return not any(rem)
+
+
+def division_profile(A):
+    return frozenset(s for s in A.context.divisors
+                     if s > 1 and division_divides(A.members, s))
+
+
+def fibered_set(ctx, rng):
+    """A random disjoint union of fibers {x + k*M/p}: Phi_M divides its mask."""
+    M = ctx.M
+    taken = set()
+    for _ in range(rng.randint(1, 4)):
+        p, _ = rng.choice(ctx.primes)
+        x = rng.randrange(M)
+        fib = {(x + k * M // p) % M for k in range(p)}
+        if not fib & taken:
+            taken |= fib
+    return taken
+
+
+def sample_sets(M, count, seed):
+    """Seeded subsets of Z_M: random ones, plus fiber unions when M > 1."""
+    ctx = tl.factorize(M)
+    rng = random.Random(seed)
+    out = [{rng.randrange(M) for _ in range(rng.randint(1, M))}
+           for _ in range(count)]
+    if M > 1:
+        out += [fibered_set(ctx, rng) for _ in range(count)]
+    return [tl.TileSet(ctx, sorted(members)) for members in out]
+
+
 class TestCyclotomicPoly:
+    """Phi_s by index: sympy's coefficients as the oracle's input, and the
+    cuboid kernel against exact division by them."""
+
     def test_worked_coefficients(self):
-        assert cyclotomic_poly(6).coeffs == (1, -1, 1)
-        assert cyclotomic_poly(2).coeffs == (1, 1)
-        assert cyclotomic_poly(12).coeffs == (1, 0, -1, 0, 1)
+        assert sympy_cyclo_coeffs(6) == (1, -1, 1)
+        assert sympy_cyclo_coeffs(2) == (1, 1)
+        assert sympy_cyclo_coeffs(12) == (1, 0, -1, 0, 1)
 
     @pytest.mark.parametrize("s", list(range(1, 80)) + [105, 144, 255, 400])
     def test_against_sympy(self, s):
-        assert cyclotomic_poly(s).coeffs == sympy_cyclo_coeffs(s)
+        for A in sample_sets(s, 12 if s < 100 else 4, seed=s):
+            assert cyclo_profile(A).divisors_of_mask == division_profile(A)
 
     @pytest.mark.parametrize("n", list(range(1, 121)) + [144, 360, 400])
     def test_product_identity(self, n):
-        prod = IntPoly([1])
-        for s in range(1, n + 1):
-            if n % s == 0:
-                prod = prod * cyclotomic_poly(s)
-        assert prod.coeffs == tuple([-1] + [0] * (n - 1) + [1])
+        # X^n - 1 = prod_{e | n} Phi_e, so the subgroup dZ_n, whose mask is
+        # (X^n - 1)/(X^d - 1), is divided by Phi_e exactly when e does not
+        # divide d.
+        ctx = tl.factorize(n)
+        for d in ctx.divisors:
+            A = tl.TileSet(ctx, range(0, n, d))
+            assert cyclo_profile(A).divisors_of_mask == frozenset(
+                e for e in ctx.divisors if d % e)
 
     def test_degree_is_phi(self):
         for s in range(1, 100):
-            assert cyclotomic_poly(s).degree == tl.euler_phi(s)
+            assert len(sympy_cyclo_coeffs(s)) - 1 == tl.euler_phi(s)
+
+
+class TestCuboidDifferential:
+    """The cuboid profile equals the division oracle tile for tile."""
+
+    def test_complete_corpora_up_to_24(self):
+        for M in range(1, 25):
+            tiles = {tile for t in corpus(M) for tile in (t.A, t.B)}
+            for A in tiles:
+                assert cyclo_profile(A).divisors_of_mask == \
+                    division_profile(A), A
+
+    @pytest.mark.parametrize("M,count", [(72, 40), (360, 12), (720, 6),
+                                         (2520, 3)])
+    def test_seeded_large_moduli(self, M, count):
+        for A in sample_sets(M, count, seed=M):
+            assert cyclo_profile(A).divisors_of_mask == division_profile(A), A
 
 
 class TestPhiAtOne:
@@ -142,25 +213,3 @@ class TestT1T2:
     def test_t1_holds_on_corpus_tiles(self):
         for t in corpus(12):
             assert check_T1(t.A) and check_T1(t.B)
-
-
-class TestMaskPoly:
-    def test_reduces_exponents_mod_M(self):
-        c4 = tl.factorize(4)
-        assert mask_poly(tl.TileSet(c4, [0, 3])).coeffs == (1, 0, 0, 1)
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        cyclotomic_poly(60)
-        written = save_cache(str(tmp_path))
-        assert written > 0
-        data = json.loads((tmp_path / "cyclotomics.json").read_text())
-        assert data
-        assert load_cache(str(tmp_path)) >= 0
-
-    def test_env_var_wiring(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TILELAB_CACHE_DIR", str(tmp_path))
-        assert save_cache() > 0
-        assert (tmp_path / "cyclotomics.json").exists()
-        assert load_cache() >= 0

@@ -177,18 +177,18 @@ class TestComplements:
 class TestDilation:
     def test_dilate_examples(self):
         c4 = tl.factorize(4)
-        rA = tl.dilate(tl.TileSet(c4, [0, 1]), 3)
+        rA = tl.TileSet(c4, [0, 1]).dilate(3)
         assert rA.members == (0, 3)
         assert tl.verify_direct(rA, tl.TileSet(c4, [0, 2]))
         c9 = tl.factorize(9)
-        rA = tl.dilate(tl.TileSet(c9, [0, 1, 2]), 2)
+        rA = tl.TileSet(c9, [0, 1, 2]).dilate(2)
         assert rA.members == (0, 2, 4)
         assert tl.verify_direct(rA, tl.TileSet(c9, [0, 3, 6]))
 
     def test_dilate_identity(self):
         ctx = tl.factorize(12)
         A = tl.TileSet(ctx, [0, 1, 6, 7])
-        assert tl.dilate(A, 1).members == A.members
+        assert A.dilate(1).members == A.members
 
     def test_orbit_check_worked(self):
         assert tl.tijdeman_orbit_check(T(4, [0, 1], [0, 2]))
