@@ -1,8 +1,8 @@
 """tilelab: exact arithmetic for translational tilings of Z_M."""
 
-from .zm_core import (ZmContext, Residue, TileSet, GridSpec, factorize,
+from .zm_core import (ZmContext, Residue, TileSet, factorize,
                       prime_factorization, euler_phi, radical_quotient,
-                      gcd_divisor, realize_grid, grid, line, plane, fiber)
+                      gcd_divisor, grid, line, plane, fiber)
 from .cyclotomic import (CycloProfile, phi_at_one, divides_mask, cyclo_profile,
                          check_T1, check_T2)
 from .tiling import (Tiling, IsometryTable, verify_direct, div_set,

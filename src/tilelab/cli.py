@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -32,6 +33,7 @@ from .cyclotomic import (
 )
 from .tiling import (
     Tiling,
+    _tiles_from_json,
     enumerate_tilings,
     iter_complements,
     sample_tilings,
@@ -215,12 +217,7 @@ def cmd_complements(arg: str, fmt: str, limit: int | None,
     obj = _load_json_arg(arg)
     if "M" not in obj or "A" not in obj:
         raise InputError('complement search needs {"M": ..., "A": [...]}')
-    M = obj["M"]
-    if not isinstance(M, int) or M < 1:
-        raise InputError(f"M must be a positive integer, got {M!r}")
-    if not isinstance(obj["A"], list):
-        raise InputError("A must be a list of residues")
-    A = TileSet(factorize(M), obj["A"])
+    (A,) = _tiles_from_json(obj, ("A",))
     for B in iter_complements(A, normalize=normalize, limit=limit):
         if fmt == "json":
             print(json.dumps({"B": list(B)}))
@@ -280,8 +277,10 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list,
                         f"side {side} direction p={p}: {exc}")
 
     if k == 3:
-        for z in range(ctx.M):
-            for pair in itertools.permutations(range(3), 2):
+        for pair in itertools.permutations(range(3), 2):
+            # the grid L(z, M/(p_i p_j)) depends on z only mod its step
+            step = ctx.M // (ctx.primes[pair[0]][0] * ctx.primes[pair[1]][0])
+            for z in range(step):
                 try:
                     if pair[0] < pair[1]:
                         plane_consistency(t, z, pair)
@@ -333,7 +332,7 @@ def _sweep_t2(t: Tiling, counts: dict, violations: list,
             "tiling": tiling_to_json(t),
             "detail": str(exc),
         })
-    except InvariantViolationError as exc:
+    except (InvariantViolationError, InputError) as exc:
         _record(violations, t, "t2_pipeline", str(exc))
 
 
@@ -353,6 +352,9 @@ def _sweep_worker(args: tuple) -> tuple[dict, list, list]:
 
 def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
               jobs: int) -> int:
+    if jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     ctx = factorize(M)
     corpus = (sample_tilings(ctx, cap=limit) if limit is not None
               else enumerate_tilings(ctx))

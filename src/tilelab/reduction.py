@@ -31,6 +31,7 @@ from .zm_core import TileSet, ZmContext, factorize, radical_quotient
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
 from .tiling import Tiling, div_set, tiling_to_json, verify_direct
 from .splitting import split_report
+from .structure import saturating_set
 
 
 # ---------------------------------------------------------------------------
@@ -72,17 +73,17 @@ def project_tile(A: TileSet, direction: int) -> TileSet:
 def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     """Every translate A - c has its slab tiling Z_{M/p} against projected B.
 
-    Returns (holds, witness translate c or None).
+    Returns (holds, least witness translate c or None).  Only c < p^n are
+    tried.  The slab of A - c depends on c only through its coordinate in
+    `direction`, which is fixed by c mod p^n; and the projection is a
+    homomorphism, so the rest of c only translates the projected pair, which
+    keeps or breaks the tiling alike.  Every failing c is therefore congruent
+    mod p^n to a failing c below p^n, and the least witness is unchanged.
     """
-    ctx = t.context
-    p, n = ctx.check_direction(direction)
-    child, table = _projection(ctx, direction)
-    bound = p ** (n - 1)
-    coord = ctx.coord_tables[direction]
-    projected_b = TileSet(child, {table[b] for b in t.B})
-    for c in range(ctx.M):
-        shifted = [(a - c) % ctx.M for a in t.A]
-        slab = TileSet(child, {table[a] for a in shifted if coord[a] < bound})
+    p, n = t.context.check_direction(direction)
+    projected_b = project_tile(t.B, direction)
+    for c in range(p ** n):
+        slab = project_tile(slab_subset(t.A.translate(-c), direction), direction)
         if not verify_direct(slab, projected_b):
             return False, c
     return True, None
@@ -182,9 +183,9 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
     (I)   Phi_{p^n} | A together with the divisor exclusion slab_cond_ii;
     (II)  for every unit r, the tiling A + rB splits with rB collapsing and
           A spreading on every fiber;
-    (III) for all a in A, b in B and x on the fiber through a, the members
-          of A whose difference class against x matches some difference
-          class of b within B all lie on x's plane.
+    (III) for every x on a fiber through A, the saturating set A_x (the
+          members of A whose difference class against x lies in Div(B))
+          lies on x's p^n-plane.
 
     Returns the common truth value; raises if the three ever disagree.
     """
@@ -194,36 +195,18 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
 
     first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
 
-    second = True
-    for r in ctx.units:
-        scaled = Tiling(t.A, t.B.dilate(r), check=False)
-        if not split_report(scaled, direction).uniform_ba:
-            second = False
-            break
+    second = all(
+        split_report(Tiling(t.A, t.B.dilate(r), check=False), direction).uniform_ba
+        for r in ctx.units)
 
-    third = True
+    # The difference classes of all b within B make up Div(B), so the members
+    # of A matched through some b are the saturating set A_x.
     coord = ctx.coord_tables[direction]
-    gcds = ctx.gcd_table
-    b_classes = {b: {gcds[(b - other) % ctx.M] for other in t.B} for b in t.B}
     step = ctx.M // p
-    seen_fibers = set()
-    for a in t.A:
-        anchor = a % step
-        if anchor in seen_fibers:
-            continue
-        seen_fibers.add(anchor)
-        for k in range(p):
-            x = (anchor + k * step) % ctx.M
-            cx = coord[x]
-            for classes in b_classes.values():
-                if any(gcds[(x - a2) % ctx.M] in classes and coord[a2] != cx
-                       for a2 in t.A):
-                    third = False
-                    break
-            if not third:
-                break
-        if not third:
-            break
+    third = all(coord[a] == coord[x]
+                for anchor in {a % step for a in t.A}
+                for x in range(anchor, ctx.M, step)
+                for a in saturating_set(t.A, t.B, x))
 
     if not first == second == third:
         raise EquivalenceViolationError(
@@ -265,14 +248,14 @@ def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
         any((a + k * f) % ctx.M in t.A for k in range(1, p))
         for a in t.A)
 
+    divisible = divides_mask(q, t.A)
     expected = len(t.B) // math.gcd(len(t.B), q)
-    saturated = (divides_mask(q, t.A)
-                 and all(c == expected
-                         for c in _plane_counts(t.B, direction).values()))
+    saturated = divisible and all(
+        c == expected for c in _plane_counts(t.B, direction).values())
 
     if not (fibered or saturated):
         return False, False
-    if not divides_mask(q, t.A):
+    if not divisible:
         raise ImplicationViolationError(
             f"premise holds but Phi_{q} does not divide A={t.A.members} "
             f"in Z_{ctx.M}; slab conditions cannot be stated")

@@ -25,7 +25,7 @@ from .errors import (InputError, InvariantViolationError, LemmaViolationError,
                      NeitherParityError, NotFiberedError)
 from .cyclotomic import divides_mask
 from .tiling import Tiling
-from .zm_core import TileSet, ZmContext, radical_quotient
+from .zm_core import TileSet, plane, radical_quotient
 
 
 class Parity(Enum):
@@ -70,16 +70,21 @@ def _spreads(coords: list[int], p: int, n: int) -> bool:
     return len({c % low for c in coords}) <= 1
 
 
+def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
+    """Sigma_A and Sigma_B of the grid L(z, step): the tile parts of the
+    representations of its members."""
+    a_of, b_of = t.decomp
+    start = z % step
+    return set(a_of[start::step]), set(b_of[start::step])
+
+
 def fiber_parity(t: Tiling, z: int, direction: int) -> Parity:
     """The unique splitting parity of the fiber z*F in the given direction."""
     ctx = t.context
     p, n = ctx.check_direction(direction)
     step = ctx.M // p
-    anchor = z % step
-    a_of, b_of = t.decomp
     table = ctx.coord_tables[direction]
-    sa = {a_of[w] for w in range(anchor, ctx.M, step)}
-    sb = {b_of[w] for w in range(anchor, ctx.M, step)}
+    sa, sb = _sigmas(t, z, step)
     ca = [table[a] for a in sa]
     cb = [table[b] for b in sb]
     holds_ab = _collapses(ca) and _spreads(cb, p, n)
@@ -87,7 +92,7 @@ def fiber_parity(t: Tiling, z: int, direction: int) -> Parity:
     if holds_ab == holds_ba:
         kind = "both parities" if holds_ab else "neither parity"
         raise NeitherParityError(
-            f"fiber {anchor}*F (direction p={p}) admits {kind}: "
+            f"fiber {z % step}*F (direction p={p}) admits {kind}: "
             f"Sigma_A={sorted(sa)} Sigma_B={sorted(sb)}")
     return Parity.AB if holds_ab else Parity.BA
 
@@ -197,19 +202,7 @@ def check_disjoint_sigma(t: Tiling, a0: int, a1: int,
             or fiber_parity(t, a1, direction) is not Parity.BA):
         return None
     step = ctx.M // p
-    a_of, _ = t.decomp
-    s0 = {a_of[w] for w in range(a0 % step, ctx.M, step)}
-    s1 = {a_of[w] for w in range(a1 % step, ctx.M, step)}
-    return not s0 & s1
-
-
-def _plane_members(ctx: ZmContext, x: int, direction: int, alpha: int):
-    """Residues congruent to x mod p^alpha in the given direction."""
-    p, _ = ctx.primes[direction]
-    table = ctx.coord_tables[direction]
-    q = p ** alpha
-    want = table[x % ctx.M] % q
-    return [v for v in range(ctx.M) if table[v] % q == want]
+    return not _sigmas(t, a0, step)[0] & _sigmas(t, a1, step)[0]
 
 
 def check_local_distribution(t: Tiling, a0: int,
@@ -222,20 +215,17 @@ def check_local_distribution(t: Tiling, a0: int,
     _require_member(t.A, a0, "A")
     if not t.B.mask & 1:
         return None
-    amask = t.A.mask
-    low_plane = [v for v in _plane_members(ctx, a0, direction, n - 1)
-                 if amask >> v & 1]
+
+    def a_on_plane(x: int, alpha: int) -> TileSet:
+        return t.A.intersect(plane(ctx.residue(x % ctx.M), direction, alpha))
+
+    low_plane = a_on_plane(a0, n - 1)
     if any(fiber_parity(t, a, direction) is not Parity.BA for a in low_plane):
         return None
-    counts = []
-    for nu in range(p):
-        shifted = (a0 + nu * ctx.M // p) % ctx.M
-        cnt = sum(1 for v in _plane_members(ctx, shifted, direction, n)
-                  if amask >> v & 1)
-        counts.append(cnt)
-    if len(set(counts)) != 1:
+    counts = {len(a_on_plane(a0 + nu * ctx.M // p, n)) for nu in range(p)}
+    if len(counts) != 1:
         return False
-    return divides_mask(p ** n, TileSet(ctx, low_plane))
+    return divides_mask(p ** n, low_plane)
 
 
 def check_aunif(t: Tiling, direction: int) -> bool:
@@ -260,10 +250,7 @@ def plane_consistency(t: Tiling, z: int, pair: tuple[int, int]) -> int:
     if i == j:
         raise InputError("plane consistency needs two distinct directions")
     step = ctx.M // (pi * pj)
-    a_of, b_of = t.decomp
-    zone = range(z % step, ctx.M, step)
-    sa = {a_of[w] for w in zone}
-    sb = {b_of[w] for w in zone}
+    sa, sb = _sigmas(t, z, step)
     for nu in sorted(pair):
         p, n = ctx.primes[nu]
         table = ctx.coord_tables[nu]
@@ -287,8 +274,7 @@ def cross_direction_check(t: Tiling, z: int,
     if i == j:
         raise InputError("cross-direction check needs two distinct directions")
     step = ctx.M // (pi * pj)
-    a_of, _ = t.decomp
-    sa = {a_of[w] for w in range(z % step, ctx.M, step)}
+    sa = _sigmas(t, z, step)[0]
     amask = t.A.mask
     fiber_step = ctx.M // pi
     anchors = [a for a in sa
@@ -411,7 +397,7 @@ def grid_stratification(profile: FiberedGridProfile,
     ctx = t.context
     D = profile.radical_step
     a_of, _ = t.decomp
-    sigma = {a_of[w] for w in range(z0 % D, ctx.M, D)}
+    sigma = _sigmas(t, z0, D)[0]
     dirs = frozenset(profile.kappa[a] for a in sigma)
     triple = [a for a in sigma
               if all(a in profile.dir_sets[nu] for nu in range(3))]
@@ -451,9 +437,7 @@ def consistency3_check(profile: FiberedGridProfile) -> Optional[bool]:
         return None
     i = profile.kappa[0]
     others = sorted(set(range(3)) - {i})
-    D = profile.radical_step
-    a_of, _ = t.decomp
-    sigma = {a_of[w] for w in range(0, ctx.M, D)}
+    sigma = _sigmas(t, 0, profile.radical_step)[0]
     candidates = []
     for l in others:
         p, n = ctx.primes[l]

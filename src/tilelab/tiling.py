@@ -318,14 +318,6 @@ def simultaneous_dilation(ctx: ZmContext,
     return r
 
 
-def _forbidden_diff_mask(ctx: ZmContext, forbidden: frozenset[int]) -> int:
-    mask = 0
-    for v in range(1, ctx.M):
-        if ctx.gcd_table[v] in forbidden:
-            mask |= 1 << v
-    return mask
-
-
 def iter_complements(A: TileSet, normalize: bool = True,
                      limit: int | None = None) -> Iterator[TileSet]:
     """Stream complements of A in deterministic search order.
@@ -340,7 +332,10 @@ def iter_complements(A: TileSet, normalize: bool = True,
     if k == 0 or M % k:
         return
     target = M // k
-    forb = _forbidden_diff_mask(ctx, div_set(A) - {M})
+    class_masks = _class_masks(ctx)
+    forb = 0
+    for d in div_set(A) - {M}:
+        forb |= class_masks[d]
     Amask = A.mask
     full = ctx.full_mask
     rotate = ctx.rotate
@@ -560,17 +555,24 @@ def tiling_to_json(t: Tiling) -> dict:
 
 def tiling_from_json(obj: dict, check: bool = True) -> Tiling:
     """Parse {"M":…, "A":[…], "B":[…]}; check=False defers tiling-ness."""
+    A, B = _tiles_from_json(obj, ("A", "B"))
+    return Tiling(A, B, check=check)
+
+
+def _tiles_from_json(obj: dict, names: Sequence[str]) -> list[TileSet]:
+    """The tiles obj[name] of Z_obj["M"], one per name, strictly validated:
+    M a positive integer, members distinct integers in [0, M)."""
     if not isinstance(obj, dict):
         raise InputError("tiling JSON must be an object")
     try:
         M = obj["M"]
     except KeyError:
         raise InputError("missing field M") from None
-    if not isinstance(M, int) or M < 1:
+    if not isinstance(M, int) or isinstance(M, bool) or M < 1:
         raise InputError(f"M must be a positive integer, got {M!r}")
     ctx = factorize(M)
-    sets = {}
-    for name in ("A", "B"):
+    tiles = []
+    for name in names:
         if name not in obj:
             raise InputError(f"missing field {name}")
         raw = obj[name]
@@ -585,5 +587,5 @@ def tiling_from_json(obj: dict, check: bool = True) -> Tiling:
             if v in seen:
                 raise InputError(f"{name}[{idx}] = {v} is a duplicate")
             seen.add(v)
-        sets[name] = TileSet(ctx, raw)
-    return Tiling(sets["A"], sets["B"], check=check)
+        tiles.append(TileSet(ctx, raw))
+    return tiles

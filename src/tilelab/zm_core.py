@@ -97,12 +97,6 @@ class ZmContext:
             raise InputError(f"direction {i} out of range for M={self.M}")
         return self.primes[i]
 
-    def direction_of_prime(self, p: int) -> int:
-        for i, (q, _) in enumerate(self.primes):
-            if q == p:
-                return i
-        raise InputError(f"{p} does not divide M={self.M}")
-
     def residue(self, value: int) -> "Residue":
         if not 0 <= value < self.M:
             raise InputError(f"residue {value} outside [0, {self.M})")
@@ -122,9 +116,6 @@ class ZmContext:
                 raise InputError(f"coordinate {x_j} outside [0, {q})")
             value = (value + x_j * basis) % self.M
         return Residue(self, value, coords)
-
-    def gcd_with_m(self, value: int) -> int:
-        return self.gcd_table[value % self.M]
 
     def rotate(self, mask: int, k: int) -> int:
         """Cyclic shift of an M-bit mask: bit v -> bit (v + k) mod M."""
@@ -265,10 +256,6 @@ class TileSet:
         _same_context(self, other)
         return TileSet.from_mask(self.context, self.mask & other.mask)
 
-    def issubset(self, other: "TileSet") -> bool:
-        _same_context(self, other)
-        return self.mask & ~other.mask == 0
-
 
 def _mask_members(mask: int) -> tuple[int, ...]:
     out = []
@@ -282,27 +269,12 @@ def _mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """L(anchor, step) = {x : step | x - anchor}, step | M."""
-
-    anchor: Residue
-    step: int
-
-    def __post_init__(self):
-        M = self.anchor.context.M
-        if self.step < 1 or M % self.step:
-            raise InputError(f"step {self.step} does not divide M={M}")
-
-
-def realize_grid(spec: GridSpec) -> TileSet:
-    ctx = spec.anchor.context
-    base = spec.anchor.value % spec.step
-    return TileSet(ctx, range(base, ctx.M, spec.step))
-
-
 def grid(x: Residue, step: int) -> TileSet:
-    return realize_grid(GridSpec(x, step))
+    """L(x, step) = {x' : step | x - x'}, step | M."""
+    ctx = x.context
+    if step < 1 or ctx.M % step:
+        raise InputError(f"step {step} does not divide M={ctx.M}")
+    return TileSet(ctx, range(x.value % step, ctx.M, step))
 
 
 def line(x: Residue, direction: int) -> TileSet:

@@ -1,12 +1,15 @@
 """Command line behavior: exit codes, report shapes, determinism."""
 
 import json
+import os
 
 import pytest
 
+import tilelab as tl
 import tilelab.cli
 from tilelab.cli import main
-from tilelab.errors import TheoremViolationError
+from tilelab.errors import (CollapseError, LemmaViolationError,
+                            TheoremViolationError)
 
 
 def run(capsys, *argv):
@@ -46,6 +49,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", '{"M":4,"A":[0,5],"B":[0,2]}')
         assert code == 2
         assert "outside" in err
+
+    def test_boolean_modulus_exits_two(self, capsys):
+        code, out, err = run(capsys, "verify", '{"M":true,"A":[0],"B":[0]}')
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
 
     def test_unreadable_argument_exits_two(self, capsys):
         code, out, err = run(capsys, "verify", "no such file")
@@ -123,6 +132,15 @@ class TestComplements:
         assert code == 2
         assert "complement search needs" in err
 
+    @pytest.mark.parametrize("tile", [
+        '{"M":6,"A":["x",1]}', '{"M":6,"A":[0,1.0]}', '{"M":6,"A":[0,true]}',
+        '{"M":6,"A":[0,3,3]}', '{"M":true,"A":[0]}'])
+    def test_malformed_tile_exits_two(self, capsys, tile):
+        code, out, err = run(capsys, "complements", tile)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
 
 class TestSweep:
     def test_full_lemma_and_t2_sweep(self, capsys):
@@ -161,6 +179,74 @@ class TestSweep:
             "check": "tijdeman_orbit",
             "tiling": {"M": 12, "A": [0, 1, 6, 7], "B": [0, 4, 8]},
             "detail": "injected"}]
+
+    def test_failed_t2_pipeline_is_recorded(self, capsys, monkeypatch):
+        real = tilelab.cli.prove_t2_largeprime
+
+        def failing_on_worked(t):
+            if list(t.A) == [0, 1, 6, 7] and list(t.B) == [0, 4, 8]:
+                raise CollapseError("injected")
+            return real(t)
+
+        monkeypatch.setattr(tilelab.cli, "prove_t2_largeprime",
+                            failing_on_worked)
+        code, rep, _ = run_json(capsys, "sweep", "12")
+        assert code == 1
+        assert rep["counts"] == {"tilings": 194, "fibers": 1940, "grids": 0}
+        assert rep["violations"] == [{
+            "check": "t2_pipeline",
+            "tiling": {"M": 12, "A": [0, 1, 6, 7], "B": [0, 4, 8]},
+            "detail": "injected"}]
+
+    def test_each_grid_is_checked_once(self, capsys, monkeypatch):
+        real = tilelab.cli.plane_consistency
+        first = tl.sample_tilings(tl.factorize(30), 10)[0]
+
+        def failing_on_one_grid(t, z, pair):
+            # the grid L(0, 30/(2*3)) of the first sampled tiling
+            if t == first and pair == (0, 1) and z % 5 == 0:
+                raise LemmaViolationError("injected")
+            return real(t, z, pair)
+
+        monkeypatch.setattr(tilelab.cli, "plane_consistency",
+                            failing_on_one_grid)
+        code, rep, _ = run_json(capsys, "sweep", "30", "--check", "lemmas",
+                                "--limit", "10")
+        assert code == 1
+        assert [v["check"] for v in rep["violations"]] == ["grid_consistency"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two(self, capsys, jobs):
+        code, out, err = run(capsys, "sweep", "12", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    @pytest.mark.parametrize("cpus,pools", [(3, [3]), (None, [])])
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch, cpus, pools):
+        built = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        _, serial, _ = run(capsys, "sweep", "12", "--check", "lemmas")
+        monkeypatch.setattr(tilelab.cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, capped, _ = run(capsys, "sweep", "12", "--check", "lemmas",
+                              "--jobs", "1000000")
+        assert code == 0
+        assert built == pools
+        assert capped == serial
 
     def test_three_prime_cardinalities_reported_not_failed(self, capsys):
         code, rep, _ = run_json(capsys, "sweep", "84", "--check", "t2",

@@ -1,6 +1,8 @@
 """Slab reduction conditions and the certificate-producing prover."""
 
 import dataclasses
+import functools
+import random
 
 import pytest
 
@@ -120,6 +122,88 @@ class TestSplittingSlab:
         for t in corpus(12):
             for d in range(2):
                 rd.splittingslab_equiv_check(t, d)
+
+
+# Literal forms of slab condition (i) and splitting statement (III), kept as
+# oracles for the library's shortcuts: every translate c in [0, M) with the
+# projection computed inline, and the difference classes of each b in B.
+
+
+@functools.lru_cache(maxsize=None)
+def literal_projection(M, direction):
+    ctx = tl.factorize(M)
+    p, n = ctx.primes[direction]
+    child = tl.factorize(M // p)
+    table = []
+    for v in range(M):
+        coords = list(ctx.coords_of(v))
+        if n == 1:
+            coords.pop(direction)
+        else:
+            coords[direction] %= p ** (n - 1)
+        table.append(child.from_coords(coords).value)
+    return child, table
+
+
+def literal_slab_cond_i(t, direction):
+    ctx = t.context
+    p, n = ctx.primes[direction]
+    child, table = literal_projection(ctx.M, direction)
+    coord = ctx.coord_tables[direction]
+    projected_b = tl.TileSet(child, {table[b] for b in t.B})
+    for c in range(ctx.M):
+        shifted = [(a - c) % ctx.M for a in t.A]
+        slab = tl.TileSet(child, {table[a] for a in shifted
+                                  if coord[a] < p ** (n - 1)})
+        if not tl.verify_direct(slab, projected_b):
+            return False, c
+    return True, None
+
+
+def literal_statement_iii(t, direction):
+    ctx = t.context
+    p, _ = ctx.primes[direction]
+    coord = ctx.coord_tables[direction]
+    gcds = ctx.gcd_table
+    step = ctx.M // p
+    b_classes = {b: {gcds[(b - other) % ctx.M] for other in t.B} for b in t.B}
+    for a in t.A:
+        for k in range(p):
+            x = (a + k * step) % ctx.M
+            for classes in b_classes.values():
+                if any(gcds[(x - a2) % ctx.M] in classes and coord[a2] != coord[x]
+                       for a2 in t.A):
+                    return False
+    return True
+
+
+def oracle_corpus():
+    """Both orientations of every tiling of Z_1..Z_24 and of a seeded Z_36
+    sample, each with every direction."""
+    tilings = [t for M in range(1, 25) for t in corpus(M)]
+    tilings += random.Random(36).sample(corpus(36, 2000), 150)
+    for t in tilings:
+        for tt in (t, t.swapped()):
+            for d in range(tt.context.direction_count):
+                yield tt, d
+
+
+class TestLiteralOracles:
+    def test_slab_cond_i_matches_all_translates(self):
+        failing = 0
+        for tt, d in oracle_corpus():
+            got = rd.slab_cond_i(tt, d)
+            assert got == literal_slab_cond_i(tt, d), (tt, d)
+            failing += not got[0]
+        assert failing > 1000
+
+    def test_statement_iii_matches_per_b_classes(self):
+        failing = 0
+        for tt, d in oracle_corpus():
+            want = literal_statement_iii(tt, d)
+            assert rd.splittingslab_equiv_check(tt, d) is want, (tt, d)
+            failing += not want
+        assert failing > 1000
 
 
 class TestSlabcor:

@@ -128,8 +128,10 @@ class TestGeometry:
 
     def test_realize_grid_example(self):
         ctx = tl.factorize(12)
-        g = tl.GridSpec(ctx.residue(1), 4)
-        assert list(tl.realize_grid(g)) == [1, 5, 9]
+        assert list(tl.grid(ctx.residue(1), 4)) == [1, 5, 9]
+        for bad in (0, 5, 24):
+            with pytest.raises(InputError):
+                tl.grid(ctx.residue(1), bad)
 
     def test_grid_partitions(self):
         ctx = tl.factorize(12)
