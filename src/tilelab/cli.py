@@ -74,19 +74,25 @@ def _load_json_arg(arg: str) -> dict:
     """Inline JSON, a file path, or '-' for stdin."""
     if arg.lstrip().startswith("{"):
         text = arg
-    elif arg == "-":
-        text = sys.stdin.read()
     else:
         try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+            if arg == "-":
+                text = sys.stdin.read()
+            else:
+                with open(arg, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+        # ValueError: bytes that are not UTF-8, or a NUL in the path
+        except (OSError, ValueError) as exc:
             raise InputError(f"cannot read {arg}: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON at line {exc.lineno} column "
                          f"{exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal over the interpreter's digit limit, or nesting
+        # deeper than the recursion limit
+        raise InputError(f"unparsable JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InputError("top-level JSON value must be an object")
     return obj

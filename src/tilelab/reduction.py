@@ -195,9 +195,11 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
 
     first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
 
+    # literal over the units; equal dilates rB give equal reports
+    dilates = {rB.mask: rB for rB in (t.B.dilate(r) for r in ctx.units)}
     second = all(
-        split_report(Tiling(t.A, t.B.dilate(r), check=False), direction).uniform_ba
-        for r in ctx.units)
+        split_report(Tiling(t.A, rB, check=False), direction).uniform_ba
+        for rB in dilates.values())
 
     # The difference classes of all b within B make up Div(B), so the members
     # of A matched through some b are the saturating set A_x.

@@ -108,8 +108,7 @@ def verify_direct(A: TileSet, B: TileSet) -> bool:
     return covered == ctx.full_mask
 
 
-@lru_cache(maxsize=1 << 18)
-def div_set(A: TileSet) -> frozenset[int]:
+def _div_set(A: TileSet) -> frozenset[int]:
     """Div(A) = {(a - a', M)}; contains M whenever A is nonempty."""
     ctx = A.context
     gcds = ctx.gcd_table
@@ -119,6 +118,17 @@ def div_set(A: TileSet) -> frozenset[int]:
         for a2 in ms[i + 1:]:
             out.add(gcds[a2 - a])
     return frozenset(out)
+
+
+@lru_cache(maxsize=1 << 18)
+def div_set(A: TileSet) -> frozenset[int]:
+    """Div(A), memoized by tile."""
+    return _div_set(A)
+
+
+def _dilate_div(D: frozenset[int], r: int, M: int) -> frozenset[int]:
+    """{(r x, M) : (x, M) in D}, since (x, M) = d gives (r x, M) = d (r, M/d)."""
+    return frozenset(d * math.gcd(r, M // d) for d in D)
 
 
 def verify_sands(A: TileSet, B: TileSet) -> bool:
@@ -145,9 +155,28 @@ def tijdeman_orbit_check(t: Tiling) -> bool:
 
     A collapse (|rA| < |A|) or a failed cover for an admissible r would
     contradict the dilation theorem; both raise TheoremViolationError.
+
+    Div(rA) depends on r only through g = gcd(r, M) (see _dilate_div), so
+    the check is decided once per class g.  With |A||B| = M, |A| divides M,
+    so r is admissible exactly when g is coprime to |A|, and the classes met
+    are the divisors g < M of M.  A class is clean when no d in Div(A) minus
+    {M} has d gcd(g, M/d) in Div(B).  Then for every r in it no two members
+    of A meet under r (M is in Div(B)) and (rA - rA) meets (B - B) only in
+    0, so the M sums ra + b are distinct and rA + B tiles: the elementary
+    direction of Sands' criterion, not the theorem being checked.  Unless
+    |A||B| = M and every class is clean, the literal loop below runs, and
+    the first failing r and its message are those it has always reported.
     """
+    M = t.context.M
     k = len(t.A)
-    for r in range(1, t.context.M):
+    if k * len(t.B) == M:
+        # the uncached kernel: the orbit check must not pin every tile it sees
+        div_a = _div_set(t.A) - {M}
+        div_b = _div_set(t.B)
+        if all(_dilate_div(div_a, g, M).isdisjoint(div_b)
+               for g in t.context.divisors[:-1] if math.gcd(g, k) == 1):
+            return True
+    for r in range(1, M):
         if math.gcd(r, k) != 1:
             continue
         rA = t.A.dilate(r)

@@ -125,9 +125,16 @@ class ZmContext:
         return ((mask << k) | (mask >> (self.M - k))) & self.full_mask
 
 
+# Largest supported modulus.  A context holds several M-length tables and
+# tiles are M-bit masks, so the bound is checked before anything is built.
+MAX_M = 1 << 16
+
+
 @lru_cache(maxsize=None)
 def factorize(M: int) -> ZmContext:
-    """Build (and memoize) the context for Z_M."""
+    """Build (and memoize) the context for Z_M, 1 <= M <= MAX_M."""
+    if M > MAX_M:
+        raise InputError(f"modulus exceeds MAX_M = {MAX_M}")
     if M < 1:
         raise InputError(f"modulus must be >= 1, got {M}")
     primes = prime_factorization(M)

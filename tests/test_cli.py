@@ -4,12 +4,14 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tilelab as tl
 import tilelab.cli
 from tilelab.cli import main
 from tilelab.errors import (CollapseError, LemmaViolationError,
                             TheoremViolationError)
+from tilelab.zm_core import MAX_M
 
 
 def run(capsys, *argv):
@@ -60,6 +62,35 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "no such file")
         assert code == 2
         assert "input error" in err
+
+    def test_over_long_integer_literal_exits_two(self, capsys):
+        # over the interpreter's 4,300-digit limit for int parsing
+        code, out, err = run(capsys, "verify",
+                             '{"M": 1' + "0" * 5000 + ', "A":[0], "B":[0]}')
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    def test_undecodable_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "tiling.json"
+        path.write_bytes(b"\xff\xfe" + GOOD.encode("utf-16-le"))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    def test_deeply_nested_json_exits_two(self, capsys):
+        code, out, err = run(capsys, "verify", '{"M":' + "[" * 100_000)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    def test_modulus_above_max_m_exits_two(self, capsys):
+        code, out, err = run(capsys, "verify",
+                             json.dumps({"M": MAX_M + 1, "A": [0], "B": [0]}))
+        assert code == 2
+        assert out == ""
+        assert "MAX_M" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "verify", GOOD)
@@ -215,6 +246,12 @@ class TestSweep:
         assert code == 1
         assert [v["check"] for v in rep["violations"]] == ["grid_consistency"]
 
+    def test_modulus_above_max_m_exits_two(self, capsys):
+        code, out, err = run(capsys, "sweep", str(MAX_M + 1))
+        assert code == 2
+        assert out == ""
+        assert "MAX_M" in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_two(self, capsys, jobs):
         code, out, err = run(capsys, "sweep", "12", "--jobs", jobs)
@@ -297,3 +334,50 @@ class TestNoCyclotomicCache:
         assert rep["tiles"]["B"]["mask_divisors"] == [3]
         assert [f.name for f in tmp_path.iterdir()] == ["cyclotomics.json"]
         assert (tmp_path / "cyclotomics.json").read_text() == content
+
+
+# Hostile tiling JSON for the in-process fuzz below: every input must end in
+# exit 0, 1 or 2 with no exception escaping main.
+_moduli = st.one_of(
+    st.integers(-3, 24), st.just(MAX_M + 1), st.booleans(), st.none(),
+    st.floats(allow_nan=True), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2))
+_members = st.lists(
+    st.one_of(st.integers(-3, 30), st.booleans(), st.floats(-2, 30),
+              st.text(max_size=2), st.none()),
+    max_size=8).flatmap(
+        lambda xs: st.just(xs + xs[:1]) | st.just(xs))   # maybe a duplicate
+_huge = "1" + "0" * 5000
+
+
+@st.composite
+def _hostile_json(draw):
+    kind = draw(st.sampled_from(["valid", "object", "huge", "malformed"]))
+    if kind == "huge":
+        return '{"M": ' + _huge + ', "A": [0], "B": [0]}'
+    if kind == "malformed":
+        text = draw(st.text(max_size=30))
+        return draw(st.sampled_from(["{" + text, text, '{"M":' + text]))
+    if kind == "valid":
+        M = draw(st.integers(1, 24))
+        tile = st.lists(st.integers(0, M - 1), min_size=1, max_size=8,
+                        unique=True)
+        return json.dumps({"M": M, "A": draw(tile), "B": draw(tile)})
+    obj = {"M": draw(_moduli)}
+    for name in ("A", "B"):
+        if draw(st.booleans()) or name == "A":
+            obj[name] = draw(_members)
+    text = json.dumps(obj)
+    if draw(st.booleans()):
+        text = text.replace("[", "[" + _huge + ",", 1)
+    return text
+
+
+class TestHostileInput:
+    @settings(max_examples=200, deadline=None)
+    @given(text=_hostile_json(),
+           argv=st.sampled_from([["verify"], ["analyze"],
+                                 ["complements", "--limit", "1"]]))
+    def test_exit_code_contract(self, text, argv):
+        code = main([argv[0], text, *argv[1:]])
+        assert code in (0, 1, 2)

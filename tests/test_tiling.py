@@ -1,11 +1,14 @@
 import itertools
 import math
+import random
 
 import pytest
 
 import tilelab as tl
+import tilelab.tiling
 from tilelab.errors import InputError, TheoremViolationError
-from tilelab.tiling import IsometryTable, tiling_to_json, tiling_from_json
+from tilelab.tiling import (IsometryTable, _dilate_div, tiling_to_json,
+                            tiling_from_json)
 
 from conftest import corpus
 
@@ -197,6 +200,111 @@ class TestDilation:
     def test_orbit_check_corpus(self):
         for t in corpus(12):
             assert tl.tijdeman_orbit_check(t)
+
+
+# The literal orbit check, kept as the oracle for the library's divisor-class
+# form: dilate A by every admissible r and check the collapse and the cover.
+
+
+def literal_orbit_check(t):
+    k = len(t.A)
+    for r in range(1, t.context.M):
+        if math.gcd(r, k) != 1:
+            continue
+        rA = t.A.dilate(r)
+        if len(rA) != k:
+            raise TheoremViolationError(
+                f"dilation r={r} collapsed A={t.A.members} to {rA.members}")
+        if not tl.verify_direct(rA, t.B):
+            raise TheoremViolationError(
+                f"dilation r={r} broke the tiling: rA={rA.members}")
+    return True
+
+
+def orbit_outcome(check, t):
+    """The return value, or the message of the TheoremViolationError."""
+    try:
+        return check(t)
+    except TheoremViolationError as exc:
+        return f"raised: {exc}"
+
+
+def orbit_corpus():
+    """Every tiling of Z_1..Z_24 and a seeded Z_36 sample."""
+    tilings = [t for M in range(1, 25) for t in corpus(M)]
+    return tilings + random.Random(36).sample(corpus(36, 2000), 150)
+
+
+def unchecked_pairs(count, seed):
+    """Seeded pairs built with check=False over Z_12..Z_72; about three in
+    ten have |A||B| != M."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ctx = tl.factorize(rng.randint(12, 72))
+        M = ctx.M
+        ka = rng.choice(ctx.divisors)
+        kb = M // ka if rng.random() < 0.7 else rng.randint(1, M)
+        A = tl.TileSet(ctx, [0] + rng.sample(range(1, M), ka - 1))
+        B = tl.TileSet(ctx, [0] + rng.sample(range(1, M), kb - 1))
+        yield tl.Tiling(A, B, check=False)
+
+
+class TestOrbitOracle:
+    def test_corpora_match_literal_loop(self):
+        for t in orbit_corpus():
+            for tt in (t, t.swapped()):
+                assert tl.tijdeman_orbit_check(tt) is True
+                assert literal_orbit_check(tt) is True, tt
+
+    def test_unchecked_pairs_match_literal_loop(self):
+        raised = unequal_sizes = 0
+        for t in unchecked_pairs(1500, seed=4):
+            want = orbit_outcome(literal_orbit_check, t)
+            assert orbit_outcome(tl.tijdeman_orbit_check, t) == want, t
+            raised += want is not True
+            unequal_sizes += len(t.A) * len(t.B) != t.context.M
+        assert raised > 900 and unequal_sizes > 400
+
+    def test_degenerate_tiles_match_literal_loop(self):
+        ctx = tl.factorize(12)
+        empty, zero = tl.TileSet(ctx, []), tl.TileSet(ctx, [0])
+        full = tl.TileSet(ctx, range(12))
+        for A, B in ((empty, full), (full, empty), (empty, empty),
+                     (zero, zero), (full, full), (zero, full)):
+            t = tl.Tiling(A, B, check=False)
+            assert (orbit_outcome(tl.tijdeman_orbit_check, t)
+                    == orbit_outcome(literal_orbit_check, t))
+
+    def test_dilated_divisor_identity(self):
+        tiles = {}
+        for t in orbit_corpus():
+            tiles[t.A] = tiles[t.B] = None
+        for A in tiles:
+            M = A.context.M
+            D = tl.div_set(A)
+            for r in range(1, M):
+                rA = A.dilate(r)
+                if len(rA) == len(A):
+                    assert _dilate_div(D, r, M) == tl.div_set(rA), (A, r)
+                else:
+                    assert M in _dilate_div(D - {M}, r, M), (A, r)
+
+    def test_real_tilings_never_fall_back(self, monkeypatch):
+        calls = []
+        real = tilelab.tiling.verify_direct
+
+        def counting(A, B):
+            calls.append((A, B))
+            return real(A, B)
+
+        monkeypatch.setattr(tilelab.tiling, "verify_direct", counting)
+        for t in corpus(24):
+            for tt in (t, t.swapped()):
+                assert tl.tijdeman_orbit_check(tt)
+        assert calls == []
+        with pytest.raises(TheoremViolationError):
+            tl.tijdeman_orbit_check(T(4, [0, 2], [0, 2], check=False))
+        assert len(calls) == 1
 
 
 class TestIsometries:

@@ -29,6 +29,12 @@ class TestFactorize:
         with pytest.raises(InputError):
             tl.factorize(0)
 
+    def test_above_max_m_rejected(self):
+        from tilelab.zm_core import MAX_M
+        with pytest.raises(InputError, match="MAX_M"):
+            tl.factorize(MAX_M + 1)
+        assert tl.factorize(MAX_M).primes == ((2, 16),)
+
     @pytest.mark.parametrize("M", [1, 2, 12, 36, 60, 144, 900])
     def test_phi_table_against_brute_force(self, M):
         ctx = tl.factorize(M)
