@@ -360,6 +360,8 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
               jobs: int) -> int:
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
+    if limit is not None and limit < 0:
+        raise InputError(f"--limit must be at least 0, got {limit}")
     jobs = min(jobs, os.cpu_count() or 1)
     ctx = factorize(M)
     corpus = (sample_tilings(ctx, cap=limit) if limit is not None

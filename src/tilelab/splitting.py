@@ -8,8 +8,9 @@ sets Sigma_A, Sigma_B always land in one of two patterns:
                 by exactly p^{n-1} (p^{n-1} divides, p^n does not)
     parity BA:  the same with the roles of A and B swapped
 
-This dichotomy is total for tilings; uniformity notions quantify it over
-all fibers of a direction, or only over fibers anchored at tile elements.
+This dichotomy is total for tilings, and the collapsing side alone decides
+it (see fiber_parity); uniformity notions quantify it over all fibers of a
+direction, or only over fibers anchored at tile elements.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -58,18 +59,6 @@ def sigma_sets(t: Tiling, zone: TileSet) -> SigmaPair:
     )
 
 
-def _collapses(coords: list[int]) -> bool:
-    return len(set(coords)) <= 1
-
-
-def _spreads(coords: list[int], p: int, n: int) -> bool:
-    # distinct mod p^n, all congruent mod p^{n-1}
-    if len(set(coords)) != len(coords):
-        return False
-    low = p ** (n - 1)
-    return len({c % low for c in coords}) <= 1
-
-
 def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
     """Sigma_A and Sigma_B of the grid L(z, step): the tile parts of the
     representations of its members."""
@@ -78,23 +67,40 @@ def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
     return set(a_of[start::step]), set(b_of[start::step])
 
 
+def _full_fibers(A: TileSet, direction: int) -> int:
+    """Mask of the a in A whose whole fiber a + k M/p (k < p) lies in A."""
+    ctx = A.context
+    p, _ = ctx.primes[direction]
+    full = A.mask
+    for k in range(1, p):
+        full &= ctx.rotate(A.mask, -k * (ctx.M // p))
+    return full
+
+
 def fiber_parity(t: Tiling, z: int, direction: int) -> Parity:
-    """The unique splitting parity of the fiber z*F in the given direction."""
+    """The unique splitting parity of the fiber z*F in the given direction:
+    AB when the Sigma_A elements share one coordinate, BA when Sigma_B do.
+
+    On an exact cover (t.decomp exists only for one) this is the whole
+    definition.  The points z_k = z + k M/p carry the p coordinates
+    coord(z) + k p^{n-1}, distinct and congruent mod p^{n-1}, and
+    coord(a_k) + coord(b_k) = coord(z_k).  So if the a_k share c, the b_k
+    have coordinates coord(z_k) - c: Sigma_B spreads.  Swap A and B for BA;
+    both sides never collapse at once.  Both or neither raises.
+    """
     ctx = t.context
-    p, n = ctx.check_direction(direction)
+    p, _ = ctx.check_direction(direction)
     step = ctx.M // p
     table = ctx.coord_tables[direction]
     sa, sb = _sigmas(t, z, step)
-    ca = [table[a] for a in sa]
-    cb = [table[b] for b in sb]
-    holds_ab = _collapses(ca) and _spreads(cb, p, n)
-    holds_ba = _collapses(cb) and _spreads(ca, p, n)
-    if holds_ab == holds_ba:
-        kind = "both parities" if holds_ab else "neither parity"
+    flat_a = len({table[a] for a in sa}) == 1
+    flat_b = len({table[b] for b in sb}) == 1
+    if flat_a == flat_b:
+        kind = "both parities" if flat_a else "neither parity"
         raise NeitherParityError(
             f"fiber {z % step}*F (direction p={p}) admits {kind}: "
             f"Sigma_A={sorted(sa)} Sigma_B={sorted(sb)}")
-    return Parity.AB if holds_ab else Parity.BA
+    return Parity.AB if flat_a else Parity.BA
 
 
 @dataclass(frozen=True)
@@ -275,11 +281,8 @@ def cross_direction_check(t: Tiling, z: int,
         raise InputError("cross-direction check needs two distinct directions")
     step = ctx.M // (pi * pj)
     sa = _sigmas(t, z, step)[0]
-    amask = t.A.mask
-    fiber_step = ctx.M // pi
-    anchors = [a for a in sa
-               if all(amask >> ((a + k * fiber_step) % ctx.M) & 1
-                      for k in range(pi))]
+    full = _full_fibers(t.A, i)
+    anchors = [a for a in sa if full >> a & 1]
     if not anchors:
         return None
     table = ctx.coord_tables[j]
@@ -322,15 +325,9 @@ def fibered_grid_profile(t: Tiling) -> FiberedGridProfile:
             "D(M)=1 degenerate: every grid of step D(M) is the full group")
     if not divides_mask(ctx.M, t.A):
         raise InputError("the full-order cyclotomic does not divide A")
-    amask = t.A.mask
     members = t.A.members
-    dir_sets = []
-    for nu in range(3):
-        p, _ = ctx.primes[nu]
-        step = ctx.M // p
-        dir_sets.append(frozenset(
-            a for a in members
-            if all(amask >> ((a + k * step) % ctx.M) & 1 for k in range(p))))
+    dir_sets = [frozenset(a for a in members if full >> a & 1)
+                for full in (_full_fibers(t.A, nu) for nu in range(3))]
     grid_dirs: dict[int, int] = {}
     kappa: dict[int, int] = {}
     for g in range(D):

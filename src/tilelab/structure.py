@@ -99,13 +99,14 @@ def box_product_all_ones(t) -> bool:
 
     Integer arithmetic throughout: phi(M/m) divides phi(M) for every m | M,
     so the target becomes sum_m w[m]*countA*countB = phi(M) with integer
-    weights w[m] = phi(M)/phi(M/m).
+    weights w[m] = phi(M)/phi(M/m).  The product at (x, y) depends only on
+    the count rows of x and y, so each distinct pair of rows is checked once.
     """
     ctx = t.context
     phi_m = ctx.phi_table[ctx.M]
     weights = [phi_m // ctx.phi_table[ctx.M // d] for d in ctx.divisors]
-    rows_a = _count_rows(t.A)
-    rows_b = _count_rows(t.B)
+    rows_a = set(map(tuple, _count_rows(t.A)))
+    rows_b = set(map(tuple, _count_rows(t.B)))
     # Fold the weights into the A rows once; each pair is then a dot product.
     packed = [[w * c for w, c in zip(weights, row)] for row in rows_a]
     for row_a in packed:

@@ -17,9 +17,11 @@ with divisor-exclusion pruning.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import GeneratorType
 from typing import Iterator, Sequence
 
 from .cyclotomic import cyclo_profile
@@ -349,12 +351,15 @@ def simultaneous_dilation(ctx: ZmContext,
 
 def iter_complements(A: TileSet, normalize: bool = True,
                      limit: int | None = None) -> Iterator[TileSet]:
-    """Stream complements of A in deterministic search order.
+    """Stream complements of A in deterministic search order (the first
+    `limit` if given; a negative limit is an InputError).
 
     Backtracking on the lowest uncovered residue; a candidate b is cut as
     soon as (b - b', M) lands in Div(A) \\ {M} for some placed b', which also
     rules out sumset collisions.
     """
+    if limit is not None and limit < 0:
+        raise InputError(f"limit must be at least 0, got {limit}")
     ctx = A.context
     M = ctx.M
     k = len(A)
@@ -369,13 +374,10 @@ def iter_complements(A: TileSet, normalize: bool = True,
     full = ctx.full_mask
     rotate = ctx.rotate
     members = A.members
-    found = 0
     B: list[int] = []
 
     def walk(covered: int, blocked: int):
-        nonlocal found
         if covered == full:
-            found += 1
             yield TileSet(ctx, B)
             return
         if len(B) == target:
@@ -386,17 +388,16 @@ def iter_complements(A: TileSet, normalize: bool = True,
             if (blocked >> b) & 1:
                 continue
             B.append(b)
-            yield from walk(covered | rotate(Amask, b),
-                            blocked | rotate(forb, b) | (1 << b))
+            yield walk(covered | rotate(Amask, b),
+                       blocked | rotate(forb, b) | (1 << b))
             B.pop()
-            if limit is not None and found >= limit:
-                return
 
     if normalize:
         B.append(0)
-        yield from walk(Amask, forb | 1)
+        root = walk(Amask, forb | 1)
     else:
-        yield from walk(0, 0)
+        root = walk(0, 0)
+    yield from itertools.islice(_run_search(root), limit)
 
 
 def find_complements(A: TileSet, normalize: bool = True,
@@ -405,6 +406,22 @@ def find_complements(A: TileSet, normalize: bool = True,
     out = list(iter_complements(A, normalize=normalize, limit=limit))
     out.sort(key=lambda ts: ts.members)
     return out
+
+
+def _run_search(root) -> Iterator:
+    """Depth-first driver for searches whose steps yield either a result or
+    a child search (a generator).  A child runs to exhaustion on an explicit
+    stack before its parent resumes, so results come in the order nested
+    `yield from` would give, without one interpreter frame per level."""
+    stack = [root]
+    while stack:
+        for item in stack[-1]:
+            if type(item) is GeneratorType:
+                stack.append(item)
+                break
+            yield item
+        else:
+            stack.pop()
 
 
 def _class_masks(ctx: ZmContext) -> dict[int, int]:
@@ -437,9 +454,9 @@ def iter_tilings(ctx: ZmContext, normalize: bool = True,
 
 
 def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
-    """Recursive pair search for one size split; see iter_tilings.
+    """Pair search for one size split, run by _run_search; see iter_tilings.
 
-    State per call: bitmasks for members, coverage, and "blocked" residues.
+    State per step: bitmasks for members, coverage, and "blocked" residues.
     blockedA contains A's members plus every v with (v - a, M) in Div(B)\\{M}
     for some placed a (divisor exclusion; it also subsumes sumset-collision
     pruning).  blockedB_refl mirrors blockedB through v -> -v, which is sound
@@ -454,8 +471,9 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
     A = [0]
     B = [0] if normalize else []
 
-    def walk(Amask, Bmask, covered, divA, divB, forbA, forbB,
-             blockedA, blockedB, blockedB_refl):
+    def walk(state):
+        (Amask, Bmask, covered, divA, divB, forbA, forbB,
+         blockedA, blockedB, blockedB_refl) = state
         if covered == full:
             yield Tiling(TileSet(ctx, A), TileSet(ctx, B), check=False)
             return
@@ -467,17 +485,15 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
             for a in A:
                 b = (z - a) % M
                 if not (blockedB >> b) & 1:
-                    yield from place(Amask, Bmask, covered, divA, divB, forbA,
-                                     forbB, blockedA, blockedB, blockedB_refl,
-                                     None, b)
+                    yield walk(place(state, None, b))
+                    B.pop()
         # existing b, new a = z - b
         if na < dA:
             for b in B:
                 a = (z - b) % M
                 if not (blockedA >> a) & 1:
-                    yield from place(Amask, Bmask, covered, divA, divB, forbA,
-                                     forbB, blockedA, blockedB, blockedB_refl,
-                                     a, None)
+                    yield walk(place(state, a, None))
+                    A.pop()
         # both new, a + b = z
         if na < dA and nb < dB:
             cand = full & ~blockedA & ~rotate(blockedB_refl, z)
@@ -492,18 +508,18 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
                 gB = frozenset(gcds[(b - w) % M] for w in B)
                 if gA & gB:
                     continue
-                yield from place(Amask, Bmask, covered, divA, divB, forbA,
-                                 forbB, blockedA, blockedB, blockedB_refl,
-                                 a, b)
+                yield walk(place(state, a, b))
+                A.pop()
+                B.pop()
 
-    def place(Amask, Bmask, covered, divA, divB, forbA, forbB, blockedA,
-              blockedB, blockedB_refl, a, b):
+    def place(state, a, b):
+        """Push a and/or b onto A and B; the caller pops them again."""
+        (Amask, Bmask, covered, divA, divB, forbA, forbB, blockedA,
+         blockedB, blockedB_refl) = state
         # b first, so a's coverage update sees the final Bmask
-        pushed_a = pushed_b = False
         if b is not None:
             newd = frozenset(gcds[(b - w) % M] for w in B) - divB
             B.append(b)
-            pushed_b = True
             Bmask |= 1 << b
             covered |= rotate(Amask, b)
             blockedB |= rotate(forbB, b) | (1 << b)
@@ -520,7 +536,6 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
         if a is not None:
             newd = frozenset(gcds[(a - w) % M] for w in A) - divA
             A.append(a)
-            pushed_a = True
             Amask |= 1 << a
             covered |= rotate(Bmask, a)
             blockedA |= rotate(forbA, a) | (1 << a)
@@ -534,16 +549,12 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
                     for w in B:
                         blockedB |= rotate(grow, w)
                         blockedB_refl |= rotate(grow, -w)
-        yield from walk(Amask, Bmask, covered, divA, divB, forbA, forbB,
-                        blockedA, blockedB, blockedB_refl)
-        if pushed_a:
-            A.pop()
-        if pushed_b:
-            B.pop()
+        return (Amask, Bmask, covered, divA, divB, forbA, forbB,
+                blockedA, blockedB, blockedB_refl)
 
     seeded = 1 if normalize else 0
-    yield from walk(1, seeded, seeded, frozenset(), frozenset(), 0, 0,
-                    1, seeded, seeded)
+    yield from _run_search(walk((1, seeded, seeded, frozenset(), frozenset(),
+                                 0, 0, 1, seeded, seeded)))
 
 
 def enumerate_tilings(ctx: ZmContext, normalize: bool = True) -> list[Tiling]:

@@ -1,5 +1,7 @@
 """Shared fixtures: cached tiling corpora so exhaustive suites enumerate once."""
 
+import random
+
 import pytest
 
 import tilelab as tl
@@ -20,6 +22,13 @@ def corpus(M: int, cap: int | None = None) -> list:
         else:
             _corpora[key] = tl.sample_tilings(ctx, cap)
     return _corpora[key]
+
+
+def oracle_tilings() -> list:
+    """Every tiling of Z_1..Z_24 and a seeded 150-tiling Z_36 sample: the
+    corpus on which fast kernels are compared with their literal oracles."""
+    tilings = [t for M in range(1, 25) for t in corpus(M)]
+    return tilings + random.Random(36).sample(corpus(36, 2000), 150)
 
 
 @pytest.fixture(scope="session")

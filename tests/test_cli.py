@@ -158,6 +158,26 @@ class TestComplements:
                            "--limit", "1")
         assert capped.strip().splitlines() == full.strip().splitlines()[:1]
 
+    def test_limit_zero_prints_nothing(self, capsys):
+        code, out, err = run(capsys, "complements", '{"M":12,"A":[0,1,6,7]}',
+                             "--limit", "0")
+        assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.parametrize("limit", ["-1", "-3"])
+    def test_negative_limit_exits_two(self, capsys, limit):
+        code, out, err = run(capsys, "complements", '{"M":12,"A":[0,1,6,7]}',
+                             "--limit", limit)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    def test_deep_search_exits_zero(self, capsys):
+        # one search level per member of B, deeper than the interpreter stack
+        code, out, _ = run(capsys, "complements", '{"M":997,"A":[0]}',
+                           "--limit", "1")
+        assert code == 0
+        assert out.strip().splitlines() == [json.dumps({"B": list(range(997))})]
+
     def test_missing_field_exits_two(self, capsys):
         code, _, err = run(capsys, "complements", '{"M":4}')
         assert code == 2
@@ -186,6 +206,25 @@ class TestSweep:
                                 "--limit", "30")
         assert code == 0
         assert rep["counts"]["tilings"] == 30
+
+    def test_limit_zero_gives_empty_report(self, capsys):
+        code, rep, _ = run_json(capsys, "sweep", "12", "--limit", "0")
+        assert code == 0
+        assert rep["counts"] == {"tilings": 0, "fibers": 0, "grids": 0}
+
+    @pytest.mark.parametrize("limit", ["-1", "-3"])
+    def test_negative_limit_exits_two(self, capsys, limit):
+        code, out, err = run(capsys, "sweep", "12", "--limit", limit)
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    def test_deep_search_exits_zero(self, capsys):
+        code, rep, _ = run_json(capsys, "sweep", "499", "--check", "t2",
+                                "--limit", "1")
+        assert code == 0
+        assert rep["counts"]["tilings"] == 1
+        assert rep["violations"] == []
 
     def test_parallel_matches_serial(self, capsys):
         _, serial, _ = run(capsys, "sweep", "12", "--check", "lemmas")
@@ -376,8 +415,10 @@ def _hostile_json(draw):
 class TestHostileInput:
     @settings(max_examples=200, deadline=None)
     @given(text=_hostile_json(),
-           argv=st.sampled_from([["verify"], ["analyze"],
-                                 ["complements", "--limit", "1"]]))
+           argv=st.one_of(
+               st.sampled_from([["verify"], ["analyze"]]),
+               st.integers(-3, 3).map(
+                   lambda n: ["complements", "--limit", str(n)])))
     def test_exit_code_contract(self, text, argv):
         code = main([argv[0], text, *argv[1:]])
         assert code in (0, 1, 2)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import random
 
 import pytest
 
@@ -11,7 +10,7 @@ from tilelab import reduction as rd
 from tilelab.errors import (CollapseError, EquivalenceViolationError,
                             InputError, InvariantViolationError)
 
-from conftest import corpus
+from conftest import corpus, oracle_tilings
 
 
 def T(M, A, B, check=True):
@@ -180,9 +179,7 @@ def literal_statement_iii(t, direction):
 def oracle_corpus():
     """Both orientations of every tiling of Z_1..Z_24 and of a seeded Z_36
     sample, each with every direction."""
-    tilings = [t for M in range(1, 25) for t in corpus(M)]
-    tilings += random.Random(36).sample(corpus(36, 2000), 150)
-    for t in tilings:
+    for t in oracle_tilings():
         for tt in (t, t.swapped()):
             for d in range(tt.context.direction_count):
                 yield tt, d

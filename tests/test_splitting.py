@@ -1,5 +1,7 @@
 """Splitting parities, uniformity verdicts, and fibered-grid machinery."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,7 @@ from tilelab.errors import (InputError, LemmaViolationError,
                             NeitherParityError, NotFiberedError)
 from tilelab.splitting import Parity
 
-from conftest import corpus
+from conftest import corpus, oracle_tilings
 
 
 def T(M, A, B, check=True):
@@ -25,8 +27,9 @@ def t12():
     return T(12, [0, 1, 6, 7], [0, 4, 8])
 
 
-def oracle_parity(t, anchor, direction):
-    """Definition scan on plain residues, independent of coordinate tables."""
+def oracle_outcome(t, anchor, direction):
+    """Definition scan on plain residues, independent of coordinate tables:
+    the parity, or "both parities" / "neither parity"."""
     ctx = t.context
     p, n = ctx.primes[direction]
     q, low = p ** n, p ** (n - 1)
@@ -47,8 +50,34 @@ def oracle_parity(t, anchor, direction):
 
     ab = collapses(sa) and exact(sb)
     ba = collapses(sb) and exact(sa)
-    assert ab != ba, "parity must be unambiguous on a genuine tiling"
+    if ab == ba:
+        return "both parities" if ab else "neither parity"
     return Parity.AB if ab else Parity.BA
+
+
+def oracle_parity(t, anchor, direction):
+    got = oracle_outcome(t, anchor, direction)
+    assert isinstance(got, Parity), \
+        "parity must be unambiguous on a genuine tiling"
+    return got
+
+
+def parity_outcome(t, anchor, direction):
+    """fiber_parity's answer, or the kind named by its NeitherParityError."""
+    try:
+        return sp.fiber_parity(t, anchor, direction)
+    except NeitherParityError as exc:
+        return "both parities" if "both parities" in str(exc) else "neither parity"
+
+
+def literal_full_fibers(T, direction):
+    """The members of T whose whole direction fiber lies in T, as a mask."""
+    ctx = T.context
+    p = ctx.primes[direction][0]
+    members = set(T.members)
+    return sum(1 << a for a in members
+               if all((a + k * ctx.M // p) % ctx.M in members
+                      for k in range(p)))
 
 
 class FakeDecomp:
@@ -97,12 +126,41 @@ class TestFiberParity:
         assert sp.fiber_parity(t12(), 0, 0) is Parity.BA
 
     def test_matches_definition_scan(self):
-        for t in corpus(12):
-            for d in range(2):
-                step = 12 // t.context.primes[d][0]
-                for anchor in range(step):
-                    assert sp.fiber_parity(t, anchor, d) is \
-                        oracle_parity(t, anchor, d)
+        for t in oracle_tilings():
+            for tt in (t, t.swapped()):
+                for d, (p, _) in enumerate(tt.context.primes):
+                    want = {anchor: oracle_parity(tt, anchor, d)
+                            for anchor in range(tt.context.M // p)}
+                    assert sp.split_report(tt, d).fibers == want, (tt, d)
+                    for anchor, parity in want.items():
+                        assert sp.fiber_parity(tt, anchor, d) is parity
+
+    def test_sum_consistent_tables_match_definition(self):
+        # Cover tables with a_of[z] + b_of[z] = z that need not come from a
+        # tiling: the one-side rule is exact on these too, "neither" included.
+        rng = random.Random(5)
+        seen = set()
+        for M in (4, 8, 9, 12, 18, 24, 36, 72):
+            ctx = tl.factorize(M)
+            for d, (p, n) in enumerate(ctx.primes):
+                q = p ** n
+                step = M // p
+                for _ in range(20):
+                    a_of = [0] * M
+                    for anchor in range(step):
+                        mode = rng.choice("ABN")
+                        u = rng.randrange(M)
+                        for w in range(anchor, M, step):
+                            near_u = (u + q * rng.randrange(M // q)) % M
+                            a_of[w] = {"A": near_u, "B": (w - near_u) % M,
+                                       "N": rng.randrange(M)}[mode]
+                    b_of = tuple((w - a) % M for w, a in enumerate(a_of))
+                    fake = FakeDecomp(ctx, tuple(a_of), b_of)
+                    for anchor in range(step):
+                        want = oracle_outcome(fake, anchor, d)
+                        assert parity_outcome(fake, anchor, d) == want
+                        seen.add(want)
+        assert seen == {Parity.AB, Parity.BA, "neither parity"}
 
     def test_anchor_reduced_mod_step(self):
         t = t12()
@@ -325,6 +383,14 @@ class TestPlaneConsistency:
         fake = FakeDecomp(tl.factorize(36), tuple(a_of), (0,) * 36)
         with pytest.raises(LemmaViolationError, match="no consistent"):
             sp.plane_consistency(fake, 0, (0, 1))
+
+
+class TestFullFibers:
+    def test_matches_member_scan(self):
+        for t in oracle_tilings():
+            for T in (t.A, t.B):
+                for d in range(T.context.direction_count):
+                    assert sp._full_fibers(T, d) == literal_full_fibers(T, d)
 
 
 class TestCrossDirection:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,21 @@ class TestBoxProduct:
     def test_all_ones_over_corpus(self):
         for t in corpus(12)[::7]:
             assert tl.box_product_all_ones(t)
+
+    def test_all_ones_matches_literal_grid_on_unchecked_pairs(self):
+        rng = random.Random(12)
+        outcomes = []
+        for _ in range(200):
+            ctx = tl.factorize(rng.choice((8, 12)))
+            M = ctx.M
+            ka = rng.choice(ctx.divisors)
+            A = tl.TileSet(ctx, [0] + rng.sample(range(1, M), ka - 1))
+            B = tl.TileSet(ctx, [0] + rng.sample(range(1, M), M // ka - 1))
+            want = all(tl.box_product(A, B, x, y) == 1
+                       for x in range(M) for y in range(M))
+            assert tl.box_product_all_ones(tl.Tiling(A, B, check=False)) is want
+            outcomes.append(want)
+        assert outcomes.count(True) > 20 and outcomes.count(False) > 20
 
 
 class TestDilationCountIdentity:

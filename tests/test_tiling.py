@@ -10,7 +10,7 @@ from tilelab.errors import InputError, TheoremViolationError
 from tilelab.tiling import (IsometryTable, _dilate_div, tiling_to_json,
                             tiling_from_json)
 
-from conftest import corpus
+from conftest import corpus, oracle_tilings
 
 
 def T(M, A, B, check=True):
@@ -170,6 +170,13 @@ class TestComplements:
         assert len(all_b) > 2
         assert capped == all_b[:2]
 
+    def test_limit_zero_and_negative(self):
+        A = tl.TileSet(tl.factorize(12), [0, 6])
+        assert tl.find_complements(A, limit=0) == []
+        assert list(tl.iter_complements(A, limit=0)) == []
+        with pytest.raises(InputError, match="limit"):
+            tl.find_complements(A, limit=-1)
+
     def test_every_result_tiles(self):
         ctx = tl.factorize(12)
         A = tl.TileSet(ctx, [0, 1, 6, 7])
@@ -229,12 +236,6 @@ def orbit_outcome(check, t):
         return f"raised: {exc}"
 
 
-def orbit_corpus():
-    """Every tiling of Z_1..Z_24 and a seeded Z_36 sample."""
-    tilings = [t for M in range(1, 25) for t in corpus(M)]
-    return tilings + random.Random(36).sample(corpus(36, 2000), 150)
-
-
 def unchecked_pairs(count, seed):
     """Seeded pairs built with check=False over Z_12..Z_72; about three in
     ten have |A||B| != M."""
@@ -251,7 +252,7 @@ def unchecked_pairs(count, seed):
 
 class TestOrbitOracle:
     def test_corpora_match_literal_loop(self):
-        for t in orbit_corpus():
+        for t in oracle_tilings():
             for tt in (t, t.swapped()):
                 assert tl.tijdeman_orbit_check(tt) is True
                 assert literal_orbit_check(tt) is True, tt
@@ -277,7 +278,7 @@ class TestOrbitOracle:
 
     def test_dilated_divisor_identity(self):
         tiles = {}
-        for t in orbit_corpus():
+        for t in oracle_tilings():
             tiles[t.A] = tiles[t.B] = None
         for A in tiles:
             M = A.context.M
