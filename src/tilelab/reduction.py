@@ -30,8 +30,7 @@ from .errors import (
 from .zm_core import TileSet, ZmContext, factorize, radical_quotient
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
 from .tiling import Tiling, div_set, tiling_to_json, verify_direct
-from .splitting import split_report
-from .structure import saturating_set
+from .splitting import _uniform_ba, split_report
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +79,15 @@ def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     keeps or breaks the tiling alike.  Every failing c is therefore congruent
     mod p^n to a failing c below p^n, and the least witness is unchanged.
     """
-    p, n = t.context.check_direction(direction)
+    ctx = t.context
+    p, n = ctx.check_direction(direction)
+    child, table = _projection(ctx, direction)
+    coord = ctx.coord_tables[direction]
+    bound = p ** (n - 1)
     projected_b = project_tile(t.B, direction)
     for c in range(p ** n):
-        slab = project_tile(slab_subset(t.A.translate(-c), direction), direction)
+        shifted = [(a - c) % ctx.M for a in t.A.members]
+        slab = TileSet(child, {table[v] for v in shifted if coord[v] < bound})
         if not verify_direct(slab, projected_b):
             return False, c
     return True, None
@@ -195,20 +199,26 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
 
     first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
 
-    # literal over the units; equal dilates rB give equal reports
-    dilates = {rB.mask: rB for rB in (t.B.dilate(r) for r in ctx.units)}
-    second = all(
-        split_report(Tiling(t.A, rB, check=False), direction).uniform_ba
-        for rB in dilates.values())
+    # Literal over the units; equal dilates rB give equal verdicts.  Each
+    # distinct rB goes to the mask kernel, which runs the literal report only
+    # on a failed cover or a bad fiber.
+    dilates: dict[frozenset[int], list[int]] = {}
+    for r in ctx.units:
+        rb = [r * b % ctx.M for b in t.B.members]
+        dilates.setdefault(frozenset(rb), rb)
+    second = all(_uniform_ba(t.A, rb, direction) for rb in dilates.values())
 
     # The difference classes of all b within B make up Div(B), so the members
     # of A matched through some b are the saturating set A_x.
     coord = ctx.coord_tables[direction]
+    gcds = ctx.gcd_table
+    db = div_set(t.B)
+    members = t.A.members
     step = ctx.M // p
     third = all(coord[a] == coord[x]
-                for anchor in {a % step for a in t.A}
+                for anchor in {a % step for a in members}
                 for x in range(anchor, ctx.M, step)
-                for a in saturating_set(t.A, t.B, x))
+                for a in members if gcds[x - a] in db)
 
     if not first == second == third:
         raise EquivalenceViolationError(

@@ -10,7 +10,11 @@ sets Sigma_A, Sigma_B always land in one of two patterns:
 
 This dichotomy is total for tilings, and the collapsing side alone decides
 it (see fiber_parity); uniformity notions quantify it over all fibers of a
-direction, or only over fibers anchored at tile elements.
+direction, or only over fibers anchored at tile elements.  split_report
+reads a whole direction from coordinate slices in one pass.  One mask
+kernel, _full_fibers (the fibers lying inside a bitmask), serves the
+per-dilate uniformity test of the slab statement (II), the cross-direction
+check and the fibered-grid profile.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -26,7 +30,7 @@ from .errors import (InputError, InvariantViolationError, LemmaViolationError,
                      NeitherParityError, NotFiberedError)
 from .cyclotomic import divides_mask
 from .tiling import Tiling
-from .zm_core import TileSet, plane, radical_quotient
+from .zm_core import TileSet, ZmContext, plane, radical_quotient
 
 
 class Parity(Enum):
@@ -67,13 +71,15 @@ def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
     return set(a_of[start::step]), set(b_of[start::step])
 
 
-def _full_fibers(A: TileSet, direction: int) -> int:
-    """Mask of the a in A whose whole fiber a + k M/p (k < p) lies in A."""
-    ctx = A.context
+def _full_fibers(ctx: ZmContext, mask: int, direction: int) -> int:
+    """Mask of the v in `mask` whose whole fiber v + k M/p (k < p) lies in
+    it: the AND of the mask with its p - 1 rotations by -k M/p."""
     p, _ = ctx.primes[direction]
-    full = A.mask
+    step = ctx.M // p
+    doubled = mask | mask << ctx.M     # low M bits of doubled >> s: rotate(mask, -s)
+    full = mask
     for k in range(1, p):
-        full &= ctx.rotate(A.mask, -k * (ctx.M // p))
+        full &= doubled >> (k * step)
     return full
 
 
@@ -159,11 +165,28 @@ class SplitReport:
 
 
 def split_report(t: Tiling, direction: int) -> SplitReport:
+    """The parity of every fiber of one direction, in one pass.
+
+    The cover's A and B parts are mapped to direction coordinates once; the
+    fiber at `anchor` is then AB when the A-side slice ca[anchor::step]
+    holds one value and BA when the B-side slice cb[anchor::step] does,
+    fiber_parity's rule.  A fiber with both or neither goes to fiber_parity,
+    which raises; anchors are visited in increasing order, so the first bad
+    one names the error.
+    """
     ctx = t.context
     p, _ = ctx.check_direction(direction)
     step = ctx.M // p
-    fibers = {anchor: fiber_parity(t, anchor, direction)
-              for anchor in range(step)}
+    table = ctx.coord_tables[direction]
+    a_of, b_of = t.decomp
+    ca = list(map(table.__getitem__, a_of))
+    cb = list(map(table.__getitem__, b_of))
+    fibers = {}
+    for anchor in range(step):
+        flat_a = len(set(ca[anchor::step])) == 1
+        if flat_a == (len(set(cb[anchor::step])) == 1):
+            fiber_parity(t, anchor, direction)   # raises NeitherParityError
+        fibers[anchor] = Parity.AB if flat_a else Parity.BA
     return SplitReport(
         direction=direction,
         prime=p,
@@ -171,6 +194,77 @@ def split_report(t: Tiling, direction: int) -> SplitReport:
         a_anchors=frozenset(a % step for a in t.A.members),
         b_anchors=frozenset(b % step for b in t.B.members),
     )
+
+
+def _coord_unions(ctx: ZmContext, mask: int, shifts,
+                  direction: int) -> Optional[list[int]]:
+    """rotate(mask, s) over the shifts s, OR-ed per direction coordinate
+    of s: the nonempty classes.
+
+    None unless the rotations are disjoint and cover Z_M, that is unless
+    they hold M bits in all and their union is Z_M.  Then the class of
+    coordinate c holds the z whose representation uses a shift of
+    coordinate c.
+    """
+    M, full = ctx.M, ctx.full_mask
+    if len(shifts) * mask.bit_count() != M:
+        return None
+    table = ctx.coord_tables[direction]
+    doubled = mask | mask << M         # rotate(mask, s) = doubled >> (M - s) & full
+    unions = [0] * ctx.prime_powers[direction]
+    for s in shifts:
+        unions[table[s]] |= doubled >> (M - s)
+    unions = [u & full for u in unions if u]
+    covered = 0
+    for u in unions:
+        covered |= u
+    return unions if covered == full else None
+
+
+def _ba_verdict(ctx: ZmContext, by_a: list[int], by_b: list[int],
+                direction: int) -> Optional[bool]:
+    """uniform_ba from the coordinate classes of a cover: by_a (by_b)
+    partitions Z_M by the coordinate of each point's A-part (B-part).
+
+    A fiber is A-flat when all its points are represented through a's of
+    one coordinate, that is when it lies inside one class of by_a; the
+    classes are disjoint, so the A-flat fibers are the OR over classes of
+    each class's full-fiber mask, exactly the fibers whose Sigma_A holds one
+    coordinate.  The same with by_b gives the B-flat fibers.  Returns None
+    when some fiber is both or neither; otherwise every fiber is BA exactly
+    when no fiber is A-flat, which makes every fiber B-flat.
+    """
+    flat_a = flat_b = 0
+    for u in by_a:
+        flat_a |= _full_fibers(ctx, u, direction)
+    for v in by_b:
+        flat_b |= _full_fibers(ctx, v, direction)
+    if flat_a & flat_b or flat_a | flat_b != ctx.full_mask:
+        return None
+    return not flat_a
+
+
+def _uniform_ba(A: TileSet, b_members, direction: int) -> bool:
+    """split_report(Tiling(A, B, check=False), direction).uniform_ba for the
+    tile B with these distinct members, decided on masks.
+
+    The B-rotations of A's members give A's coordinate classes and the
+    A-rotations of B's give B's; _ba_verdict decides from them.  A failed
+    cover, or a fiber of both or neither parity, runs the literal report,
+    which raises the same error it always did.
+    """
+    ctx = A.context
+    b_mask = 0
+    for b in b_members:
+        b_mask |= 1 << b
+    by_a = _coord_unions(ctx, b_mask, A.members, direction)
+    if by_a is not None:
+        by_b = _coord_unions(ctx, A.mask, b_members, direction)
+        verdict = _ba_verdict(ctx, by_a, by_b, direction)
+        if verdict is not None:
+            return verdict
+    B = TileSet.from_mask(ctx, b_mask)
+    return split_report(Tiling(A, B, check=False), direction).uniform_ba
 
 
 def check_translate_splitting(t: Tiling, c: int, direction: int) -> bool:
@@ -281,7 +375,7 @@ def cross_direction_check(t: Tiling, z: int,
         raise InputError("cross-direction check needs two distinct directions")
     step = ctx.M // (pi * pj)
     sa = _sigmas(t, z, step)[0]
-    full = _full_fibers(t.A, i)
+    full = _full_fibers(ctx, t.A.mask, i)
     anchors = [a for a in sa if full >> a & 1]
     if not anchors:
         return None
@@ -327,7 +421,7 @@ def fibered_grid_profile(t: Tiling) -> FiberedGridProfile:
         raise InputError("the full-order cyclotomic does not divide A")
     members = t.A.members
     dir_sets = [frozenset(a for a in members if full >> a & 1)
-                for full in (_full_fibers(t.A, nu) for nu in range(3))]
+                for full in (_full_fibers(ctx, t.A.mask, nu) for nu in range(3))]
     grid_dirs: dict[int, int] = {}
     kappa: dict[int, int] = {}
     for g in range(D):

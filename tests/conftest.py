@@ -34,3 +34,17 @@ def oracle_tilings() -> list:
 @pytest.fixture(scope="session")
 def tilings():
     return corpus
+
+
+def unchecked_pairs(count, seed, moduli):
+    """Seeded pairs built with check=False over Z_lo..Z_hi for moduli =
+    (lo, hi); about three in ten have |A||B| != M."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ctx = tl.factorize(rng.randint(*moduli))
+        M = ctx.M
+        ka = rng.choice(ctx.divisors)
+        kb = M // ka if rng.random() < 0.7 else rng.randint(1, M)
+        A = tl.TileSet(ctx, [0] + rng.sample(range(1, M), ka - 1))
+        B = tl.TileSet(ctx, [0] + rng.sample(range(1, M), kb - 1))
+        yield tl.Tiling(A, B, check=False)

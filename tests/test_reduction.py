@@ -1,16 +1,20 @@
 """Slab reduction conditions and the certificate-producing prover."""
 
+import collections
 import dataclasses
 import functools
 
 import pytest
 
 import tilelab as tl
+import tilelab.structure
 from tilelab import reduction as rd
+from tilelab import splitting as sp
 from tilelab.errors import (CollapseError, EquivalenceViolationError,
-                            InputError, InvariantViolationError)
+                            InputError, InvariantViolationError,
+                            TilelabError)
 
-from conftest import corpus, oracle_tilings
+from conftest import corpus, oracle_tilings, unchecked_pairs
 
 
 def T(M, A, B, check=True):
@@ -201,6 +205,109 @@ class TestLiteralOracles:
             assert rd.splittingslab_equiv_check(tt, d) is want, (tt, d)
             failing += not want
         assert failing > 1000
+
+
+def literal_uniform_ba(A, rB, direction):
+    """Statement (II) for one dilate as written: the report's uniform_ba."""
+    return sp.split_report(tl.Tiling(A, rB, check=False), direction).uniform_ba
+
+
+def dilate_members(B, r):
+    """rB as statement (II) builds it: members in B's order, and the mask."""
+    M = B.context.M
+    rb = [r * b % M for b in B.members]
+    return sum(1 << v for v in set(rb)), rb
+
+
+def outcome(check, *args):
+    """The return value, or the type and message of the tilelab error."""
+    try:
+        return check(*args)
+    except TilelabError as exc:
+        return type(exc), str(exc)
+
+
+def mask_decision(A, mask, rb, direction):
+    """The mask kernel alone, without its literal fallback."""
+    ctx = A.context
+    by_a = sp._coord_unions(ctx, mask, A.members, direction)
+    if by_a is None:
+        return None
+    by_b = sp._coord_unions(ctx, A.mask, rb, direction)
+    return sp._ba_verdict(ctx, by_a, by_b, direction)
+
+
+def statement_ii_cases(pairs):
+    """(A, mask, rb, direction) for every direction and every unit r,
+    each distinct input once."""
+    seen = set()
+    for t in pairs:
+        ctx = t.context
+        for d in range(ctx.direction_count):
+            for r in ctx.units:
+                mask, rb = dilate_members(t.B, r)
+                key = (ctx.M, t.A.mask, mask, d)
+                if key not in seen:
+                    seen.add(key)
+                    yield t.A, mask, rb, d
+
+
+class TestStatementIIKernel:
+    """The mask kernel of statement (II) against the literal report on each
+    dilate rB, and its cost: it builds no report, dilate or saturating set."""
+
+    def test_tilings_match_literal_report(self):
+        values = collections.Counter()
+        for t in oracle_tilings():
+            for A, mask, rb, d in statement_ii_cases((t, t.swapped())):
+                rB = tl.TileSet.from_mask(A.context, mask)
+                want = literal_uniform_ba(A, rB, d)
+                # every dilate of a tiling tiles: the masks alone decide it
+                assert mask_decision(A, mask, rb, d) is want, (A, rB, d)
+                values[want] += 1
+        assert values[True] > 10000 and values[False] > 10000
+
+    def test_unchecked_pairs_match_literal_report(self):
+        double = uncovered = 0
+        for t in unchecked_pairs(1200, seed=6, moduli=(8, 36)):
+            for A, mask, rb, d in statement_ii_cases((t, t.swapped())):
+                rB = tl.TileSet.from_mask(A.context, mask)
+                want = outcome(literal_uniform_ba, A, rB, d)
+                assert outcome(sp._uniform_ba, A, rb, d) == want
+                decided = mask_decision(A, mask, rb, d)
+                if decided is None:
+                    _, message = want
+                    double += "double cover" in message
+                    uncovered += "uncovered" in message
+                else:
+                    assert decided is want, (A, rB, d)
+        assert double > 1000 and uncovered > 1000
+
+    def test_corpus_builds_no_reports(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for module in (sp, rd):
+            monkeypatch.setattr(module, "split_report", counting(
+                "split_report", sp.split_report))
+        monkeypatch.setattr(tl.TileSet, "dilate", counting(
+            "dilate", tl.TileSet.dilate))
+        monkeypatch.setattr(tilelab.structure, "saturating_set", counting(
+            "saturating_set", tilelab.structure.saturating_set))
+        for t in corpus(24):
+            for tt in (t, t.swapped()):
+                for d in range(tt.context.direction_count):
+                    rd.splittingslab_equiv_check(tt, d)
+        assert calls == {}
+        # a non-cover falls back to the literal report, which raises
+        with pytest.raises(InvariantViolationError, match="double cover"):
+            rd.splittingslab_equiv_check(T(4, [0, 2], [0, 2], check=False), 0)
+        assert calls == {"split_report": 1}
 
 
 class TestSlabcor:

@@ -81,11 +81,23 @@ def literal_full_fibers(T, direction):
 
 
 class FakeDecomp:
-    """Stand-in carrying a hand-built cover table, for negative tests."""
+    """Stand-in carrying a hand-built cover table, for negative tests; its
+    tiles are the parts the table uses."""
 
     def __init__(self, ctx, a_of, b_of):
         self.context = ctx
         self.decomp = (a_of, b_of)
+        self.A = tl.TileSet(ctx, a_of)
+        self.B = tl.TileSet(ctx, b_of)
+
+
+def coord_classes(ctx, parts, direction):
+    """Per coordinate c met, the mask of the z whose part parts[z] has it."""
+    table = ctx.coord_tables[direction]
+    classes = {}
+    for z, v in enumerate(parts):
+        classes[table[v]] = classes.get(table[v], 0) | 1 << z
+    return list(classes.values())
 
 
 class TestSigmaSets:
@@ -138,17 +150,22 @@ class TestFiberParity:
     def test_sum_consistent_tables_match_definition(self):
         # Cover tables with a_of[z] + b_of[z] = z that need not come from a
         # tiling: the one-side rule is exact on these too, "neither" included.
+        # The one-pass report gives the per-anchor fibers or the first
+        # anchor's error, and the mask verdict on the tables' coordinate
+        # classes gives uniform_ba or None exactly when the report raises.
         rng = random.Random(5)
         seen = set()
+        verdicts = set()
         for M in (4, 8, 9, 12, 18, 24, 36, 72):
             ctx = tl.factorize(M)
             for d, (p, n) in enumerate(ctx.primes):
                 q = p ** n
                 step = M // p
                 for _ in range(20):
+                    modes = rng.choice(("ABN", "AB", "B", "BN"))
                     a_of = [0] * M
                     for anchor in range(step):
-                        mode = rng.choice("ABN")
+                        mode = rng.choice(modes)
                         u = rng.randrange(M)
                         for w in range(anchor, M, step):
                             near_u = (u + q * rng.randrange(M // q)) % M
@@ -156,11 +173,30 @@ class TestFiberParity:
                                        "N": rng.randrange(M)}[mode]
                     b_of = tuple((w - a) % M for w, a in enumerate(a_of))
                     fake = FakeDecomp(ctx, tuple(a_of), b_of)
-                    for anchor in range(step):
-                        want = oracle_outcome(fake, anchor, d)
+                    wants = [oracle_outcome(fake, anchor, d)
+                             for anchor in range(step)]
+                    for anchor, want in enumerate(wants):
                         assert parity_outcome(fake, anchor, d) == want
                         seen.add(want)
+                    bad = [k for k, w in enumerate(wants)
+                           if not isinstance(w, Parity)]
+                    verdict = sp._ba_verdict(
+                        ctx, coord_classes(ctx, a_of, d),
+                        coord_classes(ctx, b_of, d), d)
+                    verdicts.add(verdict)
+                    if bad:
+                        with pytest.raises(NeitherParityError) as first:
+                            sp.fiber_parity(fake, bad[0], d)
+                        with pytest.raises(NeitherParityError) as got:
+                            sp.split_report(fake, d)
+                        assert str(got.value) == str(first.value)
+                        assert verdict is None
+                    else:
+                        report = sp.split_report(fake, d)
+                        assert report.fibers == dict(enumerate(wants))
+                        assert verdict is report.uniform_ba
         assert seen == {Parity.AB, Parity.BA, "neither parity"}
+        assert verdicts == {True, False, None}
 
     def test_anchor_reduced_mod_step(self):
         t = t12()
@@ -390,7 +426,8 @@ class TestFullFibers:
         for t in oracle_tilings():
             for T in (t.A, t.B):
                 for d in range(T.context.direction_count):
-                    assert sp._full_fibers(T, d) == literal_full_fibers(T, d)
+                    assert (sp._full_fibers(T.context, T.mask, d)
+                            == literal_full_fibers(T, d))
 
 
 class TestCrossDirection:

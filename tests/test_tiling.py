@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import pytest
 
@@ -10,7 +9,7 @@ from tilelab.errors import InputError, TheoremViolationError
 from tilelab.tiling import (IsometryTable, _dilate_div, tiling_to_json,
                             tiling_from_json)
 
-from conftest import corpus, oracle_tilings
+from conftest import corpus, oracle_tilings, unchecked_pairs
 
 
 def T(M, A, B, check=True):
@@ -236,20 +235,6 @@ def orbit_outcome(check, t):
         return f"raised: {exc}"
 
 
-def unchecked_pairs(count, seed):
-    """Seeded pairs built with check=False over Z_12..Z_72; about three in
-    ten have |A||B| != M."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        ctx = tl.factorize(rng.randint(12, 72))
-        M = ctx.M
-        ka = rng.choice(ctx.divisors)
-        kb = M // ka if rng.random() < 0.7 else rng.randint(1, M)
-        A = tl.TileSet(ctx, [0] + rng.sample(range(1, M), ka - 1))
-        B = tl.TileSet(ctx, [0] + rng.sample(range(1, M), kb - 1))
-        yield tl.Tiling(A, B, check=False)
-
-
 class TestOrbitOracle:
     def test_corpora_match_literal_loop(self):
         for t in oracle_tilings():
@@ -259,7 +244,7 @@ class TestOrbitOracle:
 
     def test_unchecked_pairs_match_literal_loop(self):
         raised = unequal_sizes = 0
-        for t in unchecked_pairs(1500, seed=4):
+        for t in unchecked_pairs(1500, seed=4, moduli=(12, 72)):
             want = orbit_outcome(literal_orbit_check, t)
             assert orbit_outcome(tl.tijdeman_orbit_check, t) == want, t
             raised += want is not True
