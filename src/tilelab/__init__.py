@@ -2,25 +2,21 @@
 
 from .zm_core import (ZmContext, Residue, TileSet, factorize,
                       prime_factorization, euler_phi, radical_quotient,
-                      gcd_divisor, grid, line, plane, fiber)
+                      grid, plane)
 from .cyclotomic import (CycloProfile, phi_at_one, divides_mask, cyclo_profile,
                          check_T1, check_T2)
-from .tiling import (Tiling, IsometryTable, verify_direct, div_set,
-                     verify_sands, verify_cyclotomic,
-                     tijdeman_orbit_check, plane_exchange,
-                     is_divisor_isometry, dilation_stabilizer,
-                     simultaneous_dilation, find_complements,
-                     iter_complements, enumerate_tilings, iter_tilings,
-                     sample_tilings, tiling_to_json, tiling_from_json)
+from .tiling import (Tiling, verify_direct, div_set, verify_sands,
+                     verify_cyclotomic, tijdeman_orbit_check,
+                     dilation_stabilizer, find_complements, iter_complements,
+                     enumerate_tilings, iter_tilings, sample_tilings,
+                     tiling_to_json, tiling_from_json)
 from .structure import (DivisorCounts, divisor_counts, box_product,
-                        box_product_all_ones, dilation_count_identity,
-                        saturating_pair_sets, saturating_set,
-                        satset_dilation_equiv)
-from .splitting import (Parity, SigmaPair, SplitReport, FiberedGridProfile,
-                        GridStratification, sigma_sets, fiber_parity,
-                        split_report, check_translate_splitting,
-                        check_disjoint_sigma, check_local_distribution,
-                        check_aunif, plane_consistency, cross_direction_check,
+                        box_product_all_ones)
+from .splitting import (Parity, SplitReport, FiberedGridProfile,
+                        GridStratification, fiber_parity, split_report,
+                        check_translate_splitting, check_disjoint_sigma,
+                        check_local_distribution, check_aunif,
+                        plane_consistency, cross_direction_check,
                         fibered_grid_profile, check_fiber_basic,
                         grid_stratification, consistency3_check,
                         consistent_splitting_check)
@@ -29,7 +25,7 @@ from .reduction import (SlabVerdict, SlabStep, PrimeRemovalStep, BaseCase,
                         slab_cond_i, slab_cond_ii, slab_cond_iii,
                         slab_equivalence_check, splittingslab_equiv_check,
                         slabcor_check, plane_bound_check, blowbound_check,
-                        prime_power_dilate, prove_t2_largeprime,
-                        replay_certificate, certificate_to_json)
+                        prove_t2_largeprime, replay_certificate,
+                        certificate_to_json)
 
 __version__ = "0.1.0"

@@ -307,17 +307,6 @@ def blowbound_check(t: Tiling, direction: int) -> tuple[bool, bool]:
 # prime removal (dilation) step
 
 
-def prime_power_dilate(A: TileSet, p: int) -> TileSet:
-    """The dilate p*A, which must not lose members."""
-    if p == 1:
-        return A
-    out = A.dilate(p)
-    if len(out) < len(A):
-        raise CollapseError(
-            f"dilation by {p} collapses {A.members} in Z_{A.context.M}")
-    return out
-
-
 def _prime_removal_branches(t: Tiling, p: int) -> tuple[str, list[Tiling]]:
     """Split A + B = Z_M into p tilings of Z_{M/p}.
 

@@ -43,26 +43,6 @@ class Parity(Enum):
         return Parity.BA if self is Parity.AB else Parity.AB
 
 
-@dataclass(frozen=True)
-class SigmaPair:
-    """The elements of each tile that contribute to a zone's cover."""
-
-    zone: TileSet
-    sigma_a: TileSet
-    sigma_b: TileSet
-
-
-def sigma_sets(t: Tiling, zone: TileSet) -> SigmaPair:
-    if zone.context != t.context:
-        raise InputError("zone lives in a different modulus")
-    a_of, b_of = t.decomp
-    return SigmaPair(
-        zone,
-        TileSet(t.context, {a_of[z] for z in zone}),
-        TileSet(t.context, {b_of[z] for z in zone}),
-    )
-
-
 def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
     """Sigma_A and Sigma_B of the grid L(z, step): the tile parts of the
     representations of its members."""

@@ -1,4 +1,4 @@
-"""Divisor-class counts, the box product, and saturating sets.
+"""Divisor-class counts and the box product.
 
 For a set A and a point x, the vector of interest counts elements of A by
 their divisor class relative to x:
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .errors import InputError, InvariantViolationError
+from .errors import InputError
 from .zm_core import Residue, TileSet, ZmContext, _same_context
+
 
 @dataclass(frozen=True)
 class DivisorCounts:
@@ -31,7 +31,6 @@ class DivisorCounts:
     owner: TileSet
     base: Residue
     counts: dict[int, int]
-    restriction: Optional[TileSet] = None
 
     def __getitem__(self, m: int) -> int:
         return self.counts.get(m, 0)
@@ -49,28 +48,23 @@ def _base_value(ctx: ZmContext, x) -> int:
     return int(x) % ctx.M
 
 
-def divisor_counts(A: TileSet, x, restriction: Optional[TileSet] = None) -> DivisorCounts:
-    """count[m] = #{a in A (and the restriction, if given): (x - a, M) = m}."""
+def divisor_counts(A: TileSet, x) -> DivisorCounts:
+    """count[m] = #{a in A : (x - a, M) = m}."""
     ctx = A.context
     xv = _base_value(ctx, x)
-    members = A.members
-    if restriction is not None:
-        members = A.intersect(restriction).members
     gcds = ctx.gcd_table
     counts: dict[int, int] = {}
-    for a in members:
+    for a in A.members:
         m = gcds[(xv - a) % ctx.M]
         counts[m] = counts.get(m, 0) + 1
-    return DivisorCounts(A, ctx.residue(xv), counts, restriction)
+    return DivisorCounts(A, ctx.residue(xv), counts)
 
 
-def box_product(A: TileSet, B: TileSet, x, y,
-                restrict_a: Optional[TileSet] = None,
-                restrict_b: Optional[TileSet] = None) -> Fraction:
+def box_product(A: TileSet, B: TileSet, x, y) -> Fraction:
     """<A[x], B[y]> as an exact rational; equals 1 on tilings."""
     ctx = _same_context(A, B)
-    ca = divisor_counts(A, x, restrict_a).counts
-    cb = divisor_counts(B, y, restrict_b).counts
+    ca = divisor_counts(A, x).counts
+    cb = divisor_counts(B, y).counts
     total = Fraction(0)
     for m, na in ca.items():
         nb = cb.get(m)
@@ -115,79 +109,3 @@ def box_product_all_ones(t) -> bool:
             if sum(wc * row_b[k] for k, wc in sparse) != phi_m:
                 return False
     return True
-
-
-def dilation_count_identity(A: TileSet, B: TileSet, x, y) -> tuple[int, int]:
-    """Two counts of the triples (a, b, r), r coprime to M, r(a-x)+(b-y)=0.
-
-    The left count enumerates r directly; the right count groups pairs by
-    divisor class, contributing phi(M)/phi(M/m) per matched pair.  The two
-    must agree for any (A, B); on a tiling both equal phi(M).
-    """
-    ctx = _same_context(A, B)
-    xv = _base_value(ctx, x)
-    yv = _base_value(ctx, y)
-    M = ctx.M
-    bmask = B.mask
-    lhs = 0
-    for r in ctx.units:
-        for a in A.members:
-            b = (yv - r * (a - xv)) % M
-            if bmask >> b & 1:
-                lhs += 1
-    phi_m = ctx.phi_table[M]
-    ca = divisor_counts(A, xv).counts
-    cb = divisor_counts(B, yv).counts
-    rhs = 0
-    for m, na in ca.items():
-        nb = cb.get(m)
-        if nb:
-            rhs += phi_m // ctx.phi_table[M // m] * na * nb
-    if lhs != rhs:
-        raise InvariantViolationError(
-            f"dilation count mismatch at (x={xv}, y={yv}): {lhs} != {rhs}")
-    return lhs, rhs
-
-
-def saturating_pair_sets(A: TileSet, B: TileSet, x, y) -> tuple[TileSet, TileSet]:
-    """(A_{x,y}, B_{y,x}): elements whose divisor class to the base point
-    is matched by some element on the other side."""
-    ctx = _same_context(A, B)
-    xv = _base_value(ctx, x)
-    yv = _base_value(ctx, y)
-    gcds = ctx.gcd_table
-    classes_a = {gcds[(xv - a) % ctx.M] for a in A.members}
-    classes_b = {gcds[(yv - b) % ctx.M] for b in B.members}
-    sat_a = TileSet(ctx, (a for a in A.members
-                          if gcds[(xv - a) % ctx.M] in classes_b))
-    sat_b = TileSet(ctx, (b for b in B.members
-                          if gcds[(yv - b) % ctx.M] in classes_a))
-    return sat_a, sat_b
-
-
-def saturating_set(A: TileSet, B: TileSet, x) -> TileSet:
-    """A_x = {a in A : (x - a, M) in Div(B)} = union of A_{x,b} over b."""
-    from .tiling import div_set
-
-    ctx = _same_context(A, B)
-    xv = _base_value(ctx, x)
-    db = div_set(B)
-    gcds = ctx.gcd_table
-    return TileSet(ctx, (a for a in A.members if gcds[(xv - a) % ctx.M] in db))
-
-
-def satset_dilation_equiv(A: TileSet, B: TileSet, x, y, a: int, b: int) -> bool:
-    """True when (x-a, M) = (y-b, M).
-
-    This is the pairing criterion for a and b to sit in A_{x,y} and B_{y,x}
-    through each other, and it holds exactly when some r coprime to M solves
-    x - a = r(y - b).
-    """
-    ctx = _same_context(A, B)
-    if not A.mask >> (a % ctx.M) & 1:
-        raise InputError(f"{a} is not an element of A")
-    if not B.mask >> (b % ctx.M) & 1:
-        raise InputError(f"{b} is not an element of B")
-    xv = _base_value(ctx, x)
-    yv = _base_value(ctx, y)
-    return ctx.gcd_table[(xv - a) % ctx.M] == ctx.gcd_table[(yv - b) % ctx.M]

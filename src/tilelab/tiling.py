@@ -10,8 +10,7 @@ Equivalent formulations, all implemented and kept in agreement:
                A(X) or B(X)
 
 Also here: coprime-dilation invariance (r with gcd(r, |A|) = 1 maps tilings
-to tilings), divisor-preserving isometries (translations, dilations, plane
-exchanges), dilation stabilizers, and exhaustive complement / tiling search
+to tilings), dilation stabilizers, and exhaustive complement / tiling search
 with divisor-exclusion pruning.
 """
 
@@ -19,14 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import GeneratorType
 from typing import Iterator, Sequence
 
 from .cyclotomic import cyclo_profile
-from .errors import (ContextMismatchError, InputError, InvariantViolationError,
-                     TheoremViolationError)
+from .errors import InputError, InvariantViolationError, TheoremViolationError
 from .zm_core import Residue, TileSet, ZmContext, _same_context, factorize
 
 
@@ -79,10 +76,6 @@ class Tiling:
             got = (tuple(a_of), tuple(b_of))
             object.__setattr__(self, "_decomp", got)
         return got
-
-    def decompose(self, z: int) -> tuple[int, int]:
-        a_of, b_of = self.decomp
-        return a_of[z % self.context.M], b_of[z % self.context.M]
 
     def swapped(self) -> "Tiling":
         return Tiling(self.B, self.A, check=False)
@@ -191,94 +184,6 @@ def tijdeman_orbit_check(t: Tiling) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class IsometryTable:
-    """A bijection of Z_M given by an explicit permutation table."""
-
-    context: ZmContext
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        M = self.context.M
-        if len(self.perm) != M or sorted(self.perm) != list(range(M)):
-            raise InputError("perm is not a bijection of Z_M")
-
-    def __eq__(self, other):
-        return (isinstance(other, IsometryTable)
-                and other.context == self.context and other.perm == self.perm)
-
-    def __hash__(self):
-        return hash((self.context.M, self.perm))
-
-    def apply(self, v: int) -> int:
-        return self.perm[v % self.context.M]
-
-    def apply_set(self, A: TileSet) -> TileSet:
-        if A.context != self.context:
-            raise ContextMismatchError("isometry and tile over different moduli")
-        return TileSet(self.context, (self.perm[a] for a in A))
-
-    def compose(self, other: "IsometryTable") -> "IsometryTable":
-        """self after other: x -> self(other(x))."""
-        if other.context != self.context:
-            raise ContextMismatchError("cannot compose over different moduli")
-        return IsometryTable(self.context,
-                             tuple(self.perm[v] for v in other.perm))
-
-    @classmethod
-    def translation(cls, ctx: ZmContext, c: int) -> "IsometryTable":
-        return cls(ctx, tuple((v + c) % ctx.M for v in range(ctx.M)))
-
-    @classmethod
-    def dilation(cls, ctx: ZmContext, r: int) -> "IsometryTable":
-        if math.gcd(r, ctx.M) != 1:
-            raise InputError(f"dilation by r={r} is not a bijection mod {ctx.M}")
-        return cls(ctx, tuple(v * r % ctx.M for v in range(ctx.M)))
-
-
-def plane_exchange(c: Residue, c_prime: Residue, direction: int,
-                   alpha: int) -> IsometryTable:
-    """Swap the planes Pi(c, p_i^alpha) and Pi(c', p_i^alpha) by +-(c' - c).
-
-    Requires (c - c', M) = M_i * p_i^{alpha-1}: the two planes are then
-    distinct, parallel, and aligned in every other direction.
-    """
-    ctx = _same_context(c, c_prime)
-    p, n = ctx.check_direction(direction)
-    if not 1 <= alpha <= n:
-        raise InputError(f"alpha={alpha} outside [1, {n}] for p={p}")
-    required = ctx.crt_basis[direction] * p ** (alpha - 1)
-    got = ctx.gcd_table[(c.value - c_prime.value) % ctx.M]
-    if got != required:
-        raise InputError(
-            f"(c - c', M) = {got}, need {required} for a p={p}^{alpha} exchange")
-    q = p**alpha
-    delta = (c_prime.value - c.value) % ctx.M
-    perm = []
-    for x in range(ctx.M):
-        if (x - c.value) % q == 0:
-            perm.append((x + delta) % ctx.M)
-        elif (x - c_prime.value) % q == 0:
-            perm.append((x - delta) % ctx.M)
-        else:
-            perm.append(x)
-    return IsometryTable(ctx, tuple(perm))
-
-
-def is_divisor_isometry(psi: IsometryTable) -> bool:
-    """Does psi preserve (x - x', M) for every pair?"""
-    ctx = psi.context
-    gcds = ctx.gcd_table
-    M = ctx.M
-    perm = psi.perm
-    for x in range(M):
-        px = perm[x]
-        for y in range(x + 1, M):
-            if gcds[(px - perm[y]) % M] != gcds[(x - y) % M]:
-                return False
-    return True
-
-
 def dilation_stabilizer(x: Residue, x_prime: Residue) -> tuple[int, ...]:
     """All r coprime to M with r*x = x'; requires (x, M) = (x', M).
 
@@ -304,49 +209,6 @@ def dilation_stabilizer(x: Residue, x_prime: Residue) -> tuple[int, ...]:
         raise InvariantViolationError(
             f"stabilizer is not the grid L({r0}, {step}) among coprimes")
     return hits
-
-def simultaneous_dilation(ctx: ZmContext,
-                          pairs: Sequence[tuple[int, int]]) -> int:
-    """One r coprime to M with r*x_nu = x'_nu in every direction nu.
-
-    Each pair must satisfy (x_nu, M) = (x'_nu, M) = M / p_nu^{alpha_nu} for
-    some alpha_nu >= 1.  Any r agreeing with a per-direction witness r_nu
-    mod p_nu^{alpha_nu} works; r is assembled by CRT and the postcondition
-    is asserted.
-    """
-    if len(pairs) != ctx.direction_count:
-        raise InputError(
-            f"need one pair per direction ({ctx.direction_count}), got {len(pairs)}")
-    witnesses = []
-    for nu, (x, x2) in enumerate(pairs):
-        p, n = ctx.primes[nu]
-        g = ctx.gcd_table[x % ctx.M]
-        if ctx.gcd_table[x2 % ctx.M] != g:
-            raise InputError(f"direction {nu}: gcds with M differ")
-        quo = ctx.M // g
-        # (x, M) = M/p^alpha means M/(x, M) is a p-power, alpha >= 1
-        alpha = 0
-        while quo % p == 0:
-            quo //= p
-            alpha += 1
-        if quo != 1 or alpha < 1:
-            raise InputError(
-                f"direction {nu}: (x, M) = {g} is not M/p^alpha for p={p}")
-        r_nu = dilation_stabilizer(ctx.residue(x % ctx.M),
-                                   ctx.residue(x2 % ctx.M))[0]
-        witnesses.append(r_nu)
-    r = 0
-    for nu, r_nu in enumerate(witnesses):
-        q = ctx.prime_powers[nu]
-        basis = ctx.crt_basis[nu]
-        r = (r + (r_nu % q) * basis * pow(basis, -1, q)) % ctx.M
-    if ctx.gcd_table[r] != 1:
-        raise InvariantViolationError(f"assembled r={r} is not coprime to M")
-    for nu, (x, x2) in enumerate(pairs):
-        if r * x % ctx.M != x2 % ctx.M:
-            raise InvariantViolationError(
-                f"assembled r={r} fails r*{x} = {x2} (direction {nu})")
-    return r
 
 
 def iter_complements(A: TileSet, normalize: bool = True,

@@ -192,12 +192,6 @@ def _same_context(a, b) -> ZmContext:
     return a.context
 
 
-def gcd_divisor(x: Residue, y: Residue) -> int:
-    """(x - y, M); equals M exactly when x = y."""
-    ctx = _same_context(x, y)
-    return ctx.gcd_table[(x.value - y.value) % ctx.M]
-
-
 class TileSet:
     """An immutable set of residues of Z_M, with a bitmask mirror.
 
@@ -284,13 +278,6 @@ def grid(x: Residue, step: int) -> TileSet:
     return TileSet(ctx, range(x.value % step, ctx.M, step))
 
 
-def line(x: Residue, direction: int) -> TileSet:
-    """l_nu(x) = L(x, M_nu), the p_nu^{n_nu} points aligned with x in direction nu."""
-    ctx = x.context
-    ctx.check_direction(direction)
-    return grid(x, ctx.crt_basis[direction])
-
-
 def plane(x: Residue, direction: int, alpha: int) -> TileSet:
     """Pi(x, p_nu^alpha) = L(x, p_nu^alpha) for 0 <= alpha <= n_nu."""
     ctx = x.context
@@ -298,10 +285,3 @@ def plane(x: Residue, direction: int, alpha: int) -> TileSet:
     if not 0 <= alpha <= n:
         raise InputError(f"alpha={alpha} outside [0, {n}] for p={p}")
     return grid(x, p**alpha)
-
-
-def fiber(x: Residue, direction: int) -> TileSet:
-    """x * F_nu = {x + t*M/p_nu : 0 <= t < p_nu}."""
-    ctx = x.context
-    ctx.check_direction(direction)
-    return grid(x, ctx.M // ctx.primes[direction][0])

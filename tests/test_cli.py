@@ -416,7 +416,8 @@ class TestHostileInput:
     @settings(max_examples=200, deadline=None)
     @given(text=_hostile_json(),
            argv=st.one_of(
-               st.sampled_from([["verify"], ["analyze"]]),
+               st.sampled_from([["verify"], ["analyze"], ["prove"],
+                                ["analyze", "--split", "--slab", "--boxgrid"]]),
                st.integers(-3, 3).map(
                    lambda n: ["complements", "--limit", str(n)])))
     def test_exit_code_contract(self, text, argv):

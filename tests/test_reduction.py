@@ -7,12 +7,9 @@ import functools
 import pytest
 
 import tilelab as tl
-import tilelab.structure
 from tilelab import reduction as rd
 from tilelab import splitting as sp
-from tilelab.errors import (CollapseError, EquivalenceViolationError,
-                            InputError, InvariantViolationError,
-                            TilelabError)
+from tilelab.errors import InputError, InvariantViolationError, TilelabError
 
 from conftest import corpus, oracle_tilings, unchecked_pairs
 
@@ -297,8 +294,6 @@ class TestStatementIIKernel:
                 "split_report", sp.split_report))
         monkeypatch.setattr(tl.TileSet, "dilate", counting(
             "dilate", tl.TileSet.dilate))
-        monkeypatch.setattr(tilelab.structure, "saturating_set", counting(
-            "saturating_set", tilelab.structure.saturating_set))
         for t in corpus(24):
             for tt in (t, t.swapped()):
                 for d in range(tt.context.direction_count):
@@ -362,25 +357,6 @@ class TestBlowbound:
                     applicable += app
                     assert verdict == app
         assert applicable > 0
-
-
-class TestPrimePowerDilate:
-    def test_worked_example(self):
-        ctx = tl.factorize(12)
-        A = tl.TileSet(ctx, [0, 1, 2])
-        B = tl.TileSet(ctx, [0, 3, 6, 9])
-        assert tl.verify_direct(A, B)
-        doubled = rd.prime_power_dilate(A, 2)
-        assert sorted(doubled) == [0, 2, 4]
-        assert tl.verify_direct(doubled, B)
-
-    def test_unit_is_identity(self):
-        A = tl.TileSet(tl.factorize(12), [0, 1, 2])
-        assert rd.prime_power_dilate(A, 1).mask == A.mask
-
-    def test_collapse_rejected(self):
-        with pytest.raises(CollapseError):
-            rd.prime_power_dilate(tl.TileSet(tl.factorize(12), [0, 6]), 2)
 
 
 class TestProver:

@@ -100,34 +100,6 @@ def coord_classes(ctx, parts, direction):
     return list(classes.values())
 
 
-class TestSigmaSets:
-    def test_fiber_worked_example(self):
-        t = t9()
-        pair = sp.sigma_sets(t, tl.TileSet(t.context, [0, 3, 6]))
-        assert sorted(pair.sigma_a) == [0]
-        assert sorted(pair.sigma_b) == [0, 3, 6]
-        assert sorted(pair.zone) == [0, 3, 6]
-
-    def test_full_group_gives_both_tiles(self):
-        t = t12()
-        pair = sp.sigma_sets(t, tl.TileSet(t.context, range(12)))
-        assert pair.sigma_a.mask == t.A.mask
-        assert pair.sigma_b.mask == t.B.mask
-
-    def test_singleton_zone_matches_unique_decomposition(self):
-        t = t9()
-        for z in range(9):
-            pair = sp.sigma_sets(t, tl.TileSet(t.context, [z]))
-            a, b = t.decompose(z)
-            assert sorted(pair.sigma_a) == [a]
-            assert sorted(pair.sigma_b) == [b]
-
-    def test_zone_from_other_modulus_rejected(self):
-        t = t9()
-        with pytest.raises(InputError):
-            sp.sigma_sets(t, tl.TileSet(tl.factorize(12), [0]))
-
-
 class TestFiberParity:
     def test_collapsing_a_side(self):
         # single a=0 serves the whole fiber; b-differences exactly div by 3

@@ -2,18 +2,14 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 import tilelab as tl
 
-from conftest import corpus
+from conftest import corpus, unchecked_pairs
 
 
-def oracle_counts(A, x, restriction=None):
-    pool = A.members if restriction is None else \
-        sorted(set(A.members) & set(restriction.members))
+def oracle_counts(A, x):
     out = {}
-    for a in pool:
+    for a in A.members:
         m = math.gcd((x - a) % A.context.M, A.context.M) or A.context.M
         out[m] = out.get(m, 0) + 1
     return out
@@ -45,13 +41,12 @@ class TestDivisorCounts:
             assert sum(dc.counts.values()) == len(A)
             assert dc.counts.get(12, 0) == (1 if x in A.members else 0)
 
-    def test_matches_oracle_with_restriction(self):
+    def test_matches_oracle(self):
         ctx = tl.factorize(12)
         A = tl.TileSet(ctx, [0, 1, 5, 6, 7, 11])
-        X = tl.TileSet(ctx, [0, 1, 2, 3, 6])
         for x in range(12):
-            dc = tl.divisor_counts(A, ctx.residue(x), X)
-            assert dict(dc.counts) == oracle_counts(A, x, X)
+            dc = tl.divisor_counts(A, ctx.residue(x))
+            assert dict(dc.counts) == oracle_counts(A, x)
 
 
 class TestBoxProduct:
@@ -98,111 +93,45 @@ class TestBoxProduct:
         assert outcomes.count(True) > 20 and outcomes.count(False) > 20
 
 
+def triple_count(A, B, x, y):
+    """#{(a, b, r) : r a unit mod M, r(a - x) + (b - y) = 0}, counted
+    literally: each (r, a) fixes b = y - r(a - x)."""
+    M = A.context.M
+    units = [r for r in range(M) if math.gcd(r, M) == 1]
+    return sum((y - r * (a - x)) % M in B for r in units for a in A.members)
+
+
 class TestDilationCountIdentity:
+    """phi(M) <A[x], B[y]> is the number of dilation triples, for any A, B."""
+
+    def check(self, A, B, x, y):
+        ctx = A.context
+        count = triple_count(A, B, x, y)
+        assert ctx.phi_table[ctx.M] * tl.box_product(A, B, x, y) == count
+        return count
+
     def test_examples(self):
         c4 = tl.factorize(4)
-        got = tl.dilation_count_identity(tl.TileSet(c4, [0, 1]),
-                                         tl.TileSet(c4, [0, 2]),
-                                         c4.residue(0), c4.residue(0))
-        assert got == (2, 2)
+        assert self.check(tl.TileSet(c4, [0, 1]), tl.TileSet(c4, [0, 2]),
+                          0, 0) == 2
         c9 = tl.factorize(9)
-        got = tl.dilation_count_identity(tl.TileSet(c9, [0, 1, 2]),
-                                         tl.TileSet(c9, [0, 3, 6]),
-                                         c9.residue(0), c9.residue(0))
-        assert got == (6, 6)
+        assert self.check(tl.TileSet(c9, [0, 1, 2]), tl.TileSet(c9, [0, 3, 6]),
+                          0, 0) == 6
         c1 = tl.factorize(1)
-        got = tl.dilation_count_identity(tl.TileSet(c1, [0]), tl.TileSet(c1, [0]),
-                                         c1.residue(0), c1.residue(0))
-        assert got == (1, 1)
+        assert self.check(tl.TileSet(c1, [0]), tl.TileSet(c1, [0]), 0, 0) == 1
 
     def test_both_sides_phi_on_corpus(self):
         for t in corpus(12)[::13]:
-            ctx = t.context
             for x in (0, 4, 11):
                 for y in (0, 7):
-                    lhs, rhs = tl.dilation_count_identity(
-                        t.A, t.B, ctx.residue(x), ctx.residue(y))
-                    assert lhs == rhs == ctx.phi_table[12]
+                    assert self.check(t.A, t.B, x, y) == t.context.phi_table[12]
 
-
-class TestSaturatingSets:
-    def test_pair_examples(self):
-        c4 = tl.factorize(4)
-        A, B = tl.TileSet(c4, [0, 1]), tl.TileSet(c4, [0, 2])
-        SA, SB = tl.saturating_pair_sets(A, B, c4.residue(0), c4.residue(0))
-        assert SA.members == (0,) and SB.members == (0,)
-        c9 = tl.factorize(9)
-        SA, SB = tl.saturating_pair_sets(tl.TileSet(c9, [0, 1, 2]),
-                                         tl.TileSet(c9, [0, 3, 6]),
-                                         c9.residue(0), c9.residue(0))
-        assert SA.members == (0,) and SB.members == (0,)
-
-    def test_members_when_x_in_A_y_in_B(self):
-        # the m=M classes always match each other
-        for t in corpus(12)[::17]:
-            ctx = t.context
-            a, b = t.A.members[0], t.B.members[-1]
-            SA, SB = tl.saturating_pair_sets(t.A, t.B, ctx.residue(a),
-                                             ctx.residue(b))
-            assert a in SA.members and b in SB.members
-
-    def test_restricted_product_saturates(self):
-        for t in corpus(12)[::11]:
-            ctx = t.context
-            for x in (0, 3, 10):
-                for y in (0, 5):
-                    SA, SB = tl.saturating_pair_sets(t.A, t.B, ctx.residue(x),
-                                                     ctx.residue(y))
-                    got = tl.box_product(t.A, t.B, ctx.residue(x),
-                                         ctx.residue(y),
-                                         restrict_a=SA, restrict_b=SB)
-                    assert got == 1
-
-    def test_saturating_set_examples(self):
-        c4 = tl.factorize(4)
-        A, B = tl.TileSet(c4, [0, 1]), tl.TileSet(c4, [0, 2])
-        assert tl.saturating_set(A, B, c4.residue(0)).members == (0,)
-        assert tl.saturating_set(A, B, c4.residue(2)).members == (0,)
-
-    def test_saturating_set_is_union_of_pairs(self):
-        for t in corpus(12)[::23]:
-            ctx = t.context
-            for x in range(0, 12, 4):
-                union = set()
-                for b in t.B.members:
-                    SA, _ = tl.saturating_pair_sets(t.A, t.B, ctx.residue(x),
-                                                    ctx.residue(b))
-                    union |= set(SA.members)
-                got = set(tl.saturating_set(t.A, t.B, ctx.residue(x)).members)
-                assert got == union
-                if x in t.A.members:
-                    assert x in got
-
-
-class TestSatsetDilationEquiv:
-    def test_examples(self):
-        c4 = tl.factorize(4)
-        A, B = tl.TileSet(c4, [0, 1]), tl.TileSet(c4, [0, 2])
-        assert tl.satset_dilation_equiv(A, B, c4.residue(0), c4.residue(0), 0, 0)
-        assert not tl.satset_dilation_equiv(A, B, c4.residue(0), c4.residue(0), 1, 2)
-        c12 = tl.factorize(12)
-        A12 = tl.TileSet(c12, [0, 1, 6, 7])
-        B12 = tl.TileSet(c12, [0, 4, 8])
-        assert not tl.satset_dilation_equiv(A12, B12, c12.residue(1),
-                                            c12.residue(4), 7, 8)
-
-    def test_matches_unit_dilation_scan(self):
-        # membership in both saturating sets <=> exists r in R with x-a = r(y-b)
-        c12 = tl.factorize(12)
-        A = tl.TileSet(c12, [0, 1, 6, 7])
-        B = tl.TileSet(c12, [0, 4, 8])
-        units = [r for r in range(1, 12) if math.gcd(r, 12) == 1]
-        for x in range(12):
-            for y in range(0, 12, 3):
-                for a in A.members:
-                    for b in B.members:
-                        got = tl.satset_dilation_equiv(
-                            A, B, c12.residue(x), c12.residue(y), a, b)
-                        want = any((x - a) % 12 == (r * (y - b)) % 12
-                                   for r in units)
-                        assert got == want
+    def test_unchecked_pairs_meet_both_outcomes(self):
+        rng = random.Random(24)
+        hits = []
+        for t in unchecked_pairs(150, seed=24, moduli=(4, 24)):
+            M = t.context.M
+            for _ in range(3):
+                count = self.check(t.A, t.B, rng.randrange(M), rng.randrange(M))
+                hits.append(count == t.context.phi_table[M])
+        assert hits.count(True) > 50 and hits.count(False) > 50

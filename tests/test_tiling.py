@@ -6,8 +6,7 @@ import pytest
 import tilelab as tl
 import tilelab.tiling
 from tilelab.errors import InputError, TheoremViolationError
-from tilelab.tiling import (IsometryTable, _dilate_div, tiling_to_json,
-                            tiling_from_json)
+from tilelab.tiling import _dilate_div, tiling_to_json, tiling_from_json
 
 from conftest import corpus, oracle_tilings, unchecked_pairs
 
@@ -78,7 +77,6 @@ class TestTiling:
         for z in range(12):
             assert (a_of[z] + b_of[z]) % 12 == z
             assert a_of[z] in t.A.members and b_of[z] in t.B.members
-            assert t.decompose(z) == (a_of[z], b_of[z])
 
     def test_swapped_and_normalized(self):
         t = T(9, [0, 1, 2], [0, 3, 6])
@@ -293,48 +291,6 @@ class TestOrbitOracle:
         assert len(calls) == 1
 
 
-class TestIsometries:
-    def test_translation_and_dilation_are_isometries(self):
-        ctx = tl.factorize(12)
-        for c in (1, 5, 11):
-            assert tl.is_divisor_isometry(IsometryTable.translation(ctx, c))
-        for r in (1, 5, 7, 11):
-            assert tl.is_divisor_isometry(IsometryTable.dilation(ctx, r))
-
-    def test_doubling_rejected(self):
-        ctx = tl.factorize(12)
-        with pytest.raises(InputError):
-            IsometryTable(ctx, tuple((2 * x) % 12 for x in range(12)))
-
-    def test_plane_exchange_worked(self):
-        ctx = tl.factorize(12)
-        psi = tl.plane_exchange(ctx.residue(0), ctx.residue(6), 0, 2)
-        assert tl.is_divisor_isometry(psi)
-        # involution and plane swap by +-6
-        assert psi.apply(0) == 6 and psi.apply(6) == 0
-        assert psi.apply(4) == 10 and psi.apply(8) == 2
-        for x in range(12):
-            assert psi.apply(psi.apply(x)) == x
-        moved = {x for x in range(12) if psi.apply(x) != x}
-        assert moved == set(tl.plane(ctx.residue(0), 0, 2)) \
-            | set(tl.plane(ctx.residue(6), 0, 2))
-
-    def test_plane_exchange_precondition(self):
-        ctx = tl.factorize(12)
-        with pytest.raises(InputError):
-            tl.plane_exchange(ctx.residue(0), ctx.residue(4), 0, 2)
-
-    def test_isometry_preserves_tiling(self):
-        t = T(12, [0, 1, 6, 7], [0, 4, 8])
-        ctx = t.context
-        psis = [IsometryTable.translation(ctx, 3),
-                IsometryTable.dilation(ctx, 5),
-                tl.plane_exchange(ctx.residue(0), ctx.residue(6), 0, 2)]
-        psis += [a.compose(b) for a in psis for b in psis]
-        for psi in psis:
-            assert tl.verify_direct(psi.apply_set(t.A), t.B)
-
-
 class TestDilationStabilizer:
     def test_examples(self):
         ctx = tl.factorize(12)
@@ -364,33 +320,6 @@ class TestDilationStabilizer:
                 r0 = stab[0]
                 lattice = {r for r in units if (r - r0) % (M // m) == 0}
                 assert set(stab) == lattice
-
-
-class TestSimultaneousDilation:
-    def test_examples(self):
-        c9 = tl.factorize(9)
-        assert simul_ok(c9, [(3, 6)])
-        ctx = tl.factorize(12)
-        r = tl.simultaneous_dilation(ctx, [(6, 6), (4, 8)])
-        assert r == 5
-        assert simul_ok(ctx, [(6, 6), (4, 8)])
-
-    def test_identity_pairs(self):
-        ctx = tl.factorize(12)
-        r = tl.simultaneous_dilation(ctx, [(6, 6), (4, 4)])
-        assert (r * 6) % 12 == 6 and (r * 4) % 12 == 4
-
-    def test_bad_gcd_rejected(self):
-        ctx = tl.factorize(12)
-        with pytest.raises(InputError):
-            tl.simultaneous_dilation(ctx, [(6, 4), (4, 8)])
-
-
-def simul_ok(ctx, pairs):
-    r = tl.simultaneous_dilation(ctx, pairs)
-    if math.gcd(r, ctx.M) != 1:
-        return False
-    return all((r * x) % ctx.M == xp for x, xp in pairs)
 
 
 class TestJson:

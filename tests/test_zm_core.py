@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tilelab as tl
-from tilelab.errors import InputError, ContextMismatchError
+from tilelab.errors import InputError
 
 
 def brute_phi(n):
@@ -62,30 +62,6 @@ def test_euler_phi_matches_brute_force():
         assert tl.euler_phi(n) == brute_phi(n)
 
 
-class TestGcdDivisor:
-    def test_examples(self):
-        ctx = tl.factorize(12)
-        assert tl.gcd_divisor(ctx.residue(5), ctx.residue(1)) == 4
-        assert tl.gcd_divisor(ctx.residue(7), ctx.residue(7)) == 12
-        c9 = tl.factorize(9)
-        assert tl.gcd_divisor(c9.residue(3), c9.residue(0)) == 3
-
-    def test_translation_invariance(self):
-        ctx = tl.factorize(12)
-        for x in range(12):
-            for y in range(12):
-                base = tl.gcd_divisor(ctx.residue(x), ctx.residue(y))
-                for z in (1, 5, 7):
-                    shifted = tl.gcd_divisor(ctx.residue((x + z) % 12),
-                                             ctx.residue((y + z) % 12))
-                    assert shifted == base
-
-    def test_context_mismatch(self):
-        with pytest.raises(ContextMismatchError):
-            tl.gcd_divisor(tl.factorize(12).residue(0),
-                           tl.factorize(9).residue(0))
-
-
 class TestCoords:
     def test_worked_values(self):
         ctx = tl.factorize(12)
@@ -126,12 +102,6 @@ class TestCoords:
 
 
 class TestGeometry:
-    def test_fiber_examples(self):
-        ctx = tl.factorize(12)
-        assert list(tl.fiber(ctx.residue(1), 0)) == [1, 7]
-        c9 = tl.factorize(9)
-        assert list(tl.fiber(c9.residue(0), 0)) == [0, 3, 6]
-
     def test_realize_grid_example(self):
         ctx = tl.factorize(12)
         assert list(tl.grid(ctx.residue(1), 4)) == [1, 5, 9]
@@ -164,13 +134,6 @@ class TestGeometry:
         ctx = tl.factorize(12)
         with pytest.raises(InputError):
             tl.plane(ctx.residue(0), 0, 3)
-
-    def test_line_sizes(self):
-        ctx = tl.factorize(12)
-        assert list(tl.line(ctx.residue(0), 0)) == [0, 3, 6, 9]
-        for x in range(12):
-            for nu, (p, n) in enumerate(ctx.primes):
-                assert len(tl.line(ctx.residue(x), nu)) == p**n
 
 
 class TestTileSet:
