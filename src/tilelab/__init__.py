@@ -1,8 +1,7 @@
 """tilelab: exact arithmetic for translational tilings of Z_M."""
 
 from .zm_core import (ZmContext, Residue, TileSet, factorize,
-                      prime_factorization, euler_phi, radical_quotient,
-                      grid, plane)
+                      prime_factorization, euler_phi, radical_quotient)
 from .cyclotomic import (CycloProfile, phi_at_one, divides_mask, cyclo_profile,
                          check_T1, check_T2)
 from .tiling import (Tiling, verify_direct, div_set, verify_sands,
@@ -10,8 +9,7 @@ from .tiling import (Tiling, verify_direct, div_set, verify_sands,
                      dilation_stabilizer, find_complements, iter_complements,
                      enumerate_tilings, iter_tilings, sample_tilings,
                      tiling_to_json, tiling_from_json)
-from .structure import (DivisorCounts, divisor_counts, box_product,
-                        box_product_all_ones)
+from .structure import box_product, box_product_all_ones
 from .splitting import (Parity, SplitReport, FiberedGridProfile,
                         GridStratification, fiber_parity, split_report,
                         check_translate_splitting, check_disjoint_sigma,

@@ -137,29 +137,30 @@ def _parse_tiling(arg: str) -> Tiling:
     return tiling_from_json(_load_json_arg(arg), check=False)
 
 
+def _report(command: str, t: Tiling) -> dict:
+    """The header every single-tiling report starts with."""
+    echo = tiling_to_json(t)
+    return {"command": command, "input": echo, "input_sha256": _sha256(echo)}
+
+
 # ---------------------------------------------------------------------------
 # verify / analyze
 
 
 def cmd_verify(arg: str, fmt: str) -> int:
     t = _parse_tiling(arg)
-    echo = tiling_to_json(t)
     results = {
         "direct": verify_direct(t.A, t.B),
         "sands": verify_sands(t.A, t.B),
         "cyclotomic": verify_cyclotomic(t.A, t.B),
     }
     agree = len(set(results.values())) == 1
-    report = {
-        "command": "verify",
-        "input": echo,
-        "input_sha256": _sha256(echo),
-        "verification": {**results, "agree": agree},
-    }
+    report = _report("verify", t)
+    report["verification"] = {**results, "agree": agree}
     _emit(report, fmt)
     if not agree:
         raise InvariantViolationError(
-            f"verifiers disagree on {echo}: {results}")
+            f"verifiers disagree on {report['input']}: {results}")
     return 0 if results["direct"] else 1
 
 
@@ -178,12 +179,7 @@ def _tile_section(T: TileSet) -> dict:
 def cmd_analyze(arg: str, fmt: str, split: bool, slab: bool,
                 boxgrid: bool) -> int:
     t = _parse_tiling(arg)
-    echo = tiling_to_json(t)
-    report = {
-        "command": "analyze",
-        "input": echo,
-        "input_sha256": _sha256(echo),
-    }
+    report = _report("analyze", t)
     if not verify_direct(t.A, t.B):
         report["verification"] = {"direct": False}
         _emit(report, fmt)
@@ -244,8 +240,7 @@ def _record(violations: list, tiling: Tiling, check: str, detail: str):
     })
 
 
-def _sweep_lemmas(t: Tiling, counts: dict, violations: list,
-                  reports: list) -> None:
+def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
     ctx = t.context
     k = len(ctx.primes)
 
@@ -312,8 +307,7 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list,
                 _record(violations, t, "fibered_grid", str(exc))
 
 
-def _sweep_t2(t: Tiling, counts: dict, violations: list,
-              reports: list) -> None:
+def _sweep_t2(t: Tiling, violations: list, reports: list) -> None:
     for name, tile in (("A", t.A), ("B", t.B)):
         if not check_T1(tile):
             _record(violations, t, "T1", f"tile {name}")
@@ -350,9 +344,9 @@ def _sweep_worker(args: tuple) -> tuple[dict, list, list]:
     violations: list = []
     reports: list = []
     if check in ("lemmas", "all"):
-        _sweep_lemmas(t, counts, violations, reports)
+        _sweep_lemmas(t, counts, violations)
     if check in ("t2", "all"):
-        _sweep_t2(t, counts, violations, reports)
+        _sweep_t2(t, violations, reports)
     return counts, violations, reports
 
 
@@ -402,29 +396,19 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
 
 def cmd_prove(arg: str, fmt: str) -> int:
     t = _parse_tiling(arg)
-    echo = tiling_to_json(t)
     if not verify_direct(t.A, t.B):
         print(f"input is not a tiling of Z_{t.context.M}", file=sys.stderr)
         return 1
+    report = _report("prove", t)
     try:
         cert = prove_t2_largeprime(t)
     except PipelineStuckError as exc:
-        report = {
-            "command": "prove",
-            "input": echo,
-            "input_sha256": _sha256(echo),
-            "stuck": str(exc),
-        }
+        report["stuck"] = str(exc)
         _emit(report, fmt)
         return 1
-    report = {
-        "command": "prove",
-        "input": echo,
-        "input_sha256": _sha256(echo),
-        "certificate": certificate_to_json(cert),
-        "replayed": True,
-        "large_prime_hypothesis": cert.large_prime_hypothesis,
-    }
+    report["certificate"] = certificate_to_json(cert)
+    report["replayed"] = True
+    report["large_prime_hypothesis"] = cert.large_prime_hypothesis
     _emit(report, fmt)
     return 0 if cert.success else 1
 

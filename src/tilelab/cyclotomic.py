@@ -59,7 +59,6 @@ def divides_mask(s: int, A: TileSet) -> bool:
 class CycloProfile:
     """Which cyclotomics divide a tile's mask."""
 
-    tile: TileSet
     divisors_of_mask: frozenset[int]   # {s | M, s > 1 : Phi_s | A(X)}
     s_set: frozenset[int]              # the prime-power members (S_A)
 
@@ -90,7 +89,7 @@ def cyclo_profile(A: TileSet) -> CycloProfile:
     hits = [s for s in A.context.divisors
             if s > 1 and _cuboid_vanishes(A.members, s)]
     s_set = frozenset(s for s in hits if len(prime_factorization(s)) == 1)
-    return CycloProfile(A, frozenset(hits), s_set)
+    return CycloProfile(frozenset(hits), s_set)
 
 
 def check_T1(A: TileSet) -> bool:

@@ -233,8 +233,8 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
 
 
 def _plane_counts(B: TileSet, direction: int) -> dict[int, int]:
-    """|B intersect Pi(b, p^n)| keyed by the plane's coordinate in `direction`,
-    for the planes that meet B."""
+    """How many members of B lie on each plane Pi(b, p^n) that meets B,
+    keyed by the plane's coordinate in `direction`."""
     coord = B.context.coord_tables[direction]
     counts: dict[int, int] = {}
     for b in B:
@@ -280,7 +280,7 @@ def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
 
 
 def plane_bound_check(B: TileSet, direction: int) -> bool:
-    """|B intersect Pi(z, p^n)| <= gcd(|B|, M/p^n) for every plane z."""
+    """No plane Pi(z, p^n) holds more than gcd(|B|, M/p^n) members of B."""
     ctx = B.context
     p, n = ctx.check_direction(direction)
     bound = math.gcd(len(B), ctx.M // p ** n)

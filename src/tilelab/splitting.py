@@ -30,7 +30,7 @@ from .errors import (InputError, InvariantViolationError, LemmaViolationError,
                      NeitherParityError, NotFiberedError)
 from .cyclotomic import divides_mask
 from .tiling import Tiling
-from .zm_core import TileSet, ZmContext, plane, radical_quotient
+from .zm_core import TileSet, ZmContext, radical_quotient
 
 
 class Parity(Enum):
@@ -38,9 +38,6 @@ class Parity(Enum):
 
     AB = "AB"
     BA = "BA"
-
-    def swapped(self) -> "Parity":
-        return Parity.BA if self is Parity.AB else Parity.AB
 
 
 def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
@@ -289,20 +286,18 @@ def check_local_distribution(t: Tiling, a0: int,
                              direction: int) -> Optional[bool]:
     """With 0 in B and every fiber of A inside a0's p^{n-1}-plane splitting
     BA: adjacent p^n-planes hold equally many elements of A, and the
-    prime-power cyclotomic divides the plane-restricted mask."""
+    prime-power cyclotomic divides the plane-restricted mask.  The plane
+    Pi(x, p^alpha) is {y : p^alpha | y - x}."""
     ctx = t.context
     p, n = ctx.check_direction(direction)
     _require_member(t.A, a0, "A")
     if not t.B.mask & 1:
         return None
-
-    def a_on_plane(x: int, alpha: int) -> TileSet:
-        return t.A.intersect(plane(ctx.residue(x % ctx.M), direction, alpha))
-
-    low_plane = a_on_plane(a0, n - 1)
+    low_plane = TileSet(ctx, [a for a in t.A if (a - a0) % p ** (n - 1) == 0])
     if any(fiber_parity(t, a, direction) is not Parity.BA for a in low_plane):
         return None
-    counts = {len(a_on_plane(a0 + nu * ctx.M // p, n)) for nu in range(p)}
+    counts = {sum((a - a0 - nu * ctx.M // p) % p ** n == 0 for a in t.A)
+              for nu in range(p)}
     if len(counts) != 1:
         return False
     return divides_mask(p ** n, low_plane)
@@ -456,7 +451,6 @@ def check_fiber_basic(profile: FiberedGridProfile) -> bool:
 class GridStratification:
     """Directions used by one D-grid, stratified into layers."""
 
-    anchor: int
     axis: int
     directions: frozenset[int]
     layers: tuple[int, ...]
@@ -496,7 +490,7 @@ def grid_stratification(profile: FiberedGridProfile,
             raise LemmaViolationError(
                 f"layer {nu} of grid {z0 % D} mixes directions {sorted(found)}")
         layers.append(found.pop())
-    return GridStratification(z0 % D, axis, dirs, tuple(layers))
+    return GridStratification(axis, dirs, tuple(layers))
 
 
 def consistency3_check(profile: FiberedGridProfile) -> Optional[bool]:

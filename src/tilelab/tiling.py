@@ -80,14 +80,6 @@ class Tiling:
     def swapped(self) -> "Tiling":
         return Tiling(self.B, self.A, check=False)
 
-    def normalized(self) -> "Tiling":
-        """Translate each tile so it contains 0."""
-        a0 = self.A.members[0] if len(self.A) else 0
-        b0 = self.B.members[0] if len(self.B) else 0
-        if a0 == 0 and b0 == 0:
-            return self
-        return Tiling(self.A.translate(-a0), self.B.translate(-b0), check=False)
-
 
 def verify_direct(A: TileSet, B: TileSet) -> bool:
     """Exact-cover check on bitmasks."""
@@ -138,8 +130,6 @@ def verify_cyclotomic(A: TileSet, B: TileSet) -> bool:
     ctx = _same_context(A, B)
     if len(A) * len(B) != ctx.M:
         return False
-    if ctx.M == 1:
-        return True
     da = cyclo_profile(A).divisors_of_mask
     db = cyclo_profile(B).divisors_of_mask
     return all(s in da or s in db for s in ctx.divisors if s > 1)
@@ -262,10 +252,10 @@ def iter_complements(A: TileSet, normalize: bool = True,
     yield from itertools.islice(_run_search(root), limit)
 
 
-def find_complements(A: TileSet, normalize: bool = True,
-                     limit: int | None = None) -> list[TileSet]:
-    """All complements (first `limit` in search order if given), sorted."""
-    out = list(iter_complements(A, normalize=normalize, limit=limit))
+def find_complements(A: TileSet, limit: int | None = None) -> list[TileSet]:
+    """All complements with 0 in B (first `limit` in search order if given),
+    sorted."""
+    out = list(iter_complements(A, limit=limit))
     out.sort(key=lambda ts: ts.members)
     return out
 
@@ -294,10 +284,10 @@ def _class_masks(ctx: ZmContext) -> dict[int, int]:
     return masks
 
 
-def iter_tilings(ctx: ZmContext, normalize: bool = True,
+def iter_tilings(ctx: ZmContext,
                  size_splits: Sequence[tuple[int, int]] | None = None
                  ) -> Iterator[Tiling]:
-    """Stream every tiling with 0 in A (and 0 in B when normalize).
+    """Stream every tiling with 0 in both tiles.
 
     Deterministic DFS, each tiling exactly once: the branch taken at the
     lowest uncovered residue z pins which pair (a, b) represents z, so two
@@ -312,10 +302,10 @@ def iter_tilings(ctx: ZmContext, normalize: bool = True,
     for dA, dB in size_splits:
         if dA < 1 or dA * dB != M:
             raise InputError(f"bad size split ({dA}, {dB}) for M={M}")
-        yield from _pair_dfs(ctx, dA, dB, normalize)
+        yield from _pair_dfs(ctx, dA, dB)
 
 
-def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
+def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
     """Pair search for one size split, run by _run_search; see iter_tilings.
 
     State per step: bitmasks for members, coverage, and "blocked" residues.
@@ -331,7 +321,7 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
     gcds = ctx.gcd_table
     class_masks = _class_masks(ctx)
     A = [0]
-    B = [0] if normalize else []
+    B = [0]
 
     def walk(state):
         (Amask, Bmask, covered, divA, divB, forbA, forbB,
@@ -414,27 +404,26 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int, normalize: bool):
         return (Amask, Bmask, covered, divA, divB, forbA, forbB,
                 blockedA, blockedB, blockedB_refl)
 
-    seeded = 1 if normalize else 0
-    yield from _run_search(walk((1, seeded, seeded, frozenset(), frozenset(),
-                                 0, 0, 1, seeded, seeded)))
+    yield from _run_search(walk((1, 1, 1, frozenset(), frozenset(),
+                                 0, 0, 1, 1, 1)))
 
 
-def enumerate_tilings(ctx: ZmContext, normalize: bool = True) -> list[Tiling]:
-    """Every tiling with 0 in A (and 0 in B if normalize), sorted by (A, B).
+def enumerate_tilings(ctx: ZmContext) -> list[Tiling]:
+    """Every tiling with 0 in both tiles, sorted by (A, B).
 
     Complete; exponentially many for composite M much beyond ~40, so prefer
     iter_tilings / sample_tilings for sweeps at that scale.
     """
-    out = list(iter_tilings(ctx, normalize=normalize))
+    out = list(iter_tilings(ctx))
     out.sort(key=lambda t: (t.A.members, t.B.members))
     return out
 
 
-def sample_tilings(ctx: ZmContext, cap: int,
-                   normalize: bool = True) -> list[Tiling]:
-    """Deterministic stratified prefix: round-robin over size splits up to cap."""
+def sample_tilings(ctx: ZmContext, cap: int) -> list[Tiling]:
+    """Deterministic stratified prefix of the tilings with 0 in both tiles:
+    round-robin over size splits up to cap."""
     M = ctx.M
-    streams = [iter_tilings(ctx, normalize=normalize, size_splits=[(d, M // d)])
+    streams = [iter_tilings(ctx, size_splits=[(d, M // d)])
                for d in ctx.divisors]
     out: list[Tiling] = []
     while streams and len(out) < cap:

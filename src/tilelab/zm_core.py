@@ -7,10 +7,11 @@ per-residue CRT coordinates, the units of Z_M, plus a gcd table so that
 (x - y, M) lookups are O(1).  Directions are 0-based indices into the
 ascending prime list.
 
-Geometry: a grid L(x, D) = {x' : D | x - x'} for D | M; special cases are
-lines (D = M_j), planes (D = p_j^alpha) and fibers (D = M / p_j).  Sets of
-residues are TileSets, stored both as a sorted tuple and as a bitmask with one
-bit per residue.
+Geometry is arithmetic on residues: the plane Pi(x, p_j^alpha) is
+{y : p_j^alpha | y - x}, equivalently the y whose direction-j coordinate is
+congruent to x's mod p_j^alpha, and the fiber of x in direction j is
+{x + k M/p_j}.  Sets of residues are TileSets, stored both as a sorted tuple
+and as a bitmask with one bit per residue.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class ZmContext:
     def residue(self, value: int) -> "Residue":
         if not 0 <= value < self.M:
             raise InputError(f"residue {value} outside [0, {self.M})")
-        return Residue(self, value, self.coords_of(value))
+        return Residue(self, value)
 
     def coords_of(self, value: int) -> tuple[int, ...]:
         return tuple(t[value] for t in self.coord_tables)
@@ -115,7 +116,7 @@ class ZmContext:
             if not 0 <= x_j < q:
                 raise InputError(f"coordinate {x_j} outside [0, {q})")
             value = (value + x_j * basis) % self.M
-        return Residue(self, value, coords)
+        return Residue(self, value)
 
     def rotate(self, mask: int, k: int) -> int:
         """Cyclic shift of an M-bit mask: bit v -> bit (v + k) mod M."""
@@ -164,11 +165,10 @@ def factorize(M: int) -> ZmContext:
 
 @dataclass(frozen=True, eq=False)
 class Residue:
-    """A residue with its CRT coordinates (x = sum x_j M_j mod M)."""
+    """A residue of Z_M, bound to its context."""
 
     context: ZmContext
     value: int
-    coords: tuple[int, ...]
 
     def __eq__(self, other):
         return (isinstance(other, Residue)
@@ -253,10 +253,6 @@ class TileSet:
         ctx = self.context
         return TileSet(ctx, ((r * a) % ctx.M for a in self.members))
 
-    def intersect(self, other: "TileSet") -> "TileSet":
-        _same_context(self, other)
-        return TileSet.from_mask(self.context, self.mask & other.mask)
-
 
 def _mask_members(mask: int) -> tuple[int, ...]:
     out = []
@@ -269,19 +265,3 @@ def _mask_members(mask: int) -> tuple[int, ...]:
         v += 1
     return tuple(out)
 
-
-def grid(x: Residue, step: int) -> TileSet:
-    """L(x, step) = {x' : step | x - x'}, step | M."""
-    ctx = x.context
-    if step < 1 or ctx.M % step:
-        raise InputError(f"step {step} does not divide M={ctx.M}")
-    return TileSet(ctx, range(x.value % step, ctx.M, step))
-
-
-def plane(x: Residue, direction: int, alpha: int) -> TileSet:
-    """Pi(x, p_nu^alpha) = L(x, p_nu^alpha) for 0 <= alpha <= n_nu."""
-    ctx = x.context
-    p, n = ctx.check_direction(direction)
-    if not 0 <= alpha <= n:
-        raise InputError(f"alpha={alpha} outside [0, {n}] for p={p}")
-    return grid(x, p**alpha)

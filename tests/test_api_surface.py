@@ -3,14 +3,27 @@
 Every name that tilelab/__init__.py exports must have a caller: a reference
 in src/tilelab outside its own definition, or a `tl.<name>` use in the
 release gate.  And no module may import a name it never uses.
+
+Below the module level, the readers are src/tilelab, the gate and
+perfbench/.  Every annotated field and non-dunder method or property of a
+class must be read as an attribute outside its own definition; every
+defaulted parameter must be passed, by keyword or by position, in some call
+to its function (to the class, for __init__); and every parameter must be
+read in its function's body.  Members and calls are matched by name alone,
+so a member is taken as read when any attribute of that name is: the check
+could not see an unread Parity.swapped while Tiling.swapped was read, nor an
+unread CycloProfile.tile while the CLI read args.tile.
 """
 
 import ast
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tilelab"
 GATE = ROOT / "tests" / "test_acceptance.py"
+READERS = [*sorted(PACKAGE.glob("*.py")), GATE,
+           *sorted((ROOT / "perfbench").glob("*.py"))]
 
 # The paper's splitting lemmas: unit tests call them, no workload does yet.
 # ROADMAP open item 4 wires them into `sweep --check lemmas`.
@@ -79,3 +92,103 @@ def test_no_module_imports_an_unused_name():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     assert bound in used, f"{module}.py imports unused {bound}"
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def test_every_member_is_read():
+    reads = Counter()
+    for path in READERS:
+        reads.update(_attribute_reads(_parse(path)))
+    unread = []
+    for module, tree in _modules().items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    name = node.target.id
+                elif (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("__")):
+                    name = node.name
+                else:
+                    continue
+                if reads[name] == _attribute_reads(node)[name]:
+                    unread.append(f"{module}.{cls.name}.{name}")
+    assert not unread, unread
+
+
+def _functions():
+    """(label, callee name, def, bound) for every function in src/tilelab:
+    the name a call uses, and the positional parameters bound before the
+    caller's arguments (self or cls on a method)."""
+    for module, tree in _modules().items():
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        methods[fn] = cls.name
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn not in methods:
+                yield f"{module}.{fn.name}", fn.name, fn, 0
+                continue
+            callee = methods[fn] if fn.name == "__init__" else fn.name
+            yield f"{module}.{methods[fn]}.{fn.name}", callee, fn, 1
+
+
+def _passes(call: ast.Call, param: str, position) -> bool:
+    """Whether the call binds param, given its index among the caller's
+    positional arguments (None for a keyword-only parameter)."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = defaultdict(list)
+    for path in READERS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls[func.id].append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls[func.attr].append(node)
+    unset = []
+    for label, callee, fn, bound in _functions():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = [(a.arg, i - bound) for i, a in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(a.arg, None) for a, d in
+                      zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for param, position in defaulted:
+            if not any(_passes(call, param, position)
+                       for call in calls[callee]):
+                unset.append(f"{label}({param})")
+    assert not unset, unset
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for label, _, fn, bound in _functions():
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        loads = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        unread += [f"{label}({a.arg})" for a in params[bound:]
+                   if not a.arg.startswith("_") and a.arg not in loads]
+    assert not unread, unread

@@ -7,11 +7,12 @@ from hypothesis import given, strategies as st
 
 import tilelab as tl
 from tilelab import splitting as sp
-from tilelab.errors import (InputError, LemmaViolationError,
-                            NeitherParityError, NotFiberedError)
+from tilelab.errors import (InputError, InvariantViolationError,
+                            LemmaViolationError, NeitherParityError,
+                            NotFiberedError)
 from tilelab.splitting import Parity
 
-from conftest import corpus, oracle_tilings
+from conftest import corpus, oracle_tilings, unchecked_pairs
 
 
 def T(M, A, B, check=True):
@@ -350,6 +351,55 @@ class TestLocalDistribution:
     def test_nonmember_rejected(self):
         with pytest.raises(InputError):
             sp.check_local_distribution(t12(), 2, 0)
+
+    def test_matches_literal_planes(self):
+        """Same value or exception type as a copy that builds each plane
+        Pi(x, p^alpha) as the residues range(x % p^alpha, M, p^alpha), on
+        tilings and on pairs that do not tile (no cover: decomp raises).
+        No tiling gives False, which would break the lemma."""
+        tilings = [t for M in range(1, 17) for t in corpus(M)]
+        tilings += random.Random(36).sample(corpus(36, 2000), 100)
+        tilings += unchecked_pairs(100, seed=16, moduli=(4, 24))
+        seen = set()
+        for t in tilings:
+            for tt in (t, t.swapped()):
+                for a0 in range(tt.context.M):
+                    for d in range(len(tt.context.primes)):
+                        got = outcome(sp.check_local_distribution, tt, a0, d)
+                        assert got == outcome(literal_local_distribution,
+                                              tt, a0, d), (tt, a0, d)
+                        seen.add(got)
+        assert seen == {True, None, InputError, InvariantViolationError}
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def literal_local_distribution(t, a0, direction):
+    ctx = t.context
+    M = ctx.M
+    p, n = ctx.check_direction(direction)
+    if a0 % M not in t.A:
+        raise InputError(f"{a0} is not an element of A")
+    if 0 not in t.B:
+        return None
+
+    def a_on_plane(x, alpha):
+        q = p ** alpha
+        return tl.TileSet(ctx, [y for y in range(x % q, M, q) if y in t.A])
+
+    low_plane = a_on_plane(a0, n - 1)
+    if any(sp.fiber_parity(t, a, direction) is not Parity.BA
+           for a in low_plane):
+        return None
+    counts = {len(a_on_plane(a0 + nu * M // p, n)) for nu in range(p)}
+    if len(counts) != 1:
+        return False
+    return tl.divides_mask(p ** n, low_plane)
 
 
 class TestAunif:

@@ -2,7 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 import tilelab as tl
+from tilelab.errors import InputError
+from tilelab.structure import _count_rows
 
 from conftest import corpus, unchecked_pairs
 
@@ -22,31 +26,33 @@ def oracle_box(A, B, x, y):
                for m in A.context.divisors)
 
 
-class TestDivisorCounts:
+def count_row(A, x):
+    """structure._count_rows at the single point x, as a {divisor: count}
+    dict without zero entries, the shape of oracle_counts."""
+    (row,) = _count_rows(A, [x])
+    return {m: c for m, c in zip(A.context.divisors, row) if c}
+
+
+class TestCountRows:
     def test_examples(self):
-        c4 = tl.factorize(4)
-        dc = tl.divisor_counts(tl.TileSet(c4, [0, 1]), c4.residue(0))
-        assert dict(dc.counts) == {1: 1, 4: 1}
-        dc = tl.divisor_counts(tl.TileSet(c4, [0, 2]), c4.residue(0))
-        assert dict(dc.counts) == {2: 1, 4: 1}
-        c9 = tl.factorize(9)
-        dc = tl.divisor_counts(tl.TileSet(c9, [0, 3, 6]), c9.residue(1))
-        assert dict(dc.counts) == {1: 3}
+        c4, c9 = tl.factorize(4), tl.factorize(9)
+        for A, x, want in ((tl.TileSet(c4, [0, 1]), 0, {1: 1, 4: 1}),
+                           (tl.TileSet(c4, [0, 2]), 0, {2: 1, 4: 1}),
+                           (tl.TileSet(c9, [0, 3, 6]), 1, {1: 3})):
+            assert count_row(A, x) == want == oracle_counts(A, x)
 
     def test_total_and_membership_flag(self):
         ctx = tl.factorize(12)
         A = tl.TileSet(ctx, [0, 1, 6, 7])
-        for x in range(12):
-            dc = tl.divisor_counts(A, ctx.residue(x))
-            assert sum(dc.counts.values()) == len(A)
-            assert dc.counts.get(12, 0) == (1 if x in A.members else 0)
+        for x, row in enumerate(_count_rows(A, range(12))):
+            assert sum(row) == len(A)
+            assert row[ctx.divisors.index(12)] == (1 if x in A.members else 0)
 
     def test_matches_oracle(self):
         ctx = tl.factorize(12)
         A = tl.TileSet(ctx, [0, 1, 5, 6, 7, 11])
         for x in range(12):
-            dc = tl.divisor_counts(A, ctx.residue(x))
-            assert dict(dc.counts) == oracle_counts(A, x)
+            assert count_row(A, x) == oracle_counts(A, x)
 
 
 class TestBoxProduct:
@@ -63,6 +69,14 @@ class TestBoxProduct:
         A = tl.TileSet(c4, [0, 2])
         got = tl.box_product(A, A, c4.residue(0), c4.residue(0))
         assert got == 2
+
+    def test_base_point_of_another_modulus_rejected(self):
+        c4, c8 = tl.factorize(4), tl.factorize(8)
+        A, B = tl.TileSet(c4, [0, 1]), tl.TileSet(c4, [0, 2])
+        with pytest.raises(InputError, match="Z_8"):
+            tl.box_product(A, B, c8.residue(0), c4.residue(0))
+        with pytest.raises(InputError, match="Z_8"):
+            tl.box_product(A, B, 0, c8.residue(5))
 
     def test_matches_independent_formula(self):
         for t in corpus(12)[::9]:

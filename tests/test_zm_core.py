@@ -81,10 +81,11 @@ class TestCoords:
         ctx = tl.factorize(M)
         images = set()
         for x in range(M):
-            r = ctx.residue(x)
-            assert sum(c * Mj for c, Mj in zip(r.coords, ctx.crt_basis)) % M == x
-            assert ctx.from_coords(r.coords).value == x
-            images.add(r.coords)
+            coords = ctx.coords_of(x)
+            assert sum(c * Mj for c, Mj in zip(coords, ctx.crt_basis)) % M == x
+            assert ctx.from_coords(coords).value == x
+            assert ctx.residue(x).value == x
+            images.add(coords)
         assert len(images) == M
 
     def test_out_of_range(self):
@@ -102,38 +103,21 @@ class TestCoords:
 
 
 class TestGeometry:
-    def test_realize_grid_example(self):
-        ctx = tl.factorize(12)
-        assert list(tl.grid(ctx.residue(1), 4)) == [1, 5, 9]
-        for bad in (0, 5, 24):
-            with pytest.raises(InputError):
-                tl.grid(ctx.residue(1), bad)
-
-    def test_grid_partitions(self):
-        ctx = tl.factorize(12)
-        for D in ctx.divisors:
-            cells = [set(tl.grid(ctx.residue(x), D)) for x in range(D)]
-            assert all(len(c) == 12 // D for c in cells)
-            union = set().union(*cells)
-            assert union == set(range(12))
-            assert sum(len(c) for c in cells) == 12
-
     def test_plane_is_coordinate_congruence(self):
-        ctx = tl.factorize(12)
-        for x in range(12):
+        """p^alpha | y - x exactly when the direction coordinates of x and y
+        agree mod p^alpha: the identity every plane test in splitting and
+        reduction reads off the coordinate tables."""
+        for M in (12, 36, 72):
+            ctx = tl.factorize(M)
+            coords = [ctx.coords_of(x) for x in range(M)]
             for nu, (p, n) in enumerate(ctx.primes):
-                for alpha in range(1, n + 1):
-                    got = set(tl.plane(ctx.residue(x), nu, alpha))
-                    want = {y for y in range(12)
-                            if (ctx.coords_of(y)[nu] - ctx.coords_of(x)[nu])
-                            % p**alpha == 0}
-                    assert got == want
-                    assert len(got) == 12 // p**alpha
-
-    def test_plane_alpha_bound(self):
-        ctx = tl.factorize(12)
-        with pytest.raises(InputError):
-            tl.plane(ctx.residue(0), 0, 3)
+                for alpha in range(n + 1):
+                    q = p ** alpha
+                    for x in range(M):
+                        for y in range(M):
+                            assert (((y - x) % q == 0)
+                                    == ((coords[y][nu] - coords[x][nu]) % q
+                                        == 0))
 
 
 class TestTileSet:
