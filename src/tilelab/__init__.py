@@ -19,7 +19,7 @@ from .splitting import (Parity, SplitReport, FiberedGridProfile,
                         grid_stratification, consistency3_check,
                         consistent_splitting_check)
 from .reduction import (SlabVerdict, SlabStep, PrimeRemovalStep, BaseCase,
-                        T2Certificate, slab_subset, project_tile,
+                        T2Certificate, project_tile,
                         slab_cond_i, slab_cond_ii, slab_cond_iii,
                         slab_equivalence_check, splittingslab_equiv_check,
                         slabcor_check, plane_bound_check, blowbound_check,

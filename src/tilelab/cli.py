@@ -34,8 +34,8 @@ from .cyclotomic import (
 from .tiling import (
     Tiling,
     _tiles_from_json,
-    enumerate_tilings,
     iter_complements,
+    iter_tilings,
     sample_tilings,
     tijdeman_orbit_check,
     tiling_from_json,
@@ -359,22 +359,27 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
     jobs = min(jobs, os.cpu_count() or 1)
     ctx = factorize(M)
     corpus = (sample_tilings(ctx, cap=limit) if limit is not None
-              else enumerate_tilings(ctx))
-    work = [(M, list(t.A), list(t.B), check) for t in corpus]
+              else iter_tilings(ctx))
+    work = ((M, list(t.A), list(t.B), check) for t in corpus)
 
     counts = {"tilings": 0, "fibers": 0, "grids": 0}
     violations: list = []
     reports: list = []
-    if jobs > 1 and len(work) > 1:
+
+    def add(results):
+        for part_counts, part_violations, part_reports in results:
+            for key in counts:
+                counts[key] += part_counts[key]
+            violations.extend(part_violations)
+            reports.extend(part_reports)
+
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, work, chunksize=16))
+            # Executor.map submits its whole input at once: feed it batches
+            while batch := list(itertools.islice(work, 256 * jobs)):
+                add(pool.map(_sweep_worker, batch, chunksize=16))
     else:
-        results = [_sweep_worker(item) for item in work]
-    for part_counts, part_violations, part_reports in results:
-        for key in counts:
-            counts[key] += part_counts[key]
-        violations.extend(part_violations)
-        reports.extend(part_reports)
+        add(map(_sweep_worker, work))
 
     violations.sort(key=lambda v: json.dumps(v, sort_keys=True))
     reports.sort(key=lambda r: json.dumps(r, sort_keys=True))

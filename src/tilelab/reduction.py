@@ -30,20 +30,11 @@ from .errors import (
 from .zm_core import TileSet, ZmContext, factorize, radical_quotient
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
 from .tiling import Tiling, div_set, tiling_to_json, verify_direct
-from .splitting import _uniform_ba, split_report
+from .splitting import _ab_fibers, split_report
 
 
 # ---------------------------------------------------------------------------
 # slabs and coordinate projection
-
-
-def slab_subset(A: TileSet, direction: int) -> TileSet:
-    """Members of A whose CRT coordinate in `direction` is below p^{n-1}."""
-    ctx = A.context
-    p, n = ctx.check_direction(direction)
-    bound = p ** (n - 1)
-    table = ctx.coord_tables[direction]
-    return TileSet(ctx, [a for a in A if table[a] < bound])
 
 
 @lru_cache(maxsize=None)
@@ -69,6 +60,17 @@ def project_tile(A: TileSet, direction: int) -> TileSet:
     return TileSet(child, {table[a] for a in A})
 
 
+def _projected_slab(A: TileSet, direction: int, c: int = 0) -> TileSet:
+    """The slab of A - c, its members whose CRT coordinate in `direction`
+    is below p^{n-1}, projected to Z_{M/p}."""
+    ctx = A.context
+    p, n = ctx.primes[direction]
+    child, table = _projection(ctx, direction)
+    coord = ctx.coord_tables[direction]
+    shifted = [(a - c) % ctx.M for a in A.members]
+    return TileSet(child, {table[v] for v in shifted if coord[v] < p ** (n - 1)})
+
+
 def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     """Every translate A - c has its slab tiling Z_{M/p} against projected B.
 
@@ -79,16 +81,10 @@ def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     keeps or breaks the tiling alike.  Every failing c is therefore congruent
     mod p^n to a failing c below p^n, and the least witness is unchanged.
     """
-    ctx = t.context
-    p, n = ctx.check_direction(direction)
-    child, table = _projection(ctx, direction)
-    coord = ctx.coord_tables[direction]
-    bound = p ** (n - 1)
+    p, n = t.context.check_direction(direction)
     projected_b = project_tile(t.B, direction)
     for c in range(p ** n):
-        shifted = [(a - c) % ctx.M for a in t.A.members]
-        slab = TileSet(child, {table[v] for v in shifted if coord[v] < bound})
-        if not verify_direct(slab, projected_b):
+        if not verify_direct(_projected_slab(t.A, direction, c), projected_b):
             return False, c
     return True, None
 
@@ -200,13 +196,13 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
     first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
 
     # Literal over the units; equal dilates rB give equal verdicts.  Each
-    # distinct rB goes to the mask kernel, which runs the literal report only
-    # on a failed cover or a bad fiber.
+    # distinct rB splits uniformly BA when the parity decider finds no AB
+    # fiber; a failed cover or a bad fiber raises there.
     dilates: dict[frozenset[int], list[int]] = {}
     for r in ctx.units:
         rb = [r * b % ctx.M for b in t.B.members]
         dilates.setdefault(frozenset(rb), rb)
-    second = all(_uniform_ba(t.A, rb, direction) for rb in dilates.values())
+    second = all(not _ab_fibers(t.A, rb, direction) for rb in dilates.values())
 
     # The difference classes of all b within B make up Div(B), so the members
     # of A matched through some b are the saturating set A_x.
@@ -440,8 +436,7 @@ def _slab_child(t: Tiling, side: str) -> Tiling:
     ok, witness = slab_cond_ii(oriented, direction)
     if not ok:
         raise InputError(f"divisor exclusion fails at m={witness}")
-    slab = slab_subset(oriented.A, direction)
-    child_a = project_tile(slab, direction)
+    child_a = _projected_slab(oriented.A, direction)
     child_b = project_tile(oriented.B, direction)
     if not verify_direct(child_a, child_b):
         raise EquivalenceViolationError(

@@ -10,11 +10,12 @@ sets Sigma_A, Sigma_B always land in one of two patterns:
 
 This dichotomy is total for tilings, and the collapsing side alone decides
 it (see fiber_parity); uniformity notions quantify it over all fibers of a
-direction, or only over fibers anchored at tile elements.  split_report
-reads a whole direction from coordinate slices in one pass.  One mask
-kernel, _full_fibers (the fibers lying inside a bitmask), serves the
-per-dilate uniformity test of the slab statement (II), the cross-direction
-check and the fibered-grid profile.
+direction, or only over fibers anchored at tile elements.  One mask
+decider, _ab_fibers, gives a whole direction's parities to split_report and
+to the slab statement (II); fiber_parity is the literal single-fiber rule
+and the one source of the both/neither error.  Its kernel _full_fibers (the
+fibers lying inside a bitmask) also serves the cross-direction check and
+the fibered-grid profile.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -142,32 +143,16 @@ class SplitReport:
 
 
 def split_report(t: Tiling, direction: int) -> SplitReport:
-    """The parity of every fiber of one direction, in one pass.
-
-    The cover's A and B parts are mapped to direction coordinates once; the
-    fiber at `anchor` is then AB when the A-side slice ca[anchor::step]
-    holds one value and BA when the B-side slice cb[anchor::step] does,
-    fiber_parity's rule.  A fiber with both or neither goes to fiber_parity,
-    which raises; anchors are visited in increasing order, so the first bad
-    one names the error.
-    """
+    """The parity of every fiber of one direction, read off _ab_fibers."""
     ctx = t.context
     p, _ = ctx.check_direction(direction)
     step = ctx.M // p
-    table = ctx.coord_tables[direction]
-    a_of, b_of = t.decomp
-    ca = list(map(table.__getitem__, a_of))
-    cb = list(map(table.__getitem__, b_of))
-    fibers = {}
-    for anchor in range(step):
-        flat_a = len(set(ca[anchor::step])) == 1
-        if flat_a == (len(set(cb[anchor::step])) == 1):
-            fiber_parity(t, anchor, direction)   # raises NeitherParityError
-        fibers[anchor] = Parity.AB if flat_a else Parity.BA
+    ab = _ab_fibers(t.A, t.B.members, direction)
     return SplitReport(
         direction=direction,
         prime=p,
-        fibers=fibers,
+        fibers={anchor: Parity.AB if ab >> anchor & 1 else Parity.BA
+                for anchor in range(step)},
         a_anchors=frozenset(a % step for a in t.A.members),
         b_anchors=frozenset(b % step for b in t.B.members),
     )
@@ -198,50 +183,40 @@ def _coord_unions(ctx: ZmContext, mask: int, shifts,
     return unions if covered == full else None
 
 
-def _ba_verdict(ctx: ZmContext, by_a: list[int], by_b: list[int],
-                direction: int) -> Optional[bool]:
-    """uniform_ba from the coordinate classes of a cover: by_a (by_b)
-    partitions Z_M by the coordinate of each point's A-part (B-part).
+def _ab_fibers(A: TileSet, b_members, direction: int) -> int:
+    """Mask of the points on AB fibers of A + B, for the tile B with these
+    distinct members: the one decider of the parities of a whole direction.
 
-    A fiber is A-flat when all its points are represented through a's of
-    one coordinate, that is when it lies inside one class of by_a; the
-    classes are disjoint, so the A-flat fibers are the OR over classes of
-    each class's full-fiber mask, exactly the fibers whose Sigma_A holds one
-    coordinate.  The same with by_b gives the B-flat fibers.  Returns None
-    when some fiber is both or neither; otherwise every fiber is BA exactly
-    when no fiber is A-flat, which makes every fiber B-flat.
-    """
-    flat_a = flat_b = 0
-    for u in by_a:
-        flat_a |= _full_fibers(ctx, u, direction)
-    for v in by_b:
-        flat_b |= _full_fibers(ctx, v, direction)
-    if flat_a & flat_b or flat_a | flat_b != ctx.full_mask:
-        return None
-    return not flat_a
-
-
-def _uniform_ba(A: TileSet, b_members, direction: int) -> bool:
-    """split_report(Tiling(A, B, check=False), direction).uniform_ba for the
-    tile B with these distinct members, decided on masks.
-
-    The B-rotations of A's members give A's coordinate classes and the
-    A-rotations of B's give B's; _ba_verdict decides from them.  A failed
-    cover, or a fiber of both or neither parity, runs the literal report,
-    which raises the same error it always did.
+    The B-rotations of A's members, OR-ed per coordinate of the member,
+    partition an exact cover by the coordinate of each point's A-part.  A
+    fiber is A-flat when it lies inside one class, so the A-flat fibers are
+    the OR of each class's full fibers; the A-rotations of B's members give
+    the B-flat fibers alike.  fiber_parity's rule makes each fiber AB when
+    A-flat and BA when B-flat.  A failed cover raises the cover table's
+    error, and a fiber of both or neither parity goes to fiber_parity at
+    the least such anchor, which raises; it never yields an answer here.
     """
     ctx = A.context
     b_mask = 0
     for b in b_members:
         b_mask |= 1 << b
+    flat_a = flat_b = 0
     by_a = _coord_unions(ctx, b_mask, A.members, direction)
-    if by_a is not None:
-        by_b = _coord_unions(ctx, A.mask, b_members, direction)
-        verdict = _ba_verdict(ctx, by_a, by_b, direction)
-        if verdict is not None:
-            return verdict
-    B = TileSet.from_mask(ctx, b_mask)
-    return split_report(Tiling(A, B, check=False), direction).uniform_ba
+    if by_a is not None:            # an exact cover, so B's classes exist
+        for u in by_a:
+            flat_a |= _full_fibers(ctx, u, direction)
+        for v in _coord_unions(ctx, A.mask, b_members, direction):
+            flat_b |= _full_fibers(ctx, v, direction)
+    bad = ctx.full_mask & ~(flat_a ^ flat_b)
+    if not bad:
+        return flat_a
+    t = Tiling(A, TileSet.from_mask(ctx, b_mask), check=False)
+    t.decomp                        # raises on a failed cover
+    anchor = (bad & -bad).bit_length() - 1
+    fiber_parity(t, anchor, direction)   # raises NeitherParityError
+    raise InvariantViolationError(
+        f"fiber {anchor}*F (direction p={ctx.primes[direction][0]}): the "
+        f"mask decider finds both or neither parity, fiber_parity one")
 
 
 def check_translate_splitting(t: Tiling, c: int, direction: int) -> bool:

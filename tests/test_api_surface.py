@@ -2,7 +2,9 @@
 
 Every name that tilelab/__init__.py exports must have a caller: a reference
 in src/tilelab outside its own definition, or a `tl.<name>` use in the
-release gate.  And no module may import a name it never uses.
+release gate.  Every private module-level function and class must be read
+in src/tilelab outside its own definition; tests alone do not keep one.
+And no module may import a name it never uses.
 
 Below the module level, the readers are src/tilelab, the gate and
 perfbench/.  Every annotated field and non-dunder method or property of a
@@ -78,6 +80,15 @@ def test_every_export_has_a_caller():
     uncalled = exports - _src_callers() - _gate_uses()
     assert LEMMA_CHECKS <= exports
     assert uncalled == LEMMA_CHECKS, sorted(uncalled - LEMMA_CHECKS)
+
+
+def test_every_private_name_is_read():
+    seen = _src_callers()
+    unread = [f"{module}.{stmt.name}" for module, tree in _modules().items()
+              for stmt in tree.body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and stmt.name.startswith("_") and stmt.name not in seen]
+    assert not unread, unread
 
 
 def test_no_module_imports_an_unused_name():

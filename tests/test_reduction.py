@@ -32,23 +32,37 @@ def product_tiling_900():
 
 
 class TestSlabSubset:
+    """The slab subset of A - c, projected to Z_{M/p}: _projected_slab."""
+
     def test_worked_example(self):
         # coords in direction p=2: 0->0, 1->3, 6->2, 7->1; keep those < 2
-        assert sorted(rd.slab_subset(t12().A, 0)) == [0, 7]
+        A = t12().A
+        slab = tl.TileSet(A.context, [0, 7])
+        assert rd._projected_slab(A, 0) == rd.project_tile(slab, 0)
+        assert sorted(rd._projected_slab(A, 0)) == [0, 5]
 
     def test_exponent_one_keeps_zero_coordinate(self):
-        assert sorted(rd.slab_subset(t12().A, 1)) == [0, 6]
+        A = t12().A
+        slab = tl.TileSet(A.context, [0, 6])
+        assert rd._projected_slab(A, 1) == rd.project_tile(slab, 1)
+        assert sorted(rd._projected_slab(A, 1)) == [0, 2]
 
     def test_identity_when_already_inside(self):
         A = tl.TileSet(tl.factorize(12), [0, 7])
-        assert rd.slab_subset(A, 0).mask == A.mask
+        assert rd._projected_slab(A, 0) == rd.project_tile(A, 0)
+
+    def test_slab_of_a_translate(self):
+        A = t12().A
+        for d in range(2):
+            for c in range(-3, 15):
+                assert (rd._projected_slab(A, d, c)
+                        == rd._projected_slab(A.translate(-c), d))
 
 
 class TestProjection:
     def test_slab_projects_to_smaller_tiling(self):
         t = t12()
-        slab = rd.slab_subset(t.A, 0)
-        child_a = rd.project_tile(slab, 0)
+        child_a = rd._projected_slab(t.A, 0)
         child_b = rd.project_tile(t.B, 0)
         assert sorted(child_a) == [0, 5]
         assert sorted(child_b) == [0, 2, 4]
@@ -204,16 +218,15 @@ class TestLiteralOracles:
         assert failing > 1000
 
 
-def literal_uniform_ba(A, rB, direction):
-    """Statement (II) for one dilate as written: the report's uniform_ba."""
-    return sp.split_report(tl.Tiling(A, rB, check=False), direction).uniform_ba
-
-
-def dilate_members(B, r):
-    """rB as statement (II) builds it: members in B's order, and the mask."""
-    M = B.context.M
-    rb = [r * b % M for b in B.members]
-    return sum(1 << v for v in set(rb)), rb
+def literal_ab_fibers(A, rB, direction):
+    """The points on AB fibers of A + rB, read off fiber_parity anchor by
+    anchor."""
+    t = tl.Tiling(A, rB, check=False)
+    M = A.context.M
+    step = M // A.context.primes[direction][0]
+    return sum(1 << z for anchor in range(step)
+               if sp.fiber_parity(t, anchor, direction) is sp.Parity.AB
+               for z in range(anchor, M, step))
 
 
 def outcome(check, *args):
@@ -224,60 +237,47 @@ def outcome(check, *args):
         return type(exc), str(exc)
 
 
-def mask_decision(A, mask, rb, direction):
-    """The mask kernel alone, without its literal fallback."""
-    ctx = A.context
-    by_a = sp._coord_unions(ctx, mask, A.members, direction)
-    if by_a is None:
-        return None
-    by_b = sp._coord_unions(ctx, A.mask, rb, direction)
-    return sp._ba_verdict(ctx, by_a, by_b, direction)
-
-
 def statement_ii_cases(pairs):
-    """(A, mask, rb, direction) for every direction and every unit r,
-    each distinct input once."""
+    """(A, rB, rb, direction) for every direction and every unit r, each
+    distinct input once; rb lists rB's members in B's order, as statement
+    (II) builds it."""
     seen = set()
     for t in pairs:
         ctx = t.context
+        M = ctx.M
         for d in range(ctx.direction_count):
             for r in ctx.units:
-                mask, rb = dilate_members(t.B, r)
-                key = (ctx.M, t.A.mask, mask, d)
+                rb = [r * b % M for b in t.B.members]
+                rB = tl.TileSet(ctx, rb)
+                key = (M, t.A.mask, rB.mask, d)
                 if key not in seen:
                     seen.add(key)
-                    yield t.A, mask, rb, d
+                    yield t.A, rB, rb, d
 
 
 class TestStatementIIKernel:
-    """The mask kernel of statement (II) against the literal report on each
-    dilate rB, and its cost: it builds no report, dilate or saturating set."""
+    """The parity decider of statement (II) against fiber_parity at every
+    anchor of each dilate rB, and its cost: statement (II) builds no
+    report, dilate or saturating set."""
 
     def test_tilings_match_literal_report(self):
         values = collections.Counter()
         for t in oracle_tilings():
-            for A, mask, rb, d in statement_ii_cases((t, t.swapped())):
-                rB = tl.TileSet.from_mask(A.context, mask)
-                want = literal_uniform_ba(A, rB, d)
-                # every dilate of a tiling tiles: the masks alone decide it
-                assert mask_decision(A, mask, rb, d) is want, (A, rB, d)
-                values[want] += 1
+            for A, rB, rb, d in statement_ii_cases((t, t.swapped())):
+                want = literal_ab_fibers(A, rB, d)
+                assert sp._ab_fibers(A, rb, d) == want, (A, rB, d)
+                values[want == 0] += 1
         assert values[True] > 10000 and values[False] > 10000
 
     def test_unchecked_pairs_match_literal_report(self):
         double = uncovered = 0
         for t in unchecked_pairs(1200, seed=6, moduli=(8, 36)):
-            for A, mask, rb, d in statement_ii_cases((t, t.swapped())):
-                rB = tl.TileSet.from_mask(A.context, mask)
-                want = outcome(literal_uniform_ba, A, rB, d)
-                assert outcome(sp._uniform_ba, A, rb, d) == want
-                decided = mask_decision(A, mask, rb, d)
-                if decided is None:
-                    _, message = want
-                    double += "double cover" in message
-                    uncovered += "uncovered" in message
-                else:
-                    assert decided is want, (A, rB, d)
+            for A, rB, rb, d in statement_ii_cases((t, t.swapped())):
+                want = outcome(literal_ab_fibers, A, rB, d)
+                assert outcome(sp._ab_fibers, A, rb, d) == want, (A, rB, d)
+                if isinstance(want, tuple):
+                    double += "double cover" in want[1]
+                    uncovered += "uncovered" in want[1]
         assert double > 1000 and uncovered > 1000
 
     def test_corpus_builds_no_reports(self, monkeypatch):
@@ -299,10 +299,10 @@ class TestStatementIIKernel:
                 for d in range(tt.context.direction_count):
                     rd.splittingslab_equiv_check(tt, d)
         assert calls == {}
-        # a non-cover falls back to the literal report, which raises
+        # a non-cover raises the cover table's error, still without a report
         with pytest.raises(InvariantViolationError, match="double cover"):
             rd.splittingslab_equiv_check(T(4, [0, 2], [0, 2], check=False), 0)
-        assert calls == {"split_report": 1}
+        assert calls == {}
 
 
 class TestSlabcor:

@@ -1,15 +1,16 @@
 """Splitting parities, uniformity verdicts, and fibered-grid machinery."""
 
+import collections
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import tilelab as tl
-from tilelab import splitting as sp
+from tilelab import cli, reduction as rd, splitting as sp
 from tilelab.errors import (InputError, InvariantViolationError,
                             LemmaViolationError, NeitherParityError,
-                            NotFiberedError)
+                            NotFiberedError, TilelabError)
 from tilelab.splitting import Parity
 
 from conftest import corpus, oracle_tilings, unchecked_pairs
@@ -92,13 +93,35 @@ class FakeDecomp:
         self.B = tl.TileSet(ctx, b_of)
 
 
-def coord_classes(ctx, parts, direction):
-    """Per coordinate c met, the mask of the z whose part parts[z] has it."""
+def literal_split_report(t, direction):
+    """split_report read off the cover table in one pass: the fiber at
+    anchor is AB when the A-parts of its points hold one coordinate, BA
+    when the B-parts do, and fiber_parity raises at the first anchor with
+    both or neither."""
+    ctx = t.context
+    p, _ = ctx.check_direction(direction)
+    step = ctx.M // p
     table = ctx.coord_tables[direction]
-    classes = {}
-    for z, v in enumerate(parts):
-        classes[table[v]] = classes.get(table[v], 0) | 1 << z
-    return list(classes.values())
+    a_of, b_of = t.decomp
+    ca = [table[a] for a in a_of]
+    cb = [table[b] for b in b_of]
+    fibers = {}
+    for anchor in range(step):
+        flat_a = len(set(ca[anchor::step])) == 1
+        if flat_a == (len(set(cb[anchor::step])) == 1):
+            sp.fiber_parity(t, anchor, direction)
+        fibers[anchor] = Parity.AB if flat_a else Parity.BA
+    return sp.SplitReport(direction, p, fibers,
+                          frozenset(a % step for a in t.A.members),
+                          frozenset(b % step for b in t.B.members))
+
+
+def outcome_with_message(check, *args):
+    """The return value, or the type and message of the tilelab error."""
+    try:
+        return check(*args)
+    except TilelabError as exc:
+        return type(exc), str(exc)
 
 
 class TestFiberParity:
@@ -116,19 +139,17 @@ class TestFiberParity:
                 for d, (p, _) in enumerate(tt.context.primes):
                     want = {anchor: oracle_parity(tt, anchor, d)
                             for anchor in range(tt.context.M // p)}
-                    assert sp.split_report(tt, d).fibers == want, (tt, d)
+                    report = sp.split_report(tt, d)
+                    assert report.fibers == want, (tt, d)
+                    assert report == literal_split_report(tt, d)
                     for anchor, parity in want.items():
                         assert sp.fiber_parity(tt, anchor, d) is parity
 
     def test_sum_consistent_tables_match_definition(self):
         # Cover tables with a_of[z] + b_of[z] = z that need not come from a
         # tiling: the one-side rule is exact on these too, "neither" included.
-        # The one-pass report gives the per-anchor fibers or the first
-        # anchor's error, and the mask verdict on the tables' coordinate
-        # classes gives uniform_ba or None exactly when the report raises.
         rng = random.Random(5)
         seen = set()
-        verdicts = set()
         for M in (4, 8, 9, 12, 18, 24, 36, 72):
             ctx = tl.factorize(M)
             for d, (p, n) in enumerate(ctx.primes):
@@ -151,25 +172,7 @@ class TestFiberParity:
                     for anchor, want in enumerate(wants):
                         assert parity_outcome(fake, anchor, d) == want
                         seen.add(want)
-                    bad = [k for k, w in enumerate(wants)
-                           if not isinstance(w, Parity)]
-                    verdict = sp._ba_verdict(
-                        ctx, coord_classes(ctx, a_of, d),
-                        coord_classes(ctx, b_of, d), d)
-                    verdicts.add(verdict)
-                    if bad:
-                        with pytest.raises(NeitherParityError) as first:
-                            sp.fiber_parity(fake, bad[0], d)
-                        with pytest.raises(NeitherParityError) as got:
-                            sp.split_report(fake, d)
-                        assert str(got.value) == str(first.value)
-                        assert verdict is None
-                    else:
-                        report = sp.split_report(fake, d)
-                        assert report.fibers == dict(enumerate(wants))
-                        assert verdict is report.uniform_ba
         assert seen == {Parity.AB, Parity.BA, "neither parity"}
-        assert verdicts == {True, False, None}
 
     def test_anchor_reduced_mod_step(self):
         t = t12()
@@ -246,6 +249,17 @@ class TestSplitReport:
         assert sorted(rep.a_anchors) == [0, 1]
         assert sorted(rep.b_anchors) == [0, 2, 4]
 
+    def test_non_covers_raise_the_literal_error(self):
+        errors = collections.Counter()
+        for t in unchecked_pairs(600, seed=7, moduli=(2, 36)):
+            for tt in (t, t.swapped()):
+                for d in range(tt.context.direction_count):
+                    want = outcome_with_message(literal_split_report, tt, d)
+                    assert outcome_with_message(sp.split_report, tt, d) == want
+                    if isinstance(want, tuple):
+                        errors[want[1].split()[0]] += 1
+        assert errors["double"] > 500 and errors["residue"] > 100
+
     def test_verdicts_consistent_with_map(self):
         for t in corpus(16)[::23]:
             rep = sp.split_report(t, 0)
@@ -268,6 +282,31 @@ class TestSplitReport:
                 "B_uniform_AB": True, "B_uniform_BA": False,
             },
         }
+
+
+class TestDeciderDisagreement:
+    """With a broken full-fiber kernel the parity decider finds neither
+    parity on a real tiling, where fiber_parity finds one: that raises an
+    invariant violation and never returns the literal answer instead."""
+
+    @pytest.fixture(autouse=True)
+    def no_full_fibers(self, monkeypatch):
+        monkeypatch.setattr(sp, "_full_fibers", lambda *args: 0)
+
+    def test_split_report_raises(self):
+        with pytest.raises(InvariantViolationError, match=r"fiber 0\*F") as got:
+            sp.split_report(t12(), 0)
+        assert type(got.value) is InvariantViolationError
+
+    def test_statement_ii_raises(self):
+        with pytest.raises(InvariantViolationError, match="mask decider"):
+            rd.splittingslab_equiv_check(t12(), 0)
+
+    def test_analyze_exits_three(self, capsys):
+        code = cli.main(["analyze", '{"M":12,"A":[0,1,6,7],"B":[0,4,8]}',
+                         "--split"])
+        assert code == 3
+        assert "invariant violation (bug): fiber 0*F" in capsys.readouterr().err
 
 
 class TestTranslateSplitting:
