@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 from .errors import (
     InputError,
@@ -269,10 +270,11 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
                         f"side {side} direction p={p}")
             try:
                 blowbound_check(tt, i)
-                if divides_mask(p ** n, tt.A):
+                # slabcor_check runs the slab equivalence when its premise holds
+                applicable, _ = slabcor_check(tt, i)
+                if not applicable and divides_mask(p ** n, tt.A):
                     slab_equivalence_check(tt, i)
                 splittingslab_equiv_check(tt, i)
-                slabcor_check(tt, i)
             except InvariantViolationError as exc:
                 _record(violations, t, "slab_suite",
                         f"side {side} direction p={p}: {exc}")
@@ -422,7 +424,10 @@ def cmd_prove(arg: str, fmt: str) -> int:
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args gives each call a fresh
+    Namespace, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="tilelab",
         description="Exact arithmetic for translational tilings of Z_M.")

@@ -5,7 +5,8 @@ Equivalent formulations, all implemented and kept in agreement:
 
   direct:      the sumset covers every residue exactly once
   divisor:     |A||B| = M and Div(A) & Div(B) = {M}, where
-               Div(A) = {(a - a', M) : a, a' in A}
+               Div(A) = {(a - a', M) : a, a' in A}, read off the
+               difference mask OR_a rotate(A, -a) class by class
   cyclotomic:  |A||B| = M and every Phi_s with s | M, s > 1 divides
                A(X) or B(X)
 
@@ -96,15 +97,21 @@ def verify_direct(A: TileSet, B: TileSet) -> bool:
 
 
 def _div_set(A: TileSet) -> frozenset[int]:
-    """Div(A) = {(a - a', M)}; contains M whenever A is nonempty."""
+    """Div(A) = {(a - a', M)}; contains M whenever A is nonempty.
+
+    Read off the difference mask D = OR of rotate(A, -a) over a in A, whose
+    bits are the differences a' - a: d < M is in Div(A) exactly when D
+    meets the class {v : (v, M) = d}.
+    """
+    if not len(A):
+        return frozenset()
     ctx = A.context
-    gcds = ctx.gcd_table
-    out = {ctx.M} if len(A) else set()
-    ms = A.members
-    for i, a in enumerate(ms):
-        for a2 in ms[i + 1:]:
-            out.add(gcds[a2 - a])
-    return frozenset(out)
+    doubled = A.mask | A.mask << ctx.M   # low M bits of doubled >> a: rotate(A, -a)
+    diff = 0
+    for a in A.members:
+        diff |= doubled >> a
+    return frozenset([ctx.M] + [d for d, cls in _class_masks(ctx).items()
+                                if diff & cls])
 
 
 @lru_cache(maxsize=1 << 18)
@@ -276,8 +283,10 @@ def _run_search(root) -> Iterator:
             stack.pop()
 
 
+@lru_cache(maxsize=None)
 def _class_masks(ctx: ZmContext) -> dict[int, int]:
-    """divisor d -> bitmask of {v in [1, M) : (v, M) = d}."""
+    """divisor d -> bitmask of {v in [1, M) : (v, M) = d}; one table per
+    context, shared by every caller, which must not mutate it."""
     masks = {d: 0 for d in ctx.divisors}
     for v in range(1, ctx.M):
         masks[ctx.gcd_table[v]] |= 1 << v

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report shapes, determinism."""
 
+import argparse
 import json
 import os
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import tilelab as tl
 import tilelab.cli
+import tilelab.reduction
 from tilelab.cli import main
-from tilelab.errors import (CollapseError, LemmaViolationError,
-                            TheoremViolationError)
+from tilelab.errors import (CollapseError, EquivalenceViolationError,
+                            LemmaViolationError, TheoremViolationError)
 from tilelab.zm_core import MAX_M
 
 
@@ -285,6 +287,56 @@ class TestSweep:
         assert code == 1
         assert [v["check"] for v in rep["violations"]] == ["grid_consistency"]
 
+    def test_slab_equivalence_runs_once_per_side_and_direction(
+            self, capsys, monkeypatch):
+        real = tilelab.reduction.slab_equivalence_check
+        real_lemmas = tilelab.cli._sweep_lemmas
+        seen, repeats, calls = [], [], []
+
+        def counting(t, direction):
+            seen.append((t.A.members, t.B.members, direction))
+            return real(t, direction)
+
+        def lemmas_of_one_tiling(t, counts, violations):
+            seen.clear()
+            real_lemmas(t, counts, violations)
+            repeats.extend(key for key in set(seen) if seen.count(key) > 1)
+            calls.append(len(seen))
+
+        monkeypatch.setattr(tilelab.reduction, "slab_equivalence_check",
+                            counting)
+        monkeypatch.setattr(tilelab.cli, "slab_equivalence_check", counting)
+        monkeypatch.setattr(tilelab.cli, "_sweep_lemmas", lemmas_of_one_tiling)
+        code, rep, _ = run_json(capsys, "sweep", "24", "--limit", "48",
+                                "--check", "lemmas")
+        assert code == 0
+        assert len(calls) == 48 and sum(calls) > 0
+        assert repeats == []
+
+    @pytest.mark.parametrize("name", ["slab_equivalence_check",
+                                      "splittingslab_equiv_check"])
+    def test_failed_slab_check_is_recorded_once(self, capsys, monkeypatch,
+                                                name):
+        real = getattr(tilelab.reduction, name)
+        worked = tl.tiling_from_json(json.loads(WORKED))
+
+        def failing_on_worked(t, direction):
+            if t == worked and direction == 0:
+                raise EquivalenceViolationError("injected")
+            return real(t, direction)
+
+        for module in (tilelab.reduction, tilelab.cli):
+            monkeypatch.setattr(module, name, failing_on_worked)
+        monkeypatch.setattr(tilelab.cli, "iter_tilings",
+                            lambda ctx: iter([worked]))
+        code, rep, _ = run_json(capsys, "sweep", "12", "--check", "lemmas")
+        assert code == 1
+        assert rep["counts"] == {"tilings": 1, "fibers": 10, "grids": 0}
+        assert rep["violations"] == [{
+            "check": "slab_suite",
+            "tiling": {"M": 12, "A": [0, 1, 6, 7], "B": [0, 4, 8]},
+            "detail": "side A direction p=2: injected"}]
+
     def test_modulus_above_max_m_exits_two(self, capsys):
         code, out, err = run(capsys, "sweep", str(MAX_M + 1))
         assert code == 2
@@ -333,6 +385,35 @@ class TestSweep:
         for r in rep["reports"]:
             assert r["kind"] == "t2_three_prime_cardinality"
             assert r["T2"] is True
+
+
+class TestParserReuse:
+    def test_flags_do_not_carry_over(self, capsys):
+        tile = '{"M":12,"A":[0,1,6,7]}'
+        run(capsys, "complements", tile, "--limit", "1", "--no-normalize")
+        code, out, _ = run(capsys, "complements", tile)
+        assert code == 0
+        assert out.splitlines() == ['{"B": [0, 2, 4]}', '{"B": [0, 2, 10]}',
+                                    '{"B": [0, 4, 8]}', '{"B": [0, 8, 10]}']
+        run(capsys, "sweep", "12", "--check", "lemmas")
+        code, rep, _ = run_json(capsys, "sweep", "12", "--check", "t2")
+        assert code == 0
+        assert rep["check"] == "t2"
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(50):
+            assert main(["verify", GOOD]) == 0
+        capsys.readouterr()
+        # the parser and its five subparsers at most
+        assert len(built) <= 6
 
 
 class TestProve:

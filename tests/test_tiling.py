@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -29,6 +30,27 @@ class TestVerifiers:
         assert tl.div_set(tl.TileSet(ctx, [0, 1, 5])) == frozenset({1, 4, 12})
         assert tl.div_set(tl.TileSet(ctx, [0, 4, 8])) == frozenset({4, 12})
         assert tl.div_set(tl.TileSet(ctx, [0])) == frozenset({12})
+
+    def test_div_set_matches_literal_pair_loop(self):
+        def literal(A):
+            # gcd(0, M) = M puts M in exactly when A is nonempty
+            return {math.gcd(a - a2, A.context.M) for a in A for a2 in A}
+
+        tiles = [tile for t in oracle_tilings() for tile in (t.A, t.B)]
+        tiles += [tile for t in unchecked_pairs(300, seed=10, moduli=(1, 60))
+                  for tile in (t.A, t.B)]
+        tiles += [tl.TileSet(tl.factorize(12), []),
+                  tl.TileSet(tl.factorize(1), []),
+                  tl.TileSet(tl.factorize(1), [0])]
+        rng = random.Random(720)
+        for M in (720, 5040, 65520):
+            ctx = tl.factorize(M)
+            tiles += [tl.TileSet(ctx, rng.sample(range(M), rng.randint(2, 60)))
+                      for _ in range(20)]
+        for A in tiles:
+            want = literal(A)
+            assert tilelab.tiling._div_set(A) == want, A
+            assert tl.div_set(A) == want, A
 
     def test_sands_examples(self):
         ctx = tl.factorize(12)
