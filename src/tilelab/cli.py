@@ -99,6 +99,9 @@ def _load_json_arg(arg: str) -> dict:
     return obj
 
 
+_encode_str = json.encoder.encode_basestring_ascii   # the C one when built
+
+
 def _sha256(obj) -> str:
     canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -127,9 +130,41 @@ def _render_text(obj, indent: int = 0, out=None) -> list[str]:
     return lines
 
 
+def _json_text(value, pad: str) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2) for a value
+    nested at indentation pad, with the C string encoder and no generators:
+    on Python 3.11, indent always selects the pure-Python encoder."""
+    kind = type(value)          # exact, so a bool is never written as an int
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_encode_str(key) + ": " + _json_text(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return json.dumps(value)
+
+
 def _emit(report: dict, fmt: str) -> None:
+    """Print a report.  As JSON its bytes equal those of
+    print(json.dumps(report, sort_keys=True, indent=2)), for the str-keyed
+    reports of this module; as text, _render_text's lines."""
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json_text(report, ""))
     else:
         print("\n".join(_render_text(report)))
 

@@ -18,6 +18,19 @@ for integer tilings", Forum Math. Pi 10 (2022), resting on de Bruijn (1953)
 and Lam and Leung, "On vanishing sums of roots of unity", J. Algebra 224
 (2000).
 
+The polynomials are evaluated at X = 2^w, one packed integer per tile, with
+a field of w bits per residue.  With k the number of primes of M, w is the
+least multiple of 8 with 2^w > |A| * 2^(k+1).  The indicator of A packs into
+M fields; the counts mod s are the sum of the p slices of w*s bits of the
+counts mod s*p, and no field carries, since a count is at most |A|.  Each
+operator 1 - X^d is P - (P << w*d), and reducing mod X^s - 1 becomes
+reducing mod N = 2^(w*s) - 1, by adding the bits above w*s to the bits
+below.  The test is exact: the cyclic result R has s coefficients, each at
+most |A| * 2^k < 2^(w-1) in absolute value (each operator at most doubles
+the largest), so |R(2^w)| < N, and a nonzero R has a leading coefficient
+whose term outweighs all lower ones.  Hence R = 0 exactly when R(2^w) = 0
+exactly when the packed value is 0 mod N.
+
 The two classical conditions on a tile, with S_A the set of prime powers
 s | M whose Phi_s divides the mask:
 
@@ -34,15 +47,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .zm_core import TileSet, prime_factorization
+from .zm_core import TileSet, ZmContext, prime_factorization
 
 
 def phi_at_one(s: int) -> int:
     """Phi_s(1): p for prime powers p^alpha, 1 for s with >= 2 prime factors."""
     if s <= 1:
         raise InputError(f"index must be > 1, got {s}")
-    fac = prime_factorization(s)
-    return fac[0][0] if len(fac) == 1 else 1
+    steps = _cuboid_steps(s)
+    return s // steps[0] if len(steps) == 1 else 1
 
 
 def divides_mask(s: int, A: TileSet) -> bool:
@@ -69,26 +82,46 @@ def _cuboid_steps(s: int) -> tuple[int, ...]:
     return tuple(s // p for p, _ in prime_factorization(s))
 
 
-def _cuboid_vanishes(members: tuple[int, ...], s: int) -> bool:
-    """Phi_s | A(X): fold A mod s, difference along every s/p, test for zero."""
-    counts = [0] * s
-    for a in members:
-        counts[a % s] += 1
-    for step in _cuboid_steps(s):
-        # (1 - X^step) * counts: entry x loses entry x - step, cyclically
-        counts = [c - d for c, d in zip(counts, counts[-step:] + counts[:-step])]
-        if not any(counts):   # the remaining operators keep it zero
-            return True
-    return False
+@lru_cache(maxsize=None)
+def _fold_plan(ctx: ZmContext) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(s, p, _cuboid_steps(s)) for every divisor s > 1 of M, descending,
+    with p the least prime such that s*p | M, and p = 1 at s = M."""
+    M = ctx.M
+    plan = []
+    for s in reversed(ctx.divisors[1:]):
+        p = next((p for p, _ in ctx.primes if M % (s * p) == 0), 1)
+        plan.append((s, p, _cuboid_steps(s)))
+    return tuple(plan)
 
 
 @lru_cache(maxsize=1 << 18)
 def cyclo_profile(A: TileSet) -> CycloProfile:
+    """Every s | M, s > 1, with Phi_s | A(X): the packed cuboid test above."""
     if not len(A):
         raise InputError("cannot profile the empty tile")
-    hits = [s for s in A.context.divisors
-            if s > 1 and _cuboid_vanishes(A.members, s)]
-    s_set = frozenset(s for s in hits if len(prime_factorization(s)) == 1)
+    ctx = A.context
+    nbytes = (len(A).bit_length() + len(ctx.primes) + 8) // 8
+    w = 8 * nbytes
+    packed = bytearray(ctx.M * nbytes)
+    for a in A.members:
+        packed[a * nbytes] = 1
+    folds = {ctx.M: int.from_bytes(packed, "little")}
+    hits = []
+    for s, p, steps in _fold_plan(ctx):
+        width = w * s
+        low = (1 << width) - 1          # N = 2^(w*s) - 1, and the low mask
+        above = folds[s * p]
+        fold = above & low
+        for j in range(1, p):
+            fold += above >> (width * j) & low
+        folds[s] = fold
+        for step in steps:
+            fold -= fold << (w * step)
+        while fold >> width:            # fold mod N, ending in [0, N]
+            fold = (fold >> width) + (fold & low)
+        if fold == 0 or fold == low:
+            hits.append(s)
+    s_set = frozenset(s for s in hits if len(_cuboid_steps(s)) == 1)
     return CycloProfile(frozenset(hits), s_set)
 
 
@@ -105,7 +138,7 @@ def check_T2(A: TileSet) -> bool:
     profile = cyclo_profile(A)
     by_prime: dict[int, list[int]] = {}
     for s in sorted(profile.s_set):
-        by_prime.setdefault(prime_factorization(s)[0][0], []).append(s)
+        by_prime.setdefault(s // _cuboid_steps(s)[0], []).append(s)
     groups = list(by_prime.values())
     for k in range(2, len(groups) + 1):
         for chosen in itertools.combinations(groups, k):

@@ -177,6 +177,19 @@ def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
 # the splitting form of the slab conditions
 
 
+@lru_cache(maxsize=2)   # one tiling's two sides, so sweeps stay bounded
+def _distinct_dilates(B: TileSet) -> tuple[list[int], ...]:
+    """The member lists of the distinct dilates rB over the units r of Z_M;
+    they do not depend on the direction, so each side builds them once.
+    Callers share the cached lists and only read them."""
+    M = B.context.M
+    dilates: dict[frozenset[int], list[int]] = {}
+    for r in B.context.units:
+        rb = [r * b % M for b in B.members]
+        dilates.setdefault(frozenset(rb), rb)
+    return tuple(dilates.values())
+
+
 def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
     """Three equivalent statements about splitting along one direction.
 
@@ -198,11 +211,8 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
     # Literal over the units; equal dilates rB give equal verdicts.  Each
     # distinct rB splits uniformly BA when the parity decider finds no AB
     # fiber; a failed cover or a bad fiber raises there.
-    dilates: dict[frozenset[int], list[int]] = {}
-    for r in ctx.units:
-        rb = [r * b % ctx.M for b in t.B.members]
-        dilates.setdefault(frozenset(rb), rb)
-    second = all(not _ab_fibers(t.A, rb, direction) for rb in dilates.values())
+    second = all(not _ab_fibers(t.A, rb, direction)
+                 for rb in _distinct_dilates(t.B))
 
     # The difference classes of all b within B make up Div(B), so the members
     # of A matched through some b are the saturating set A_x.

@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, report shapes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 
@@ -12,7 +14,8 @@ import tilelab.cli
 import tilelab.reduction
 from tilelab.cli import main
 from tilelab.errors import (CollapseError, EquivalenceViolationError,
-                            LemmaViolationError, TheoremViolationError)
+                            LemmaViolationError, PipelineStuckError,
+                            TheoremViolationError)
 from tilelab.zm_core import MAX_M
 
 
@@ -385,6 +388,67 @@ class TestSweep:
         for r in rep["reports"]:
             assert r["kind"] == "t2_three_prime_cardinality"
             assert r["T2"] is True
+
+
+def indented(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# Strings full of what JSON escapes or structures: brackets, separators,
+# quotes, backslashes, control characters and non-ASCII.
+_strings = st.text(alphabet=st.sampled_from(
+    list('[]{},:"\\ ax0') + ["\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+                             "\u2603", "\U0001f600"]), max_size=8)
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.integers(-(2**200), 2**200), _strings)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_strings, inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    """_emit's JSON is byte for byte json.dumps(sort_keys=True, indent=2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=st.dictionaries(_strings, _values, max_size=5))
+    def test_bytes_equal_json_dumps(self, report):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            tilelab.cli._emit(report, "json")
+        assert out.getvalue() == indented(report)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", GOOD], ["verify", BAD],
+        ["analyze", WORKED, "--split", "--slab", "--boxgrid"],
+        ["analyze", '{"M":72,"A":[0,1,2,3,4,5,6,7],"B":[0,8,16,24,32,40,48,56,64]}',
+         "--split", "--slab", "--boxgrid"],
+        ["analyze", BAD, "--split"],
+        ["prove", '{"M":84,"A":[0,12,24,36,48,60,72],'
+                  '"B":[0,1,2,3,4,5,6,7,8,9,10,11]}'],
+        ["sweep", "84", "--check", "t2", "--limit", "5"],
+    ])
+    def test_real_reports(self, capsys, argv):
+        _, out, _ = run(capsys, *argv)
+        assert out == indented(json.loads(out))
+
+    def test_stuck_proof_and_recorded_violations(self, capsys, monkeypatch):
+        def stuck(t):
+            raise PipelineStuckError("no reduction applies: \"stuck\" [x]")
+
+        def failing(t):
+            raise TheoremViolationError("injected {orbit}")
+
+        monkeypatch.setattr(tilelab.cli, "prove_t2_largeprime", stuck)
+        monkeypatch.setattr(tilelab.cli, "tijdeman_orbit_check", failing)
+        code, out, _ = run(capsys, "prove", WORKED)
+        assert code == 1 and json.loads(out)["stuck"]
+        assert out == indented(json.loads(out))
+        code, out, _ = run(capsys, "sweep", "12")
+        assert code == 1 and json.loads(out)["violations"]
+        assert out == indented(json.loads(out))
 
 
 class TestParserReuse:

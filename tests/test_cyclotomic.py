@@ -42,6 +42,24 @@ def division_profile(A):
                      if s > 1 and division_divides(A.members, s))
 
 
+def cuboid_vanishes(members, s):
+    """Oracle: fold A mod s into a count list, apply 1 - X^{s/p} for every
+    prime p | s cyclically, one list per operator, and test for zero."""
+    counts = [0] * s
+    for a in members:
+        counts[a % s] += 1
+    for p, _ in tl.prime_factorization(s):
+        step = s // p
+        # (1 - X^step) * counts: entry x loses entry x - step, cyclically
+        counts = [c - d for c, d in zip(counts, counts[-step:] + counts[:-step])]
+    return not any(counts)
+
+
+def cuboid_profile(A):
+    return frozenset(s for s in A.context.divisors
+                     if s > 1 and cuboid_vanishes(A.members, s))
+
+
 def fibered_set(ctx, rng):
     """A random disjoint union of fibers {x + k*M/p}: Phi_M divides its mask."""
     M = ctx.M
@@ -111,6 +129,60 @@ class TestCuboidDifferential:
     def test_seeded_large_moduli(self, M, count):
         for A in sample_sets(M, count, seed=M):
             assert cyclo_profile(A).divisors_of_mask == division_profile(A), A
+
+
+def width_sizes(M):
+    """Sizes just below, at and above each power of two up to M: the packed
+    field width of a tile changes at some of them, whatever M's prime count."""
+    return sorted({n for e in range(M.bit_length())
+                   for n in (2**e - 1, 2**e, 2**e + 1) if 1 <= n <= M})
+
+
+def structured_sets(ctx, size, rng):
+    """Tiles of one size with large folded counts: a random subset of the
+    subgroup dZ_M for the largest divisor d that leaves room, and a random
+    union of cosets of the order-e subgroup (M/e)Z_M, padded to size."""
+    M = ctx.M
+    d = max(d for d in ctx.divisors if M // d >= size)
+    sub = rng.sample(range(0, M, d), size)
+    e = rng.choice([e for e in ctx.divisors if e <= size])
+    cosets = rng.sample(range(M // e), size // e)
+    union = {x + k * (M // e) for x in cosets for k in range(e)}
+    rest = [x for x in range(M) if x not in union]
+    union |= set(rng.sample(rest, size - len(union)))
+    return [tl.TileSet(ctx, sub), tl.TileSet(ctx, union)]
+
+
+class TestPackedKernel:
+    """The packed profile equals the literal cuboid oracle, on complete
+    corpora, at the sizes where the field width changes, and at MAX_M scale."""
+
+    def test_complete_corpora_up_to_30(self):
+        for M in range(1, 31):
+            ctx = tl.factorize(M)
+            tiles = {tile for t in tl.iter_tilings(ctx) for tile in (t.A, t.B)}
+            for A in tiles:
+                assert cyclo_profile(A).divisors_of_mask == cuboid_profile(A), A
+
+    @pytest.mark.parametrize("M", [16, 48, 720, 2310, 7200])
+    def test_width_boundaries(self, M):
+        ctx = tl.factorize(M)
+        rng = random.Random(M)
+        for size in width_sizes(M):
+            for A in structured_sets(ctx, size, rng) + sample_sets(M, 1, size):
+                assert cyclo_profile(A).divisors_of_mask == cuboid_profile(A), A
+
+    @pytest.mark.parametrize("M", [65536, 30030, 65520])
+    def test_max_m_scale(self, M):
+        ctx = tl.factorize(M)
+        rng = random.Random(M)
+        tiles = [tl.TileSet(ctx, range(0, M, 2)),
+                 tl.TileSet(ctx, rng.sample(range(0, M, 2), 4))]
+        for size in (4, 1023, 1024, 16383, 16384, 30030, 32768):
+            if size <= M:
+                tiles += structured_sets(ctx, size, rng)
+        for A in tiles:
+            assert cyclo_profile(A).divisors_of_mask == cuboid_profile(A), A
 
 
 class TestPhiAtOne:
