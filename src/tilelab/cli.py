@@ -52,7 +52,6 @@ from .splitting import (
     check_fiber_basic,
     cross_direction_check,
     fibered_grid_profile,
-    grid_stratification,
     plane_consistency,
     split_report,
 )
@@ -336,7 +335,6 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
                 check_fiber_basic(profile)
                 consistency3_check(profile)
                 for z0 in range(profile.radical_step):
-                    grid_stratification(profile, z0)
                     consistent_splitting_check(profile, z0)
             except NotFiberedError:
                 pass

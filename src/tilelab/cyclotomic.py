@@ -37,12 +37,15 @@ s | M whose Phi_s divides the mask:
   T1:  A(1) = prod_{s in S_A} Phi_s(1)
   T2:  s_1, ..., s_k in S_A powers of distinct primes  =>  Phi_{s_1...s_k} | A
 
-Profiles are memoized per TileSet.
+Both are decided once per profile, T2 on the divisor lattice: every s > 1
+dividing M whose prime-power parts p^{v_p(s)} all lie in S_A has Phi_s | A.
+Those s are exactly the products above, or single members of S_A, which
+divide the mask.  Profiles are memoized per TileSet, in a bounded cache.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,6 +77,8 @@ class CycloProfile:
 
     divisors_of_mask: frozenset[int]   # {s | M, s > 1 : Phi_s | A(X)}
     s_set: frozenset[int]              # the prime-power members (S_A)
+    t1: bool
+    t2: bool
 
 
 @lru_cache(maxsize=None)
@@ -83,18 +88,19 @@ def _cuboid_steps(s: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _fold_plan(ctx: ZmContext) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(s, p, _cuboid_steps(s)) for every divisor s > 1 of M, descending,
-    with p the least prime such that s*p | M, and p = 1 at s = M."""
+def _fold_plan(ctx: ZmContext) -> tuple[tuple, ...]:
+    """(s, p, _cuboid_steps(s), the prime-power parts of s) per divisor s > 1
+    of M, descending; p is the least prime with s*p | M, or 1 at s = M."""
     M = ctx.M
     plan = []
     for s in reversed(ctx.divisors[1:]):
         p = next((p for p, _ in ctx.primes if M % (s * p) == 0), 1)
-        plan.append((s, p, _cuboid_steps(s)))
+        parts = tuple(q ** e for q, e in prime_factorization(s))
+        plan.append((s, p, _cuboid_steps(s), parts))
     return tuple(plan)
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=4096)
 def cyclo_profile(A: TileSet) -> CycloProfile:
     """Every s | M, s > 1, with Phi_s | A(X): the packed cuboid test above."""
     if not len(A):
@@ -106,8 +112,9 @@ def cyclo_profile(A: TileSet) -> CycloProfile:
     for a in A.members:
         packed[a * nbytes] = 1
     folds = {ctx.M: int.from_bytes(packed, "little")}
-    hits = []
-    for s, p, steps in _fold_plan(ctx):
+    plan = _fold_plan(ctx)
+    hits = set()
+    for s, p, steps, _ in plan:
         width = w * s
         low = (1 << width) - 1          # N = 2^(w*s) - 1, and the low mask
         above = folds[s * p]
@@ -120,32 +127,18 @@ def cyclo_profile(A: TileSet) -> CycloProfile:
         while fold >> width:            # fold mod N, ending in [0, N]
             fold = (fold >> width) + (fold & low)
         if fold == 0 or fold == low:
-            hits.append(s)
+            hits.add(s)
     s_set = frozenset(s for s in hits if len(_cuboid_steps(s)) == 1)
-    return CycloProfile(frozenset(hits), s_set)
+    t1 = len(A) == math.prod(phi_at_one(s) for s in s_set)
+    t2 = all(s in hits for s, _, _, parts in plan if s_set.issuperset(parts))
+    return CycloProfile(frozenset(hits), s_set, t1, t2)
 
 
 def check_T1(A: TileSet) -> bool:
     """|A| = prod Phi_s(1) over s in S_A."""
-    prod = 1
-    for s in cyclo_profile(A).s_set:
-        prod *= phi_at_one(s)
-    return len(A) == prod
+    return cyclo_profile(A).t1
 
 
 def check_T2(A: TileSet) -> bool:
     """Products of S_A members with pairwise distinct primes divide the mask."""
-    profile = cyclo_profile(A)
-    by_prime: dict[int, list[int]] = {}
-    for s in sorted(profile.s_set):
-        by_prime.setdefault(s // _cuboid_steps(s)[0], []).append(s)
-    groups = list(by_prime.values())
-    for k in range(2, len(groups) + 1):
-        for chosen in itertools.combinations(groups, k):
-            for powers in itertools.product(*chosen):
-                product = 1
-                for s in powers:
-                    product *= s
-                if product not in profile.divisors_of_mask:
-                    return False
-    return True
+    return cyclo_profile(A).t2

@@ -114,7 +114,7 @@ def _div_set(A: TileSet) -> frozenset[int]:
                                 if diff & cls])
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=4096)
 def div_set(A: TileSet) -> frozenset[int]:
     """Div(A), memoized by tile."""
     return _div_set(A)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import tilelab as tl
 import tilelab.cli
 import tilelab.reduction
+import tilelab.splitting
 from tilelab.cli import main
 from tilelab.errors import (CollapseError, EquivalenceViolationError,
                             LemmaViolationError, PipelineStuckError,
@@ -289,6 +290,24 @@ class TestSweep:
                                 "--limit", "10")
         assert code == 1
         assert [v["check"] for v in rep["violations"]] == ["grid_consistency"]
+
+    def test_each_grid_is_stratified_once(self, capsys, monkeypatch):
+        real = tilelab.splitting.grid_stratification
+        seen = []
+
+        def counting(profile, z0):
+            t = profile.tiling
+            seen.append((t.A.members, t.B.members, z0))
+            return real(profile, z0)
+
+        monkeypatch.setattr(tilelab.splitting, "grid_stratification", counting)
+        # a direct call from the sweep would bind the name in cli
+        monkeypatch.setattr(tilelab.cli, "grid_stratification", counting,
+                            raising=False)
+        code, rep, _ = run_json(capsys, "sweep", "60", "--check", "lemmas",
+                                "--limit", "40")
+        assert code == 0 and rep["counts"]["grids"] > 0
+        assert seen and len(set(seen)) == len(seen)
 
     def test_slab_equivalence_runs_once_per_side_and_direction(
             self, capsys, monkeypatch):

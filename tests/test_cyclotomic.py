@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -258,6 +260,81 @@ class TestCycloProfile:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             cyclo_profile(tl.TileSet(tl.factorize(12), []))
+
+
+def literal_t1(A):
+    """Oracle: |A| against the product of Phi_s(1) over S_A."""
+    prod = 1
+    for s in cyclo_profile(A).s_set:
+        prod *= phi_at_one(s)
+    return len(A) == prod
+
+
+def literal_t2(A):
+    """Oracle: the product enumeration, one member of S_A for each prime of
+    every set of two or more primes, each product tested against the mask."""
+    profile = cyclo_profile(A)
+    by_prime = {}
+    for s in sorted(profile.s_set):
+        by_prime.setdefault(tl.prime_factorization(s)[0][0], []).append(s)
+    groups = list(by_prime.values())
+    for k in range(2, len(groups) + 1):
+        for chosen in itertools.combinations(groups, k):
+            for powers in itertools.product(*chosen):
+                if math.prod(powers) not in profile.divisors_of_mask:
+                    return False
+    return True
+
+
+def coset_union(ctx, rng):
+    """A random disjoint union of cosets of subgroups of random orders."""
+    M = ctx.M
+    taken = set()
+    for _ in range(rng.randint(2, 6)):
+        e = rng.choice(ctx.divisors[1:])
+        x = rng.randrange(M // e)
+        coset = {x + k * (M // e) for k in range(e)}
+        if not coset & taken:
+            taken |= coset
+    return tl.TileSet(ctx, taken)
+
+
+def progression_sum(ctx, rng):
+    """x + {0..p-1}d + {0..q-1}e for two primes p != q of M: Phi_p and Phi_q
+    divide its mask when the sum is direct, Phi_pq often does not."""
+    M = ctx.M
+    (p, _), (q, _) = rng.sample(ctx.primes, 2)
+    d, e, x = rng.randrange(1, M), rng.randrange(1, M), rng.randrange(M)
+    return tl.TileSet(ctx, {(x + i * d + j * e) % M
+                            for i in range(p) for j in range(q)})
+
+
+class TestT1T2Oracles:
+    """check_T1 and check_T2 read verdicts decided when the profile is built;
+    the literal forms above decide them again from the profile's sets."""
+
+    def test_every_tile_up_to_30(self):
+        for M in range(1, 31):
+            ctx = tl.factorize(M)
+            tiles = {tile for t in tl.iter_tilings(ctx) for tile in (t.A, t.B)}
+            for A in tiles:
+                assert check_T1(A) == literal_t1(A), A
+                assert check_T2(A) == literal_t2(A), A
+
+    @pytest.mark.parametrize("M,count,t2_false", [(900, 60, 24),
+                                                  (2310, 60, 17),
+                                                  (27900, 20, 12)])
+    def test_seeded_large_moduli(self, M, count, t2_false):
+        ctx = tl.factorize(M)
+        rng = random.Random(M)
+        tiles = sample_sets(M, count, seed=M)
+        for _ in range(count):
+            tiles += [coset_union(ctx, rng), progression_sum(ctx, rng)]
+        tiles += structured_sets(ctx, rng.choice(width_sizes(M)), rng)
+        for A in tiles:
+            assert check_T1(A) == literal_t1(A), A
+            assert check_T2(A) == literal_t2(A), A
+        assert sum(not check_T2(A) for A in tiles) == t2_false
 
 
 class TestT1T2:

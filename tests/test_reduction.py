@@ -31,6 +31,55 @@ def product_tiling_900():
     return T(900, range(0, 900, 30), B)
 
 
+def lifted_tiling_6300():
+    """product_tiling_900 times Z_7 = Z_6300, A on the 0 class mod 7: the
+    removal of 7 leaves six side branches, each proved by a slab step and a
+    prime removal of its own."""
+    t = product_tiling_900()
+    A = [x for x in range(6300) if x % 900 in t.A and x % 7 == 0]
+    return T(6300, A, [b + 900 * k for b in t.B for k in range(7)])
+
+
+def certificate_nodes(cert):
+    return 1 + sum(certificate_nodes(side) for step in cert.steps
+                   if isinstance(step, rd.PrimeRemovalStep)
+                   for side in step.side_certificates)
+
+
+def _replace_step(cert, kind, **changes):
+    """cert with its first step of the given kind rebuilt with changes."""
+    i = next(i for i, s in enumerate(cert.steps) if isinstance(s, kind))
+    steps = list(cert.steps)
+    steps[i] = dataclasses.replace(steps[i], **changes)
+    return dataclasses.replace(cert, steps=tuple(steps))
+
+
+def _swap_sides(cert):
+    step = next(s for s in cert.steps if isinstance(s, rd.PrimeRemovalStep))
+    first, second, *rest = step.side_certificates
+    assert first.input != second.input
+    return _replace_step(cert, rd.PrimeRemovalStep,
+                         side_certificates=(second, first, *rest))
+
+
+# Each tampering of a certificate shaped (slab, prime removal, base), and the
+# error its replay raises.  A slab recorded on the wrong side does not apply
+# at all, so re-deriving it fails the slab gate itself.
+TAMPERINGS = {
+    "sides_swapped": (_swap_sides, InvariantViolationError),
+    "base_kind": (lambda c: dataclasses.replace(
+        c, base=rd.BaseCase(c.base.primes, "direct_check")),
+        InvariantViolationError),
+    "base_primes": (lambda c: dataclasses.replace(
+        c, base=rd.BaseCase(c.base.primes + 1, c.base.kind)),
+        InvariantViolationError),
+    "slab_side": (lambda c: _replace_step(c, rd.SlabStep, side="B"),
+                  InputError),
+    "t2_a_flipped": (lambda c: dataclasses.replace(c, t2_a=not c.t2_a),
+                     InvariantViolationError),
+}
+
+
 class TestSlabSubset:
     """The slab subset of A - c, projected to Z_{M/p}: _projected_slab."""
 
@@ -408,6 +457,53 @@ class TestProver:
         bad = dataclasses.replace(cert, steps=(bad_step,) + cert.steps[1:])
         with pytest.raises(InvariantViolationError):
             rd.replay_certificate(bad)
+
+    @pytest.mark.parametrize("name", sorted(TAMPERINGS))
+    def test_replay_rejects_tampering_at_the_top(self, name):
+        tamper, error = TAMPERINGS[name]
+        cert = rd.prove_t2_largeprime(product_tiling_900())
+        with pytest.raises(error):
+            rd.replay_certificate(tamper(cert))
+
+    @pytest.mark.parametrize("name", sorted(TAMPERINGS))
+    def test_replay_rejects_tampering_in_a_side_certificate(self, name):
+        tamper, error = TAMPERINGS[name]
+        cert = rd.prove_t2_largeprime(lifted_tiling_6300())
+        step = cert.steps[0]
+        first, *rest = step.side_certificates
+        assert [type(s) for s in first.steps] == [rd.SlabStep,
+                                                  rd.PrimeRemovalStep]
+        bad = _replace_step(cert, rd.PrimeRemovalStep,
+                            side_certificates=(tamper(first), *rest))
+        with pytest.raises(error):
+            rd.replay_certificate(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: T(84, range(0, 84, 12), range(12)), product_tiling_900,
+        lifted_tiling_6300], ids=["Z84", "Z900", "Z6300"])
+    def test_one_replay_per_certificate_node(self, monkeypatch, make):
+        real = rd.replay_certificate
+        replayed = []
+
+        def counting(cert):
+            replayed.append(cert)
+            return real(cert)
+
+        monkeypatch.setattr(rd, "replay_certificate", counting)
+        cert = rd.prove_t2_largeprime(make())
+        assert len(replayed) == certificate_nodes(cert) > 1
+        assert len(set(map(id, replayed))) == len(replayed)
+
+    def test_replay_never_asks_the_prover(self, monkeypatch):
+        cert = rd.prove_t2_largeprime(lifted_tiling_6300())
+
+        def forbidden(*args):
+            raise AssertionError("replay re-ran a prover choice")
+
+        for name in ("_derive_certificate", "_removal_prime",
+                     "_slab_orientation"):
+            monkeypatch.setattr(rd, name, forbidden)
+        assert rd.replay_certificate(cert)
 
     def test_sampled_three_prime_corpus(self):
         for t in tl.sample_tilings(tl.factorize(84), 12):
