@@ -184,27 +184,24 @@ def tijdeman_orbit_check(t: Tiling) -> bool:
 def dilation_stabilizer(x: Residue, x_prime: Residue) -> tuple[int, ...]:
     """All r coprime to M with r*x = x'; requires (x, M) = (x', M).
 
-    The result has exactly phi(M)/phi(M/m) elements, m = (x, M), and equals
-    L(r0, M/m) cut down to the coprime residues; both facts are asserted.
+    With m = (x, M), r x = x' (mod M) exactly when r (x/m) = x'/m (mod M/m),
+    and x/m is a unit mod M/m, so the answer is the coprime residues of the
+    grid r0 + (M/m)Z, r0 = (x'/m)(x/m)^-1 mod M/m.  It has exactly
+    phi(M)/phi(M/m) elements, which is asserted.
     """
     ctx = _same_context(x, x_prime)
     m = ctx.gcd_table[x.value]
     if ctx.gcd_table[x_prime.value] != m:
         raise InputError(
             f"(x, M) = {m} but (x', M) = {ctx.gcd_table[x_prime.value]}")
-    hits = tuple(r for r in ctx.units
-                 if r * x.value % ctx.M == x_prime.value)
-    expected = ctx.phi_table[ctx.M] // ctx.phi_table[ctx.M // m]
+    step = ctx.M // m
+    r0 = x_prime.value // m * pow(x.value // m, -1, step) % step
+    hits = tuple(r for r in range(r0, ctx.M, step) if ctx.gcd_table[r] == 1)
+    expected = ctx.phi_table[ctx.M] // ctx.phi_table[step]
     if len(hits) != expected:
         raise InvariantViolationError(
             f"stabilizer of ({x.value}->{x_prime.value}) has {len(hits)} "
             f"elements, expected {expected}")
-    step = ctx.M // m
-    r0 = hits[0]
-    lattice = {r for r in range(r0 % step, ctx.M, step) if ctx.gcd_table[r] == 1}
-    if lattice != set(hits):
-        raise InvariantViolationError(
-            f"stabilizer is not the grid L({r0}, {step}) among coprimes")
     return hits
 
 
@@ -233,11 +230,12 @@ def iter_complements(A: TileSet, normalize: bool = True,
     full = ctx.full_mask
     rotate = ctx.rotate
     members = A.members
+    from_parts = TileSet._from_parts
     B: list[int] = []
 
-    def walk(covered: int, blocked: int):
+    def walk(covered: int, blocked: int, Bmask: int):
         if covered == full:
-            yield TileSet(ctx, B)
+            yield from_parts(ctx, Bmask, tuple(sorted(B)))
             return
         if len(B) == target:
             return
@@ -248,14 +246,14 @@ def iter_complements(A: TileSet, normalize: bool = True,
                 continue
             B.append(b)
             yield walk(covered | rotate(Amask, b),
-                       blocked | rotate(forb, b) | (1 << b))
+                       blocked | rotate(forb, b) | (1 << b), Bmask | 1 << b)
             B.pop()
 
     if normalize:
         B.append(0)
-        root = walk(Amask, forb | 1)
+        root = walk(Amask, forb | 1, 1)
     else:
-        root = walk(0, 0)
+        root = walk(0, 0, 0)
     yield from itertools.islice(_run_search(root), limit)
 
 
@@ -293,6 +291,17 @@ def _class_masks(ctx: ZmContext) -> dict[int, int]:
     return masks
 
 
+@lru_cache(maxsize=None)
+def _class_bits(ctx: ZmContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cbit, masks) over divisor indices i (d = ctx.divisors[i]):
+    cbit[v] = 1 << i for (v, M) = d, v in [0, M), and masks[i] the class
+    mask of d from _class_masks.  One table per context."""
+    index = {d: i for i, d in enumerate(ctx.divisors)}
+    class_masks = _class_masks(ctx)
+    return (tuple(1 << index[g] for g in ctx.gcd_table),
+            tuple(class_masks[d] for d in ctx.divisors))
+
+
 def iter_tilings(ctx: ZmContext,
                  size_splits: Sequence[tuple[int, int]] | None = None
                  ) -> Iterator[Tiling]:
@@ -323,12 +332,19 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
     pruning).  blockedB_refl mirrors blockedB through v -> -v, which is sound
     to maintain by symmetric updates because each divisor class mask is
     invariant under negation.
+
+    The difference classes met so far, divA and divB, are bit sets over
+    divisor indices (see _class_bits): bit i stands for ctx.divisors[i].  The
+    classes of a new member v against a side W are the OR of cbit[v - w] over
+    w in W, indexed without a reduction mod M: v - w lies in (-M, M), a
+    negative index reads cbit[M + v - w], and (M - x, M) = (x, M).  A leaf
+    builds its tiles from the masks and member lists it holds.
     """
     M = ctx.M
     full = ctx.full_mask
     rotate = ctx.rotate
-    gcds = ctx.gcd_table
-    class_masks = _class_masks(ctx)
+    cbit, class_masks = _class_bits(ctx)
+    from_parts = TileSet._from_parts
     A = [0]
     B = [0]
 
@@ -336,7 +352,8 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
         (Amask, Bmask, covered, divA, divB, forbA, forbB,
          blockedA, blockedB, blockedB_refl) = state
         if covered == full:
-            yield Tiling(TileSet(ctx, A), TileSet(ctx, B), check=False)
+            yield Tiling(from_parts(ctx, Amask, tuple(sorted(A))),
+                         from_parts(ctx, Bmask, tuple(sorted(B))), check=False)
             return
         z = (~covered & (covered + 1)).bit_length() - 1
         na, nb = len(A), len(B)
@@ -346,14 +363,20 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
             for a in A:
                 b = (z - a) % M
                 if not (blockedB >> b) & 1:
-                    yield walk(place(state, None, b))
+                    gB = 0
+                    for w in B:
+                        gB |= cbit[b - w]
+                    yield walk(place(state, None, 0, b, gB))
                     B.pop()
         # existing b, new a = z - b
         if na < dA:
             for b in B:
                 a = (z - b) % M
                 if not (blockedA >> a) & 1:
-                    yield walk(place(state, a, None))
+                    gA = 0
+                    for w in A:
+                        gA |= cbit[a - w]
+                    yield walk(place(state, a, gA, None, 0))
                     A.pop()
         # both new, a + b = z
         if na < dA and nb < dB:
@@ -365,46 +388,55 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
                 b = (z - a) % M
                 # blocked masks cleared a against divB and b against divA;
                 # the fresh-vs-fresh difference classes still need a check
-                gA = frozenset(gcds[(a - w) % M] for w in A)
-                gB = frozenset(gcds[(b - w) % M] for w in B)
+                gA = 0
+                for w in A:
+                    gA |= cbit[a - w]
+                gB = 0
+                for w in B:
+                    gB |= cbit[b - w]
                 if gA & gB:
                     continue
-                yield walk(place(state, a, b))
+                yield walk(place(state, a, gA, b, gB))
                 A.pop()
                 B.pop()
 
-    def place(state, a, b):
-        """Push a and/or b onto A and B; the caller pops them again."""
+    def place(state, a, gA, b, gB):
+        """Push a and/or b onto A and B, given the class bits gA of a against
+        A and gB of b against B; the caller pops them again."""
         (Amask, Bmask, covered, divA, divB, forbA, forbB, blockedA,
          blockedB, blockedB_refl) = state
         # b first, so a's coverage update sees the final Bmask
         if b is not None:
-            newd = frozenset(gcds[(b - w) % M] for w in B) - divB
+            newd = gB & ~divB
             B.append(b)
             Bmask |= 1 << b
             covered |= rotate(Amask, b)
             blockedB |= rotate(forbB, b) | (1 << b)
             blockedB_refl |= rotate(forbB, -b) | (1 << (-b % M))
             if newd:
-                divB = divB | newd
+                divB |= newd
                 grow = 0
-                for d in newd:
-                    grow |= class_masks[d]
+                while newd:
+                    low = newd & -newd
+                    grow |= class_masks[low.bit_length() - 1]
+                    newd ^= low
                 if grow:
                     forbA |= grow
                     for w in A:
                         blockedA |= rotate(grow, w)
         if a is not None:
-            newd = frozenset(gcds[(a - w) % M] for w in A) - divA
+            newd = gA & ~divA
             A.append(a)
             Amask |= 1 << a
             covered |= rotate(Bmask, a)
             blockedA |= rotate(forbA, a) | (1 << a)
             if newd:
-                divA = divA | newd
+                divA |= newd
                 grow = 0
-                for d in newd:
-                    grow |= class_masks[d]
+                while newd:
+                    low = newd & -newd
+                    grow |= class_masks[low.bit_length() - 1]
+                    newd ^= low
                 if grow:
                     forbB |= grow
                     for w in B:
@@ -413,8 +445,7 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
         return (Amask, Bmask, covered, divA, divB, forbA, forbB,
                 blockedA, blockedB, blockedB_refl)
 
-    yield from _run_search(walk((1, 1, 1, frozenset(), frozenset(),
-                                 0, 0, 1, 1, 1)))
+    yield from _run_search(walk((1, 1, 1, 0, 0, 0, 0, 1, 1, 1)))
 
 
 def enumerate_tilings(ctx: ZmContext) -> list[Tiling]:

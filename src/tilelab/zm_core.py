@@ -215,10 +215,18 @@ class TileSet:
     def from_mask(cls, context: ZmContext, mask: int) -> "TileSet":
         if mask < 0 or mask > context.full_mask:
             raise InputError("mask outside the residue range")
+        return cls._from_parts(context, mask, _mask_members(mask))
+
+    @classmethod
+    def _from_parts(cls, context: ZmContext, mask: int,
+                    members: tuple[int, ...]) -> "TileSet":
+        """The tile whose bitmask is mask and whose ascending member tuple
+        is members, unchecked: callers that already hold both (the searches
+        in tiling) pass them as they are."""
         ts = object.__new__(cls)
         object.__setattr__(ts, "context", context)
         object.__setattr__(ts, "mask", mask)
-        object.__setattr__(ts, "members", _mask_members(mask))
+        object.__setattr__(ts, "members", members)
         return ts
 
     def __setattr__(self, *_):

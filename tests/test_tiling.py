@@ -1,13 +1,16 @@
+import importlib.util
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 import tilelab as tl
 import tilelab.tiling
 from tilelab.errors import InputError, TheoremViolationError
-from tilelab.tiling import _dilate_div, tiling_to_json, tiling_from_json
+from tilelab.tiling import (_class_masks, _dilate_div, _run_search,
+                            tiling_to_json, tiling_from_json)
 
 from conftest import corpus, oracle_tilings, unchecked_pairs
 
@@ -161,6 +164,138 @@ class TestEnumeration:
         assert all((t.A.members, t.B.members) in full for t in s1)
 
 
+# The frozenset pair search the bit-class _pair_dfs replaced, kept unchanged as
+# its oracle: difference classes as sets of divisors, leaf tiles built by the
+# checked TileSet constructor.
+
+
+def literal_pair_dfs(ctx, dA, dB):
+    M = ctx.M
+    full = ctx.full_mask
+    rotate = ctx.rotate
+    gcds = ctx.gcd_table
+    class_masks = _class_masks(ctx)
+    A = [0]
+    B = [0]
+
+    def walk(state):
+        (Amask, Bmask, covered, divA, divB, forbA, forbB,
+         blockedA, blockedB, blockedB_refl) = state
+        if covered == full:
+            yield tl.Tiling(tl.TileSet(ctx, A), tl.TileSet(ctx, B), check=False)
+            return
+        z = (~covered & (covered + 1)).bit_length() - 1
+        na, nb = len(A), len(B)
+        if nb < dB:
+            for a in A:
+                b = (z - a) % M
+                if not (blockedB >> b) & 1:
+                    yield walk(place(state, None, b))
+                    B.pop()
+        if na < dA:
+            for b in B:
+                a = (z - b) % M
+                if not (blockedA >> a) & 1:
+                    yield walk(place(state, a, None))
+                    A.pop()
+        if na < dA and nb < dB:
+            cand = full & ~blockedA & ~rotate(blockedB_refl, z)
+            while cand:
+                bit = cand & -cand
+                a = bit.bit_length() - 1
+                cand ^= bit
+                b = (z - a) % M
+                gA = frozenset(gcds[(a - w) % M] for w in A)
+                gB = frozenset(gcds[(b - w) % M] for w in B)
+                if gA & gB:
+                    continue
+                yield walk(place(state, a, b))
+                A.pop()
+                B.pop()
+
+    def place(state, a, b):
+        (Amask, Bmask, covered, divA, divB, forbA, forbB, blockedA,
+         blockedB, blockedB_refl) = state
+        if b is not None:
+            newd = frozenset(gcds[(b - w) % M] for w in B) - divB
+            B.append(b)
+            Bmask |= 1 << b
+            covered |= rotate(Amask, b)
+            blockedB |= rotate(forbB, b) | (1 << b)
+            blockedB_refl |= rotate(forbB, -b) | (1 << (-b % M))
+            if newd:
+                divB = divB | newd
+                grow = 0
+                for d in newd:
+                    grow |= class_masks[d]
+                if grow:
+                    forbA |= grow
+                    for w in A:
+                        blockedA |= rotate(grow, w)
+        if a is not None:
+            newd = frozenset(gcds[(a - w) % M] for w in A) - divA
+            A.append(a)
+            Amask |= 1 << a
+            covered |= rotate(Bmask, a)
+            blockedA |= rotate(forbA, a) | (1 << a)
+            if newd:
+                divA = divA | newd
+                grow = 0
+                for d in newd:
+                    grow |= class_masks[d]
+                if grow:
+                    forbB |= grow
+                    for w in B:
+                        blockedB |= rotate(grow, w)
+                        blockedB_refl |= rotate(grow, -w)
+        return (Amask, Bmask, covered, divA, divB, forbA, forbB,
+                blockedA, blockedB, blockedB_refl)
+
+    yield from _run_search(walk((1, 1, 1, frozenset(), frozenset(),
+                                 0, 0, 1, 1, 1)))
+
+
+def assert_checked_tile(tile):
+    """tile agrees with the checked constructor on its own members."""
+    want = tl.TileSet(tile.context, list(tile.members))
+    assert tile.mask == want.mask and tile.members == want.members, tile
+    assert hash(tile) == hash(want) and tile == want, tile
+
+
+def assert_same_tilings(got, want):
+    """Two tiling streams agree item by item: order, members and masks."""
+    count = 0
+    for g, w in itertools.zip_longest(got, want):
+        assert g is not None and w is not None, count
+        assert (g.A.members, g.B.members) == (w.A.members, w.B.members), count
+        assert (g.A.mask, g.B.mask) == (w.A.mask, w.B.mask), count
+        assert_checked_tile(g.A)
+        assert_checked_tile(g.B)
+        count += 1
+    return count
+
+
+class TestPairDfsOracle:
+    def test_complete_corpora_match_literal_dfs(self):
+        total = 0
+        for M in range(1, 31):
+            ctx = tl.factorize(M)
+            for d in ctx.divisors:
+                total += assert_same_tilings(
+                    tilelab.tiling._pair_dfs(ctx, d, M // d),
+                    literal_pair_dfs(ctx, d, M // d))
+        assert total == sum(len(corpus(M)) for M in range(1, 31))
+
+    @pytest.mark.parametrize("M, cap", [(60, 3000), (900, 400)])
+    def test_sample_prefixes_match_literal_dfs(self, M, cap, monkeypatch):
+        ctx = tl.factorize(M)
+        got = tl.sample_tilings(ctx, cap)
+        monkeypatch.setattr(tilelab.tiling, "_pair_dfs", literal_pair_dfs)
+        want = tl.sample_tilings(ctx, cap)
+        assert len(got) == cap
+        assert assert_same_tilings(got, want) == cap
+
+
 class TestComplements:
     def test_examples(self):
         c4 = tl.factorize(4)
@@ -197,6 +332,94 @@ class TestComplements:
         A = tl.TileSet(ctx, [0, 1, 6, 7])
         for B in tl.iter_complements(A):
             assert tl.verify_direct(A, B)
+
+
+# The complement search before its leaves were built from the mask it
+# carries, kept unchanged (without the limit) as the oracle.
+
+
+def literal_complements(A, normalize):
+    ctx = A.context
+    M = ctx.M
+    k = len(A)
+    if k == 0 or M % k:
+        return
+    target = M // k
+    class_masks = _class_masks(ctx)
+    forb = 0
+    for d in tl.div_set(A) - {M}:
+        forb |= class_masks[d]
+    Amask = A.mask
+    full = ctx.full_mask
+    rotate = ctx.rotate
+    members = A.members
+    B = []
+
+    def walk(covered, blocked):
+        if covered == full:
+            yield tl.TileSet(ctx, B)
+            return
+        if len(B) == target:
+            return
+        z = (~covered & (covered + 1)).bit_length() - 1
+        for a in members:
+            b = (z - a) % M
+            if (blocked >> b) & 1:
+                continue
+            B.append(b)
+            yield walk(covered | rotate(Amask, b),
+                       blocked | rotate(forb, b) | (1 << b))
+            B.pop()
+
+    if normalize:
+        B.append(0)
+        root = walk(Amask, forb | 1)
+    else:
+        root = walk(0, 0)
+    yield from _run_search(root)
+
+
+def request_pool_tiles():
+    """The A tiles of the benchmark's complement requests (perfbench's
+    pinned pool at Z_72, Z_84, Z_120)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pool = workloads.request_pool()
+    return [tl.TileSet(tl.factorize(M), t["A"])
+            for M in workloads.COMPLEMENT_MODULI for t in pool[M]]
+
+
+class TestComplementsOracle:
+    def assert_same_complements(self, A, normalize, limit):
+        got = list(tl.iter_complements(A, normalize=normalize, limit=limit))
+        want = list(itertools.islice(literal_complements(A, normalize), limit))
+        assert [B.members for B in got] == [B.members for B in want], A
+        assert [B.mask for B in got] == [B.mask for B in want], A
+        for B in got:
+            assert_checked_tile(B)
+        return len(got)
+
+    def test_every_corpus_tile_matches_literal_search(self):
+        tiles = {}
+        for M in range(1, 25):
+            for t in corpus(M):
+                tiles[t.A] = tiles[t.B] = None
+        found = {True: 0, False: 0}
+        for A in tiles:
+            for normalize in (True, False):
+                found[normalize] += self.assert_same_complements(
+                    A, normalize, None)
+        assert len(tiles) == 9729
+        assert found == {True: 21329, False: 120475}
+
+    def test_request_pool_tiles_match_literal_search(self):
+        tiles = request_pool_tiles()
+        assert len(tiles) == 39
+        found = sum(self.assert_same_complements(A, normalize, 4)
+                    for A in tiles for normalize in (True, False))
+        assert found == 257
 
 
 class TestDilation:
@@ -338,6 +561,23 @@ class TestDilationStabilizer:
                 r0 = stab[0]
                 lattice = {r for r in units if (r - r0) % (M // m) == 0}
                 assert set(stab) == lattice
+
+    def test_matches_unit_scan(self):
+        """The closed form against the literal scan over the units, on every
+        valid (x, x') of Z_1..Z_60."""
+        pairs = 0
+        for M in range(1, 61):
+            ctx = tl.factorize(M)
+            for x in range(M):
+                for xp in range(M):
+                    if ctx.gcd_table[x] != ctx.gcd_table[xp]:
+                        continue
+                    scan = tuple(r for r in ctx.units if r * x % M == xp)
+                    assert tl.dilation_stabilizer(
+                        ctx.residue(x), ctx.residue(xp)) == scan, (M, x, xp)
+                    pairs += 1
+        assert pairs == sum(tl.euler_phi(d) ** 2 for M in range(1, 61)
+                            for d in tl.factorize(M).divisors)
 
 
 class TestJson:
