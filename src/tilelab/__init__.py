@@ -1,6 +1,6 @@
 """tilelab: exact arithmetic for translational tilings of Z_M."""
 
-from .zm_core import (ZmContext, Residue, TileSet, factorize,
+from .zm_core import (ZmContext, TileSet, factorize,
                       prime_factorization, euler_phi, radical_quotient)
 from .cyclotomic import (CycloProfile, phi_at_one, divides_mask, cyclo_profile,
                          check_T1, check_T2)
@@ -12,9 +12,8 @@ from .tiling import (Tiling, verify_direct, div_set, verify_sands,
 from .structure import box_product, box_product_all_ones
 from .splitting import (Parity, SplitReport, FiberedGridProfile,
                         GridStratification, fiber_parity, split_report,
-                        check_translate_splitting, check_disjoint_sigma,
-                        check_local_distribution, check_aunif,
-                        plane_consistency, cross_direction_check,
+                        check_disjoint_sigma, check_local_distribution,
+                        check_aunif, plane_consistency, cross_direction_check,
                         fibered_grid_profile, check_fiber_basic,
                         grid_stratification, consistency3_check,
                         consistent_splitting_check)

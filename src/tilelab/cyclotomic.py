@@ -19,17 +19,24 @@ and Lam and Leung, "On vanishing sums of roots of unity", J. Algebra 224
 (2000).
 
 The polynomials are evaluated at X = 2^w, one packed integer per tile, with
-a field of w bits per residue.  With k the number of primes of M, w is the
-least multiple of 8 with 2^w > |A| * 2^(k+1).  The indicator of A packs into
-M fields; the counts mod s are the sum of the p slices of w*s bits of the
-counts mod s*p, and no field carries, since a count is at most |A|.  Each
-operator 1 - X^d is P - (P << w*d), and reducing mod X^s - 1 becomes
-reducing mod N = 2^(w*s) - 1, by adding the bits above w*s to the bits
-below.  The test is exact: the cyclic result R has s coefficients, each at
-most |A| * 2^k < 2^(w-1) in absolute value (each operator at most doubles
-the largest), so |R(2^w)| < N, and a nonzero R has a leading coefficient
-whose term outweighs all lower ones.  Hence R = 0 exactly when R(2^w) = 0
-exactly when the packed value is 0 mod N.
+a field of w bits per residue; w is the least multiple of 8 with
+2^w > 2|A|.  The indicator of A packs into M fields; the counts mod s are
+the sum of the p slices of w*s bits of the counts mod s*p, and no field
+carries, since a count is at most |A|.  Each operator 1 - X^d is
+P - (P << w*d), and reducing mod X^s - 1 becomes reducing mod
+N = 2^(w*s) - 1, by adding the bits above w*s to the bits below.
+
+The test is exact because every coefficient of the cyclic result R is at
+most |A| in absolute value.  The coefficient of X^x in R is the signed sum
+of c[x - sum_{p in S} s/p] over the sets S of primes of s, and these are
+counts at pairwise distinct residues mod s: if two sets S != T gave
+congruent sums, take q in one and not the other, with q^e exactly dividing
+s; every s/p with p != q is divisible by q^e and s/q is not, so the two
+sums differ mod q^e, hence mod s.  A sum of counts at distinct residues is
+at most |A|.  So each coefficient is below 2^(w-1) in absolute value,
+|R(2^w)| < N, and a nonzero R has a leading coefficient whose term
+outweighs all lower ones.  Hence R = 0 exactly when R(2^w) = 0 exactly when
+the packed value is 0 mod N.
 
 The two classical conditions on a tile, with S_A the set of prime powers
 s | M whose Phi_s divides the mask:
@@ -106,7 +113,7 @@ def cyclo_profile(A: TileSet) -> CycloProfile:
     if not len(A):
         raise InputError("cannot profile the empty tile")
     ctx = A.context
-    nbytes = (len(A).bit_length() + len(ctx.primes) + 8) // 8
+    nbytes = (len(A).bit_length() + 8) // 8
     w = 8 * nbytes
     packed = bytearray(ctx.M * nbytes)
     for a in A.members:

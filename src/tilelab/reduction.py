@@ -38,26 +38,32 @@ from .splitting import _ab_fibers, split_report
 
 
 @lru_cache(maxsize=None)
-def _projection(ctx: ZmContext, direction: int) -> tuple[ZmContext, tuple[int, ...]]:
-    """Value table for Z_M -> Z_{M/p}: coordinate `direction` reduced mod
-    p^{n-1} (dropped entirely when n = 1), the others carried over."""
+def _projection(ctx: ZmContext, direction: int) -> tuple[ZmContext, int]:
+    """The map Z_M -> Z_{M/p} that reduces coordinate `direction` mod
+    p^{n-1} (drops it when n = 1) and carries the others over, as
+    (child context, u): it sends v to v*u mod M/p.
+
+    Reading CRT coordinates, reducing one of them and reassembling are all
+    group homomorphisms, so the map is one from Z_M to the cyclic Z_{M/p},
+    fixed by the image u of 1.  With R = M/p^n, 1 has coordinate R^-1 mod
+    p^n in `direction`, weighted by R in Z_{M/p}, which gives 1 mod
+    p^{n-1}; and coordinate (M/q)^-1 mod q in each other direction, weighted
+    by (M/p)/q, which gives p^-1 mod q.  So u = 1 (mod p^{n-1}) and
+    u = p^-1 (mod R): u = (1 + R s)/p with s = (p - 1) R^-1 mod p^n, since
+    1 + R s = p (mod p^n) and p (1 + R s)/p = 1 (mod R).
+    """
     p, n = ctx.check_direction(direction)
+    q = p ** n
+    R = ctx.M // q
+    s = (p - 1) * pow(R, -1, q) % q
     child = factorize(ctx.M // p)
-    table = []
-    for v in range(ctx.M):
-        coords = list(ctx.coords_of(v))
-        if n == 1:
-            coords.pop(direction)
-        else:
-            coords[direction] %= p ** (n - 1)
-        table.append(child.from_coords(coords).value)
-    return child, tuple(table)
+    return child, (1 + R * s) // p % child.M
 
 
 def project_tile(A: TileSet, direction: int) -> TileSet:
     """Image of A in Z_{M/p} under the coordinate projection (may collide)."""
-    child, table = _projection(A.context, direction)
-    return TileSet(child, {table[a] for a in A})
+    child, u = _projection(A.context, direction)
+    return TileSet(child, {a * u % child.M for a in A.members})
 
 
 def _projected_slab(A: TileSet, direction: int, c: int = 0) -> TileSet:
@@ -65,10 +71,12 @@ def _projected_slab(A: TileSet, direction: int, c: int = 0) -> TileSet:
     is below p^{n-1}, projected to Z_{M/p}."""
     ctx = A.context
     p, n = ctx.primes[direction]
-    child, table = _projection(ctx, direction)
+    child, u = _projection(ctx, direction)
+    m = child.M
+    low = p ** (n - 1)
     coord = ctx.coord_tables[direction]
     shifted = [(a - c) % ctx.M for a in A.members]
-    return TileSet(child, {table[v] for v in shifted if coord[v] < p ** (n - 1)})
+    return TileSet(child, {v * u % m for v in shifted if coord[v] < low})
 
 
 def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:

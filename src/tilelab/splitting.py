@@ -219,17 +219,6 @@ def _ab_fibers(A: TileSet, b_members, direction: int) -> int:
         f"mask decider finds both or neither parity, fiber_parity one")
 
 
-def check_translate_splitting(t: Tiling, c: int, direction: int) -> bool:
-    """Parities transported by translating A by -c agree fiber-for-fiber."""
-    ctx = t.context
-    p, _ = ctx.check_direction(direction)
-    step = ctx.M // p
-    shifted = Tiling(t.A.translate(-c), t.B, check=False)
-    base = split_report(t, direction).fibers
-    moved = split_report(shifted, direction).fibers
-    return all(moved[(anchor - c) % step] is base[anchor] for anchor in base)
-
-
 def _require_member(T: TileSet, v: int, name: str) -> None:
     if not T.mask >> (v % T.context.M) & 1:
         raise InputError(f"{v} is not an element of {name}")

@@ -20,16 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError
-from .zm_core import Residue, TileSet, ZmContext, _same_context
-
-
-def _base_value(ctx: ZmContext, x) -> int:
-    if isinstance(x, Residue):
-        if x.context != ctx:
-            raise InputError(f"base point lives in Z_{x.context.M}, tile in Z_{ctx.M}")
-        return x.value
-    return int(x) % ctx.M
+from .zm_core import TileSet, ZmContext, _same_context
 
 
 def _weights(ctx: ZmContext) -> list[int]:
@@ -54,11 +45,12 @@ def _count_rows(T: TileSet, points) -> list[list[int]]:
     return rows
 
 
-def box_product(A: TileSet, B: TileSet, x, y) -> Fraction:
-    """<A[x], B[y]> as an exact rational; equals 1 on tilings."""
+def box_product(A: TileSet, B: TileSet, x: int, y: int) -> Fraction:
+    """<A[x], B[y]> as an exact rational, base points read mod M; equals 1
+    on tilings."""
     ctx = _same_context(A, B)
-    (row_a,) = _count_rows(A, [_base_value(ctx, x)])
-    (row_b,) = _count_rows(B, [_base_value(ctx, y)])
+    (row_a,) = _count_rows(A, [x % ctx.M])
+    (row_b,) = _count_rows(B, [y % ctx.M])
     total = sum(w * na * nb for w, na, nb in zip(_weights(ctx), row_a, row_b))
     return Fraction(total, ctx.phi_table[ctx.M])
 

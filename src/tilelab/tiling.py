@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .cyclotomic import cyclo_profile
 from .errors import InputError, InvariantViolationError, TheoremViolationError
-from .zm_core import Residue, TileSet, ZmContext, _same_context, factorize
+from .zm_core import TileSet, ZmContext, _same_context, factorize
 
 
 class Tiling:
@@ -110,8 +110,8 @@ def _div_set(A: TileSet) -> frozenset[int]:
     diff = 0
     for a in A.members:
         diff |= doubled >> a
-    return frozenset([ctx.M] + [d for d, cls in _class_masks(ctx).items()
-                                if diff & cls])
+    classes = zip(ctx.divisors, _class_bits(ctx)[1])
+    return frozenset([ctx.M] + [d for d, cls in classes if diff & cls])
 
 
 @lru_cache(maxsize=4096)
@@ -181,26 +181,29 @@ def tijdeman_orbit_check(t: Tiling) -> bool:
     return True
 
 
-def dilation_stabilizer(x: Residue, x_prime: Residue) -> tuple[int, ...]:
-    """All r coprime to M with r*x = x'; requires (x, M) = (x', M).
+def dilation_stabilizer(ctx: ZmContext, x: int, x_prime: int) -> tuple[int, ...]:
+    """All r coprime to M with r*x = x'; requires x, x' in [0, M) and
+    (x, M) = (x', M).
 
     With m = (x, M), r x = x' (mod M) exactly when r (x/m) = x'/m (mod M/m),
     and x/m is a unit mod M/m, so the answer is the coprime residues of the
     grid r0 + (M/m)Z, r0 = (x'/m)(x/m)^-1 mod M/m.  It has exactly
     phi(M)/phi(M/m) elements, which is asserted.
     """
-    ctx = _same_context(x, x_prime)
-    m = ctx.gcd_table[x.value]
-    if ctx.gcd_table[x_prime.value] != m:
+    for v in (x, x_prime):
+        if not 0 <= v < ctx.M:
+            raise InputError(f"residue {v} outside [0, {ctx.M})")
+    m = ctx.gcd_table[x]
+    if ctx.gcd_table[x_prime] != m:
         raise InputError(
-            f"(x, M) = {m} but (x', M) = {ctx.gcd_table[x_prime.value]}")
+            f"(x, M) = {m} but (x', M) = {ctx.gcd_table[x_prime]}")
     step = ctx.M // m
-    r0 = x_prime.value // m * pow(x.value // m, -1, step) % step
+    r0 = x_prime // m * pow(x // m, -1, step) % step
     hits = tuple(r for r in range(r0, ctx.M, step) if ctx.gcd_table[r] == 1)
     expected = ctx.phi_table[ctx.M] // ctx.phi_table[step]
     if len(hits) != expected:
         raise InvariantViolationError(
-            f"stabilizer of ({x.value}->{x_prime.value}) has {len(hits)} "
+            f"stabilizer of ({x}->{x_prime}) has {len(hits)} "
             f"elements, expected {expected}")
     return hits
 
@@ -222,10 +225,11 @@ def iter_complements(A: TileSet, normalize: bool = True,
     if k == 0 or M % k:
         return
     target = M // k
-    class_masks = _class_masks(ctx)
+    div_a = div_set(A)
     forb = 0
-    for d in div_set(A) - {M}:
-        forb |= class_masks[d]
+    for d, cls in zip(ctx.divisors, _class_bits(ctx)[1]):
+        if d in div_a:          # the class of M is empty
+            forb |= cls
     Amask = A.mask
     full = ctx.full_mask
     rotate = ctx.rotate
@@ -282,24 +286,16 @@ def _run_search(root) -> Iterator:
 
 
 @lru_cache(maxsize=None)
-def _class_masks(ctx: ZmContext) -> dict[int, int]:
-    """divisor d -> bitmask of {v in [1, M) : (v, M) = d}; one table per
-    context, shared by every caller, which must not mutate it."""
-    masks = {d: 0 for d in ctx.divisors}
-    for v in range(1, ctx.M):
-        masks[ctx.gcd_table[v]] |= 1 << v
-    return masks
-
-
-@lru_cache(maxsize=None)
 def _class_bits(ctx: ZmContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(cbit, masks) over divisor indices i (d = ctx.divisors[i]):
-    cbit[v] = 1 << i for (v, M) = d, v in [0, M), and masks[i] the class
-    mask of d from _class_masks.  One table per context."""
+    cbit[v] = 1 << i for (v, M) = d, v in [0, M), and masks[i] the bitmask
+    of {v in [1, M) : (v, M) = d} (empty for d = M).  One table per
+    context, shared by every caller."""
     index = {d: i for i, d in enumerate(ctx.divisors)}
-    class_masks = _class_masks(ctx)
-    return (tuple(1 << index[g] for g in ctx.gcd_table),
-            tuple(class_masks[d] for d in ctx.divisors))
+    masks = [0] * len(index)
+    for v in range(1, ctx.M):
+        masks[index[ctx.gcd_table[v]]] |= 1 << v
+    return (tuple(1 << index[g] for g in ctx.gcd_table), tuple(masks))
 
 
 def iter_tilings(ctx: ZmContext,

@@ -2,10 +2,10 @@
 
 Everything downstream works inside a fixed cyclic group Z_M with
 M = p_1^{n_1} * ... * p_K^{n_K}.  A ZmContext precomputes the factorization,
-divisor lattice, Euler phi values, CRT basis elements M_j = M / p_j^{n_j} and
-per-residue CRT coordinates, the units of Z_M, plus a gcd table so that
-(x - y, M) lookups are O(1).  Directions are 0-based indices into the
-ascending prime list.
+divisor lattice, Euler phi values, per-residue CRT coordinates, the units
+of Z_M, plus a gcd table so that (x - y, M) lookups are O(1).  Residues are
+plain ints in [0, M).  Directions are 0-based indices into the ascending
+prime list.
 
 Geometry is arithmetic on residues: the plane Pi(x, p_j^alpha) is
 {y : p_j^alpha | y - x}, equivalently the y whose direction-j coordinate is
@@ -73,7 +73,6 @@ class ZmContext:
     primes: tuple[tuple[int, int], ...]      # ((p, n), ...) ascending
     divisors: tuple[int, ...]                # all divisors of M, ascending
     phi_table: dict[int, int]                # d | M  ->  phi(d)
-    crt_basis: tuple[int, ...]               # M_j = M / p_j^{n_j}
     prime_powers: tuple[int, ...]            # p_j^{n_j}
     gcd_table: tuple[int, ...]               # v -> gcd(v, M), v in [0, M)
     units: tuple[int, ...]                   # v in [0, M) with gcd(v, M) = 1
@@ -89,34 +88,10 @@ class ZmContext:
     def __repr__(self):
         return f"ZmContext(M={self.M})"
 
-    @property
-    def direction_count(self) -> int:
-        return len(self.primes)
-
     def check_direction(self, i: int) -> tuple[int, int]:
         if not 0 <= i < len(self.primes):
             raise InputError(f"direction {i} out of range for M={self.M}")
         return self.primes[i]
-
-    def residue(self, value: int) -> "Residue":
-        if not 0 <= value < self.M:
-            raise InputError(f"residue {value} outside [0, {self.M})")
-        return Residue(self, value)
-
-    def coords_of(self, value: int) -> tuple[int, ...]:
-        return tuple(t[value] for t in self.coord_tables)
-
-    def from_coords(self, coords: Iterable[int]) -> "Residue":
-        coords = tuple(coords)
-        if len(coords) != len(self.primes):
-            raise InputError(
-                f"expected {len(self.primes)} coordinates, got {len(coords)}")
-        value = 0
-        for x_j, q, basis in zip(coords, self.prime_powers, self.crt_basis):
-            if not 0 <= x_j < q:
-                raise InputError(f"coordinate {x_j} outside [0, {q})")
-            value = (value + x_j * basis) % self.M
-        return Residue(self, value)
 
     def rotate(self, mask: int, k: int) -> int:
         """Cyclic shift of an M-bit mask: bit v -> bit (v + k) mod M."""
@@ -142,47 +117,23 @@ def factorize(M: int) -> ZmContext:
     divisors = _divisors_of(primes)
     phi_table = {d: euler_phi(d) for d in divisors}
     prime_powers = tuple(p**n for p, n in primes)
-    crt_basis = tuple(M // q for q in prime_powers)
     gcd_table = tuple(math.gcd(v, M) for v in range(M))
     units = tuple(v for v in range(M) if gcd_table[v] == 1)   # (0,) at M = 1
     coord_tables = []
-    for q, basis in zip(prime_powers, crt_basis):
-        inv = pow(basis, -1, q)
+    for q in prime_powers:
+        inv = pow(M // q, -1, q)
         coord_tables.append(tuple((v % q) * inv % q for v in range(M)))
     return ZmContext(
         M=M,
         primes=primes,
         divisors=divisors,
         phi_table=phi_table,
-        crt_basis=crt_basis,
         prime_powers=prime_powers,
         gcd_table=gcd_table,
         units=units,
         coord_tables=tuple(coord_tables),
         full_mask=(1 << M) - 1,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class Residue:
-    """A residue of Z_M, bound to its context."""
-
-    context: ZmContext
-    value: int
-
-    def __eq__(self, other):
-        return (isinstance(other, Residue)
-                and other.context == self.context
-                and other.value == self.value)
-
-    def __hash__(self):
-        return hash((self.context.M, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"Residue({self.value} mod {self.context.M})"
 
 
 def _same_context(a, b) -> ZmContext:
@@ -251,10 +202,6 @@ class TileSet:
 
     def __repr__(self):
         return f"TileSet(M={self.context.M}, {{{', '.join(map(str, self.members))}}})"
-
-    def translate(self, c: int) -> "TileSet":
-        ctx = self.context
-        return TileSet.from_mask(ctx, ctx.rotate(self.mask, c))
 
     def dilate(self, r: int) -> "TileSet":
         """{r*a mod M}; may have fewer elements when gcd(r, M) > 1."""

@@ -9,6 +9,11 @@ import tilelab as tl
 _corpora: dict[tuple[int, int | None], list] = {}
 
 
+def crt_value(ctx, coords):
+    """sum_j x_j M/p_j^{n_j} mod M: the residue with CRT coordinates x_j."""
+    return sum(x * (ctx.M // p**n) for x, (p, n) in zip(coords, ctx.primes)) % ctx.M
+
+
 def corpus(M: int, cap: int | None = None) -> list:
     """Complete enumeration when cap is None, stratified sample otherwise.
 

@@ -176,7 +176,7 @@ def test_criterion_05_splitting_slab_equivalence():
     held = 0
     for M in (12, 16, 24, 36, 48):
         for t in _tilings(M):
-            for d in range(t.context.direction_count):
+            for d in range(len(t.context.primes)):
                 # Raises EquivalenceViolationError if (I), (II), (III)
                 # ever disagree; the return value is their common truth.
                 held += tl.splittingslab_equiv_check(t, d)
@@ -255,7 +255,7 @@ def test_criterion_08_dilation_stabilizer_lattice():
             for xp in range(M):
                 if math.gcd(xp, M) != m:
                     continue
-                stab = tl.dilation_stabilizer(ctx.residue(x), ctx.residue(xp))
+                stab = tl.dilation_stabilizer(ctx, x, xp)
                 brute = {r for r in units if r * x % M == xp}
                 assert set(stab) == brute
                 assert len(stab) == sympy.totient(M) // sympy.totient(M // m)
@@ -266,7 +266,7 @@ def test_criterion_08_dilation_stabilizer_lattice():
         assert pairs == expected_pairs
     ctx12 = tl.factorize(12)
     with pytest.raises(InputError):
-        tl.dilation_stabilizer(ctx12.residue(2), ctx12.residue(3))
+        tl.dilation_stabilizer(ctx12, 2, 3)
     _report(8, f"stabilizer size phi(M)/phi(M/m) and unit-lattice form on "
                f"all {sum(pair_counts.values())} valid pairs, M in (12, 36, 60)")
 

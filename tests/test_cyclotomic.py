@@ -186,6 +186,32 @@ class TestPackedKernel:
         for A in tiles:
             assert cyclo_profile(A).divisors_of_mask == cuboid_profile(A), A
 
+    @pytest.mark.parametrize("M, count", [(3840, 22), (7680, 34), (30030, 100),
+                                          (46410, 105), (60060, 184),
+                                          (65520, 226)])
+    def test_one_class_tiles_at_the_width_edge(self, M, count):
+        """Tiles inside one class mod s fold to a single count |A|, and the
+        cuboid operators spread it to coefficients +-|A|, the most the width
+        proof allows.  127 is the largest size with one-byte fields
+        (2^8 > 2|A|) and 128 the least with two; 255 and 256 are that edge
+        for the weaker 2^w > |A|.  Each s with at least two primes, and each
+        u > 1 dividing it, against the oracle."""
+        ctx = tl.factorize(M)
+        tiles = 0
+        for s in ctx.divisors:
+            if len(tl.prime_factorization(s)) < 2:
+                continue
+            for size in (127, 128, 255, 256):
+                if size * s > M:
+                    continue
+                A = tl.TileSet(ctx, range(s - 1, size * s, s))
+                got = cyclo_profile(A).divisors_of_mask
+                for u in ctx.divisors:
+                    if u > 1 and s % u == 0:
+                        assert (u in got) == cuboid_vanishes(A.members, u), (A, u)
+                tiles += 1
+        assert tiles == count
+
 
 class TestPhiAtOne:
     def test_examples(self):

@@ -11,7 +11,7 @@ from tilelab import reduction as rd
 from tilelab import splitting as sp
 from tilelab.errors import InputError, InvariantViolationError, TilelabError
 
-from conftest import corpus, oracle_tilings, unchecked_pairs
+from conftest import corpus, crt_value, oracle_tilings, unchecked_pairs
 
 
 def T(M, A, B, check=True):
@@ -26,7 +26,7 @@ def t12():
 def product_tiling_900():
     """Coordinate-box tiling of Z_900: A = 30Z, B a box of small coords."""
     ctx = tl.factorize(900)
-    B = sorted(ctx.from_coords((a, b, c)).value
+    B = sorted(crt_value(ctx, (a, b, c))
                for a in (0, 1) for b in (0, 1, 2) for c in range(5))
     return T(900, range(0, 900, 30), B)
 
@@ -105,7 +105,8 @@ class TestSlabSubset:
         for d in range(2):
             for c in range(-3, 15):
                 assert (rd._projected_slab(A, d, c)
-                        == rd._projected_slab(A.translate(-c), d))
+                        == rd._projected_slab(tl.TileSet(
+                            A.context, [(a - c) % 12 for a in A]), d))
 
 
 class TestProjection:
@@ -121,6 +122,28 @@ class TestProjection:
     def test_projection_may_collide(self):
         # 0 and 6 agree once the top coordinate is reduced mod 2
         assert sorted(rd.project_tile(t12().A, 0)) == [0, 5]
+
+    def test_matches_literal_projection(self):
+        """project_tile and _projected_slab send each residue, translated or
+        not, where the coordinate tables and the CRT sum do: every residue
+        of every (M, direction) with M <= 4356 in the list, every 11th of
+        Z_27900 and Z_65520."""
+        pairs = 0
+        for M in [*range(1, 401), 900, 1764, 4356, 27900, 65520]:
+            ctx = tl.factorize(M)
+            for d, (p, n) in enumerate(ctx.primes):
+                coord = ctx.coord_tables[d]
+                for v in range(0, M, 1 if M <= 4356 else 11):
+                    single = tl.TileSet(ctx, [v])
+                    assert rd.project_tile(single, d).members == (
+                        literal_image(ctx, d, v),)
+                    c = (7 * v + 3) % M
+                    w = (v - c) % M
+                    want = ((literal_image(ctx, d, w),)
+                            if coord[w] < p ** (n - 1) else ())
+                    assert rd._projected_slab(single, d, c).members == want
+                pairs += 1
+        assert pairs == 808
 
 
 class TestSlabConditions:
@@ -192,20 +215,23 @@ class TestSplittingSlab:
 # projection computed inline, and the difference classes of each b in B.
 
 
+def literal_image(ctx, direction, v):
+    """v with its coordinate in `direction` reduced mod p^{n-1} (dropped
+    when n = 1), summed back into Z_{M/p}."""
+    p, n = ctx.primes[direction]
+    coords = [coord[v] for coord in ctx.coord_tables]
+    if n == 1:
+        coords.pop(direction)
+    else:
+        coords[direction] %= p ** (n - 1)
+    return crt_value(tl.factorize(ctx.M // p), coords)
+
+
 @functools.lru_cache(maxsize=None)
 def literal_projection(M, direction):
     ctx = tl.factorize(M)
-    p, n = ctx.primes[direction]
-    child = tl.factorize(M // p)
-    table = []
-    for v in range(M):
-        coords = list(ctx.coords_of(v))
-        if n == 1:
-            coords.pop(direction)
-        else:
-            coords[direction] %= p ** (n - 1)
-        table.append(child.from_coords(coords).value)
-    return child, table
+    child = tl.factorize(M // ctx.primes[direction][0])
+    return child, [literal_image(ctx, direction, v) for v in range(M)]
 
 
 def literal_slab_cond_i(t, direction):
@@ -245,7 +271,7 @@ def oracle_corpus():
     sample, each with every direction."""
     for t in oracle_tilings():
         for tt in (t, t.swapped()):
-            for d in range(tt.context.direction_count):
+            for d in range(len(tt.context.primes)):
                 yield tt, d
 
 
@@ -294,7 +320,7 @@ def statement_ii_cases(pairs):
     for t in pairs:
         ctx = t.context
         M = ctx.M
-        for d in range(ctx.direction_count):
+        for d in range(len(ctx.primes)):
             for r in ctx.units:
                 rb = [r * b % M for b in t.B.members]
                 rB = tl.TileSet(ctx, rb)
@@ -345,7 +371,7 @@ class TestStatementIIKernel:
             "dilate", tl.TileSet.dilate))
         for t in corpus(24):
             for tt in (t, t.swapped()):
-                for d in range(tt.context.direction_count):
+                for d in range(len(tt.context.primes)):
                     rd.splittingslab_equiv_check(tt, d)
         assert calls == {}
         # a non-cover raises the cover table's error, still without a report

@@ -253,7 +253,7 @@ class TestSplitReport:
         errors = collections.Counter()
         for t in unchecked_pairs(600, seed=7, moduli=(2, 36)):
             for tt in (t, t.swapped()):
-                for d in range(tt.context.direction_count):
+                for d in range(len(tt.context.primes)):
                     want = outcome_with_message(literal_split_report, tt, d)
                     assert outcome_with_message(sp.split_report, tt, d) == want
                     if isinstance(want, tuple):
@@ -309,23 +309,40 @@ class TestDeciderDisagreement:
         assert "invariant violation (bug): fiber 0*F" in capsys.readouterr().err
 
 
+def parities_follow_translate(t, c, direction):
+    """Whether the split_report parities of (A - c) + B are those of A + B
+    with every anchor moved by -c: translating A carries its fibers along."""
+    ctx = t.context
+    step = ctx.M // ctx.primes[direction][0]
+    shifted = tl.TileSet(ctx, [(a - c) % ctx.M for a in t.A])
+    base = sp.split_report(t, direction).fibers
+    moved = sp.split_report(tl.Tiling(shifted, t.B), direction).fibers
+    return all(moved[(anchor - c) % step] is base[anchor] for anchor in base)
+
+
 class TestTranslateSplitting:
+    """Translation symmetry of the parities, a property of the definitions."""
+
     def test_zero_shift(self):
-        assert sp.check_translate_splitting(t9(), 0, 0)
+        assert parities_follow_translate(t9(), 0, 0)
 
     def test_worked_examples(self):
-        assert sp.check_translate_splitting(t9(), 1, 0)
-        assert sp.check_translate_splitting(t12(), 7, 0)
+        assert parities_follow_translate(t9(), 1, 0)
+        assert parities_follow_translate(t12(), 7, 0)
 
     @given(st.integers(min_value=-12, max_value=24))
     def test_every_shift_of_the_worked_tiling(self, c):
-        assert sp.check_translate_splitting(t12(), c, 0)
-        assert sp.check_translate_splitting(t12(), c, 1)
+        assert parities_follow_translate(t12(), c, 0)
+        assert parities_follow_translate(t12(), c, 1)
 
-    def test_equivariance_over_corpus(self):
-        for t in corpus(16)[::37]:
-            for c in (1, 5, 11):
-                assert sp.check_translate_splitting(t, c, 0)
+    @given(st.sampled_from([8, 12, 16, 18, 20, 24]), st.data())
+    def test_equivariance_over_corpus(self, M, data):
+        t = data.draw(st.sampled_from(corpus(M)))
+        c = data.draw(st.integers(min_value=-M, max_value=2 * M))
+        d = data.draw(st.integers(min_value=0,
+                                  max_value=len(t.context.primes) - 1))
+        assert parities_follow_translate(t, c, d)
+        assert parities_follow_translate(t.swapped(), c, d)
 
 
 class TestDisjointSigma:
@@ -486,7 +503,7 @@ class TestFullFibers:
     def test_matches_member_scan(self):
         for t in oracle_tilings():
             for T in (t.A, t.B):
-                for d in range(T.context.direction_count):
+                for d in range(len(T.context.primes)):
                     assert (sp._full_fibers(T.context, T.mask, d)
                             == literal_full_fibers(T, d))
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import tilelab as tl
-from tilelab.errors import InputError
+from tilelab.errors import ContextMismatchError
 from tilelab.structure import _count_rows
 
 from conftest import corpus, unchecked_pairs
@@ -59,31 +59,34 @@ class TestBoxProduct:
     def test_examples(self):
         c4 = tl.factorize(4)
         A, B = tl.TileSet(c4, [0, 1]), tl.TileSet(c4, [0, 2])
-        assert tl.box_product(A, B, c4.residue(0), c4.residue(0)) == 1
+        assert tl.box_product(A, B, 0, 0) == 1
         c9 = tl.factorize(9)
         assert tl.box_product(tl.TileSet(c9, [0, 1, 2]), tl.TileSet(c9, [0, 3, 6]),
-                              c9.residue(0), c9.residue(1)) == 1
+                              0, 1) == 1
 
     def test_non_tiling_witness(self):
         c4 = tl.factorize(4)
         A = tl.TileSet(c4, [0, 2])
-        got = tl.box_product(A, A, c4.residue(0), c4.residue(0))
+        got = tl.box_product(A, A, 0, 0)
         assert got == 2
 
-    def test_base_point_of_another_modulus_rejected(self):
+    def test_base_points_read_mod_m(self):
+        t = corpus(12)[5]
+        for x, y in ((0, 0), (3, 7), (11, 1)):
+            want = tl.box_product(t.A, t.B, x, y)
+            assert tl.box_product(t.A, t.B, x + 12, y - 24) == want
+            assert tl.box_product(t.A, t.B, x - 12, y + 36) == want
+
+    def test_tiles_of_different_moduli_rejected(self):
         c4, c8 = tl.factorize(4), tl.factorize(8)
-        A, B = tl.TileSet(c4, [0, 1]), tl.TileSet(c4, [0, 2])
-        with pytest.raises(InputError, match="Z_8"):
-            tl.box_product(A, B, c8.residue(0), c4.residue(0))
-        with pytest.raises(InputError, match="Z_8"):
-            tl.box_product(A, B, 0, c8.residue(5))
+        with pytest.raises(ContextMismatchError, match="8"):
+            tl.box_product(tl.TileSet(c4, [0, 1]), tl.TileSet(c8, [0, 2]), 0, 0)
 
     def test_matches_independent_formula(self):
         for t in corpus(12)[::9]:
             for x in range(0, 12, 5):
                 for y in range(0, 12, 7):
-                    got = tl.box_product(t.A, t.B, t.context.residue(x),
-                                         t.context.residue(y))
+                    got = tl.box_product(t.A, t.B, x, y)
                     assert got == oracle_box(t.A, t.B, x, y)
                     assert isinstance(got, Fraction)
 

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import math
@@ -9,7 +10,7 @@ import pytest
 import tilelab as tl
 import tilelab.tiling
 from tilelab.errors import InputError, TheoremViolationError
-from tilelab.tiling import (_class_masks, _dilate_div, _run_search,
+from tilelab.tiling import (_class_bits, _dilate_div, _run_search,
                             tiling_to_json, tiling_from_json)
 
 from conftest import corpus, oracle_tilings, unchecked_pairs
@@ -18,6 +19,24 @@ from conftest import corpus, oracle_tilings, unchecked_pairs
 def T(M, A, B, check=True):
     ctx = tl.factorize(M)
     return tl.Tiling(tl.TileSet(ctx, A), tl.TileSet(ctx, B), check=check)
+
+
+@functools.lru_cache(maxsize=None)
+def gcd_class_masks(ctx):
+    """divisor d -> bitmask of {v in [1, M) : (v, M) = d}, by math.gcd."""
+    masks = dict.fromkeys(ctx.divisors, 0)
+    for v in range(1, ctx.M):
+        masks[math.gcd(v, ctx.M)] |= 1 << v
+    return masks
+
+
+def test_class_bits_match_the_gcd_classes():
+    for M in range(1, 121):
+        ctx = tl.factorize(M)
+        cbit, masks = _class_bits(ctx)
+        assert masks == tuple(gcd_class_masks(ctx).values())
+        assert cbit == tuple(1 << ctx.divisors.index(math.gcd(v, M))
+                             for v in range(M))
 
 
 class TestVerifiers:
@@ -174,7 +193,7 @@ def literal_pair_dfs(ctx, dA, dB):
     full = ctx.full_mask
     rotate = ctx.rotate
     gcds = ctx.gcd_table
-    class_masks = _class_masks(ctx)
+    class_masks = gcd_class_masks(ctx)
     A = [0]
     B = [0]
 
@@ -345,7 +364,7 @@ def literal_complements(A, normalize):
     if k == 0 or M % k:
         return
     target = M // k
-    class_masks = _class_masks(ctx)
+    class_masks = gcd_class_masks(ctx)
     forb = 0
     for d in tl.div_set(A) - {M}:
         forb |= class_masks[d]
@@ -535,15 +554,21 @@ class TestOrbitOracle:
 class TestDilationStabilizer:
     def test_examples(self):
         ctx = tl.factorize(12)
-        assert tl.dilation_stabilizer(ctx.residue(2), ctx.residue(10)) == (5, 11)
-        assert tl.dilation_stabilizer(ctx.residue(1), ctx.residue(1)) == (1,)
+        assert tl.dilation_stabilizer(ctx, 2, 10) == (5, 11)
+        assert tl.dilation_stabilizer(ctx, 1, 1) == (1,)
         c9 = tl.factorize(9)
-        assert tl.dilation_stabilizer(c9.residue(3), c9.residue(6)) == (2, 5, 8)
+        assert tl.dilation_stabilizer(c9, 3, 6) == (2, 5, 8)
 
     def test_mismatched_gcds_rejected(self):
         ctx = tl.factorize(12)
         with pytest.raises(InputError):
-            tl.dilation_stabilizer(ctx.residue(2), ctx.residue(3))
+            tl.dilation_stabilizer(ctx, 2, 3)
+
+    def test_out_of_range_rejected(self):
+        ctx = tl.factorize(12)
+        for x, xp in ((12, 0), (0, 12), (-1, 11), (11, -1), (1, 25)):
+            with pytest.raises(InputError, match="outside"):
+                tl.dilation_stabilizer(ctx, x, xp)
 
     @pytest.mark.parametrize("M", [12, 36])
     def test_cardinality_and_lattice_form(self, M):
@@ -554,7 +579,7 @@ class TestDilationStabilizer:
             for xp in range(M):
                 if math.gcd(xp, M) != m:
                     continue
-                stab = tl.dilation_stabilizer(ctx.residue(x), ctx.residue(xp))
+                stab = tl.dilation_stabilizer(ctx, x, xp)
                 if not stab:
                     continue
                 assert len(stab) == ctx.phi_table[M] // tl.euler_phi(M // m)
@@ -573,8 +598,7 @@ class TestDilationStabilizer:
                     if ctx.gcd_table[x] != ctx.gcd_table[xp]:
                         continue
                     scan = tuple(r for r in ctx.units if r * x % M == xp)
-                    assert tl.dilation_stabilizer(
-                        ctx.residue(x), ctx.residue(xp)) == scan, (M, x, xp)
+                    assert tl.dilation_stabilizer(ctx, x, xp) == scan, (M, x, xp)
                     pairs += 1
         assert pairs == sum(tl.euler_phi(d) ** 2 for M in range(1, 61)
                             for d in tl.factorize(M).divisors)
