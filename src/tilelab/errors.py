@@ -49,9 +49,5 @@ class NotFiberedError(InputError):
     """Tile is not a disjoint union of one-direction fibers on some grid."""
 
 
-class CollapseError(InputError):
-    """A dilation that must be injective on the tile was not."""
-
-
 class PipelineStuckError(TilelabError):
     """No reduction step applies; reported with full state, disproves nothing."""

@@ -8,8 +8,8 @@ Chaining such steps until at most two distinct primes remain yields a
 machine-checkable certificate that both tiles satisfy (T2): products of
 prime powers s with Phi_s dividing the mask must themselves divide it.
 
-Every step records enough to be replayed; `replay_certificate` re-derives
-each intermediate tiling from scratch and fails loudly on any mismatch.
+Derivation proposes the chain with every pair unchecked; the one checker,
+`replay_certificate`, re-derives each step and verifies each tiling once.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import (
-    CollapseError,
     EquivalenceViolationError,
     ImplicationViolationError,
     InputError,
     InvariantViolationError,
     PipelineStuckError,
+    TheoremViolationError,
 )
 from .zm_core import TileSet, ZmContext, factorize, radical_quotient
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
@@ -326,8 +326,8 @@ def _prime_removal_branches(t: Tiling, p: int) -> tuple[str, list[Tiling]]:
 
     The tile whose cardinality p does not divide is dilated by p (injective
     for genuine tilings); the other splits by residue class mod p.  Class j
-    of Z_M is covered exactly by the reduced pair, giving one verified child
-    tiling per class.
+    of Z_M is covered exactly by the reduced pair, giving one child tiling
+    per class, built unchecked: replay verifies them.
     """
     ctx = t.context
     if ctx.M % p:
@@ -343,14 +343,14 @@ def _prime_removal_branches(t: Tiling, p: int) -> tuple[str, list[Tiling]]:
     # a -> a mod M/p is the dilation p*A read in p*Z_M; injective unless p*A collapses
     kept = TileSet(child, {a % child.M for a in keep})
     if len(kept) < len(keep):
-        raise CollapseError(
+        raise TheoremViolationError(
             f"dilation by {p} collapses {keep.members} in Z_{ctx.M}")
 
     branches = []
     for j in range(p):
         part = TileSet(child, [((b - j) % ctx.M) // p for b in split if b % p == j])
         pair = (kept, part) if dilated == "A" else (part, kept)
-        branches.append(Tiling(pair[0], pair[1]))
+        branches.append(Tiling(pair[0], pair[1], check=False))
     return dilated, branches
 
 
@@ -442,8 +442,8 @@ def _slab_child(t: Tiling, side: str) -> Tiling:
     """Apply the slab reduction for the largest prime to the named side.
 
     Gates on the directly checked hypotheses (Phi_{p^n} divides the slabbed
-    tile; divisor exclusion cond_ii) and verifies the projected pair tiles
-    Z_{M/p}; raises InputError when the gate fails.
+    tile; divisor exclusion cond_ii) and raises InputError when the gate
+    fails.  The projected pair is built unchecked: replay verifies it.
     """
     ctx = t.context
     direction = len(ctx.primes) - 1
@@ -454,13 +454,8 @@ def _slab_child(t: Tiling, side: str) -> Tiling:
     ok, witness = slab_cond_ii(oriented, direction)
     if not ok:
         raise InputError(f"divisor exclusion fails at m={witness}")
-    child_a = _projected_slab(oriented.A, direction)
-    child_b = project_tile(oriented.B, direction)
-    if not verify_direct(child_a, child_b):
-        raise EquivalenceViolationError(
-            f"slab hypotheses hold but projected pair is not a tiling: "
-            f"A={t.A.members} B={t.B.members} M={ctx.M} side={side} p={p}")
-    return Tiling(child_a, child_b, check=False)
+    return Tiling(_projected_slab(oriented.A, direction),
+                  project_tile(oriented.B, direction), check=False)
 
 
 def prove_t2_largeprime(t: Tiling) -> T2Certificate:
@@ -470,28 +465,27 @@ def prove_t2_largeprime(t: Tiling) -> T2Certificate:
     cardinality (largest such); otherwise slab the largest prime; otherwise
     fall back to a direct check.  Prime removal branches over all residue
     classes; class 0 continues the main chain and the rest carry their own
-    certificates.  Side certificates are derived without replay; the whole
-    chain is replayed once, here, before being returned.
+    certificates.  A non-tiling raises InputError before anything is
+    derived; the chain is then replayed once, here.  Past that first check,
+    any error but PipelineStuckError is a bug.
     """
+    if not verify_direct(t.A, t.B):
+        raise InputError(f"not a tiling: {t!r}")
     cert = _derive_certificate(t)
     replay_certificate(cert)
     return cert
 
 
 def _derive_certificate(t: Tiling) -> T2Certificate:
-    """The certificate of prove_t2_largeprime, not replayed."""
-    hypothesis = _large_prime_hypothesis(t.context)
+    """The certificate of prove_t2_largeprime, not replayed.  It checks only
+    what choosing needs: the slab gate, and (T2) to pick direct_check over
+    stuck, after verifying a stuck node so that a bug never reads as stuck."""
     steps: list[Step] = []
     cur = t
-    base: Optional[BaseCase] = None
     while True:
         ctx = cur.context
         k = len(ctx.primes)
         if k <= 2:
-            if not (check_T2(cur.A) and check_T2(cur.B)):
-                raise ImplicationViolationError(
-                    f"tile with at most two prime factors fails (T2): "
-                    f"A={cur.A.members} B={cur.B.members} M={ctx.M}")
             base = BaseCase(k, "two_primes")
             break
 
@@ -508,29 +502,25 @@ def _derive_certificate(t: Tiling) -> T2Certificate:
             missing = cur.swapped() if side_name == "A" else cur
             blowbound_check(missing, len(ctx.primes) - 1)  # advisory; raises only on disproof
             try:
-                child = _slab_child(cur, side_name)
+                cur = _slab_child(cur, side_name)
             except InputError:
-                child = None
-            if child is not None:
-                steps.append(SlabStep(ctx.primes[-1][0], side_name, child))
-                cur = child
+                pass                # the gate fails: fall back to (T2)
+            else:
+                steps.append(SlabStep(ctx.primes[-1][0], side_name, cur))
                 continue
 
         if check_T2(cur.A) and check_T2(cur.B):
             base = BaseCase(k, "direct_check")
             break
+        if not verify_direct(cur.A, cur.B):
+            raise InvariantViolationError(f"stuck on a non-tiling: {cur!r}")
         raise PipelineStuckError(
             f"no reduction applies and direct check fails: M={ctx.M} "
             f"A={cur.A.members} B={cur.B.members} |A|={len(cur.A)} "
             f"|B|={len(cur.B)} orientation={side_name!r}")
 
-    t2_a = check_T2(t.A)
-    t2_b = check_T2(t.B)
-    if not (t2_a and t2_b):
-        raise ImplicationViolationError(
-            f"certificate chain succeeded but direct (T2) check disagrees: "
-            f"A={t2_a} B={t2_b} for A={t.A.members} B={t.B.members}")
-    return T2Certificate(t, tuple(steps), base, t2_a, t2_b, hypothesis)
+    return T2Certificate(t, tuple(steps), base, check_T2(t.A), check_T2(t.B),
+                         _large_prime_hypothesis(t.context))
 
 
 def _large_prime_hypothesis(ctx: ZmContext) -> bool:
@@ -543,10 +533,11 @@ def _large_prime_hypothesis(ctx: ZmContext) -> bool:
 def replay_certificate(cert: T2Certificate) -> bool:
     """Mechanically re-derive every step; any divergence raises.
 
-    The independent check, run once per prove_t2_largeprime call: it never
-    asks the prover for a prime or a side, and replays each side certificate
-    once, against its derived branch.  Derived pairs are not verified again;
-    derivation checks every removal branch and projected slab pair.
+    The one checker of a certificate; it never asks the prover for a prime
+    or a side.  It verifies each tiling of the chain once: its input, each
+    main-chain pair it derives, and (in their own replay, after comparing
+    them with the derived branches) the side certificates' inputs.  Then
+    the base case must hold, and the recorded (T2) of the input must too.
     """
     cur = cert.input
     if not verify_direct(cur.A, cur.B):
@@ -555,42 +546,40 @@ def replay_certificate(cert: T2Certificate) -> bool:
     for step in cert.steps:
         if isinstance(step, PrimeRemovalStep):
             dilated, branches = _prime_removal_branches(cur, step.p)
-            if dilated != step.dilated or branches[0] != step.result:
+            recorded = (step.dilated, step.result,
+                        *(side.input for side in step.side_certificates))
+            if (dilated, *branches) != recorded:
                 raise InvariantViolationError(
                     f"prime removal step does not replay: p={step.p} "
-                    f"recorded {step.result!r}, derived {branches[0]!r}")
-            if len(step.side_certificates) != len(branches) - 1:
-                raise InvariantViolationError(
-                    f"expected {len(branches) - 1} side certificates, "
-                    f"found {len(step.side_certificates)}")
-            for side_cert, branch in zip(step.side_certificates, branches[1:]):
-                if side_cert.input != branch:
-                    raise InvariantViolationError(
-                        f"side certificate input {side_cert.input!r} does "
-                        f"not match derived branch {branch!r}")
+                    f"recorded {recorded!r}, derived {(dilated, *branches)!r}")
+            if not verify_direct(branches[0].A, branches[0].B):
+                raise TheoremViolationError(
+                    f"dilation by {step.p} breaks the tiling {cur!r}: "
+                    f"branch 0 is {branches[0]!r}")
+            for side_cert in step.side_certificates:
                 replay_certificate(side_cert)
             cur = branches[0]
         else:
-            if step.p != cur.context.primes[-1][0]:
+            p, child = cur.context.primes[-1][0], _slab_child(cur, step.side)
+            if (p, child) != (step.p, step.result):
                 raise InvariantViolationError(
-                    f"slab step prime {step.p} is not the largest prime "
-                    f"of M={cur.context.M}")
-            derived = _slab_child(cur, step.side)
-            if derived != step.result:
-                raise InvariantViolationError(
-                    f"slab step does not replay: recorded {step.result!r}, "
-                    f"derived {derived!r}")
-            cur = derived
+                    f"slab step does not replay: recorded p={step.p} "
+                    f"{step.result!r}, derived p={p} {child!r}")
+            if not verify_direct(child.A, child.B):
+                raise EquivalenceViolationError(
+                    f"slab hypotheses hold but projected pair is not a "
+                    f"tiling: A={cur.A.members} B={cur.B.members} "
+                    f"M={cur.context.M} side={step.side} p={step.p}")
+            cur = child
     k = len(cur.context.primes)
-    if cert.base.primes != k:
+    if (cert.base.primes, cert.base.kind == "two_primes") != (k, k <= 2):
         raise InvariantViolationError(
-            f"base case records {cert.base.primes} primes, chain ends with {k}")
-    if (cert.base.kind == "two_primes") != (k <= 2):
-        raise InvariantViolationError(
-            f"base kind {cert.base.kind!r} inconsistent with {k} primes")
+            f"base case {cert.base!r} but the chain ends with {k} primes")
     if not (check_T2(cur.A) and check_T2(cur.B)):
+        raise InvariantViolationError(f"base case tiles fail (T2): {cur!r}")
+    if not (cert.t2_a and cert.t2_b
+            and check_T2(cert.input.A) and check_T2(cert.input.B)):
         raise InvariantViolationError(
-            f"base case tiles fail (T2): {cur!r}")
-    if cert.t2_a != check_T2(cert.input.A) or cert.t2_b != check_T2(cert.input.B):
-        raise InvariantViolationError("final (T2) booleans do not match direct checks")
+            f"(T2) of the input is not recorded as holding, or fails: "
+            f"t2_a={cert.t2_a} t2_b={cert.t2_b} for {cert.input!r}")
     return True

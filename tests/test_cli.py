@@ -14,9 +14,8 @@ import tilelab.cli
 import tilelab.reduction
 import tilelab.splitting
 from tilelab.cli import main
-from tilelab.errors import (CollapseError, EquivalenceViolationError,
-                            LemmaViolationError, PipelineStuckError,
-                            TheoremViolationError)
+from tilelab.errors import (EquivalenceViolationError, LemmaViolationError,
+                            PipelineStuckError, TheoremViolationError)
 from tilelab.zm_core import MAX_M
 
 
@@ -261,7 +260,7 @@ class TestSweep:
 
         def failing_on_worked(t):
             if list(t.A) == [0, 1, 6, 7] and list(t.B) == [0, 4, 8]:
-                raise CollapseError("injected")
+                raise TheoremViolationError("injected")
             return real(t)
 
         monkeypatch.setattr(tilelab.cli, "prove_t2_largeprime",

@@ -3,13 +3,17 @@
 import collections
 import dataclasses
 import functools
+import hashlib
+import json
 
 import pytest
 
 import tilelab as tl
+import tilelab.cli
 from tilelab import reduction as rd
 from tilelab import splitting as sp
-from tilelab.errors import InputError, InvariantViolationError, TilelabError
+from tilelab.errors import (EquivalenceViolationError, InputError,
+                            InvariantViolationError, TilelabError)
 
 from conftest import corpus, crt_value, oracle_tilings, unchecked_pairs
 
@@ -44,6 +48,24 @@ def certificate_nodes(cert):
     return 1 + sum(certificate_nodes(side) for step in cert.steps
                    if isinstance(step, rd.PrimeRemovalStep)
                    for side in step.side_certificates)
+
+
+def certificate_tilings(cert):
+    """The tilings a certificate carries: each node's input and the result
+    of each of its steps."""
+    return [cert.input, *(step.result for step in cert.steps),
+            *(t for step in cert.steps
+              if isinstance(step, rd.PrimeRemovalStep)
+              for side in step.side_certificates
+              for t in certificate_tilings(side))]
+
+
+def _drop_first_member(real):
+    """_projected_slab broken to lose the least member of every slab."""
+    def broken(A, direction, c=0):
+        got = real(A, direction, c)
+        return tl.TileSet(got.context, got.members[1:])
+    return broken
 
 
 def _replace_step(cert, kind, **changes):
@@ -519,6 +541,85 @@ class TestProver:
         cert = rd.prove_t2_largeprime(make())
         assert len(replayed) == certificate_nodes(cert) > 1
         assert len(set(map(id, replayed))) == len(replayed)
+
+    @pytest.mark.parametrize("make", [
+        lambda: T(84, range(0, 84, 12), range(12)), product_tiling_900,
+        lifted_tiling_6300], ids=["Z84", "Z900", "Z6300"])
+    def test_each_tiling_is_verified_once(self, monkeypatch, make):
+        real = tl.verify_direct
+        verified = []
+
+        def counting(A, B):
+            verified.append(tl.Tiling(A, B, check=False))
+            return real(A, B)
+
+        t = make()
+        monkeypatch.setattr(rd, "verify_direct", counting)
+        monkeypatch.setattr(tl.tiling, "verify_direct", counting)
+        cert = rd.prove_t2_largeprime(t)
+        # replay verifies every tiling once; prove adds its up-front check
+        expected = collections.Counter(certificate_tilings(cert) + [t])
+        assert collections.Counter(verified) == expected
+
+    @pytest.mark.parametrize("make", [product_tiling_900, lifted_tiling_6300],
+                             ids=["Z900", "Z6300"])
+    def test_broken_slab_kernel_is_a_bug(self, monkeypatch, capsys, make):
+        monkeypatch.setattr(rd, "_projected_slab",
+                            _drop_first_member(rd._projected_slab))
+        t = make()
+        with pytest.raises(InvariantViolationError):
+            rd.prove_t2_largeprime(t)
+        code = tilelab.cli.main(["prove", json.dumps(tl.tiling_to_json(t))])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("invariant violation (bug): ")
+
+    def test_replay_verifies_the_slab_pair(self, monkeypatch):
+        cert = rd.prove_t2_largeprime(product_tiling_900())
+        broken = _drop_first_member(rd._projected_slab)
+        step = cert.steps[0]
+        oriented = cert.input if step.side == "A" else cert.input.swapped()
+        child = tl.Tiling(broken(oriented.A, 2), step.result.B, check=False)
+        bad = _replace_step(cert, rd.SlabStep, result=child)
+        monkeypatch.setattr(rd, "_projected_slab", broken)
+        with pytest.raises(EquivalenceViolationError,
+                           match="projected pair is not a tiling"):
+            rd.replay_certificate(bad)
+
+    def test_stuck_non_tiling_is_a_bug(self):
+        # no prime divides exactly one of |A| = |B| = 6, neither slab gate
+        # opens and A fails (T2): only a kernel bug could lead here
+        t = T(30, [0, 1, 3, 8, 13, 26], [0, 3, 9, 18, 24, 28], check=False)
+        with pytest.raises(InvariantViolationError, match="non-tiling"):
+            rd._derive_certificate(t)
+
+    def test_every_non_tiling_is_an_input_error(self):
+        certified = 0
+        digest = hashlib.sha256()
+        kinds = collections.Counter()
+
+        def count_kinds(cert):
+            kinds[cert.base.kind] += 1
+            for step in cert.steps:
+                kinds[type(step).__name__] += 1
+                for side in getattr(step, "side_certificates", ()):
+                    count_kinds(side)
+
+        for t in unchecked_pairs(1500, seed=9, moduli=(2, 120)):
+            if not tl.verify_direct(t.A, t.B):
+                with pytest.raises(InputError, match="not a tiling"):
+                    rd.prove_t2_largeprime(t)
+                continue
+            cert = rd.prove_t2_largeprime(t)
+            certified += 1
+            digest.update(json.dumps(rd.certificate_to_json(cert),
+                                     sort_keys=True).encode())
+            count_kinds(cert)
+        # pinned before the prover's checks moved into replay
+        assert certified == 608
+        assert kinds == {"two_primes": 834, "PrimeRemovalStep": 28}
+        assert digest.hexdigest() == (
+            "913fee469aac8e73296d9e73351276a3ba2d0e11ffabcfe48537d9a7cdbd61cc")
 
     def test_replay_never_asks_the_prover(self, monkeypatch):
         cert = rd.prove_t2_largeprime(lifted_tiling_6300())
