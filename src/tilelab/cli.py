@@ -21,6 +21,7 @@ from functools import lru_cache
 from .errors import (
     InputError,
     InvariantViolationError,
+    NotATilingError,
     NotFiberedError,
     PipelineStuckError,
     TilelabError,
@@ -132,29 +133,44 @@ def _render_text(obj, indent: int = 0, out=None) -> list[str]:
 def _json_text(value, pad: str) -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2) for a value
     nested at indentation pad, with the C string encoder and no generators:
-    on Python 3.11, indent always selects the pure-Python encoder."""
-    kind = type(value)          # exact, so a bool is never written as an int
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _encode_str(value)
+    on Python 3.11, indent always selects the pure-Python encoder.  The
+    loops write str, int and bool items in place, by exact type so that a
+    bool is never written as an int; only containers, None and floats
+    recurse."""
+    kind = type(value)
     if kind is dict:
         if not value:
             return "{}"
         inner = pad + "  "
-        items = [_encode_str(key) + ": " + _json_text(item, inner)
-                 for key, item in sorted(value.items())]
+        items = []
+        for key, item in sorted(value.items()):
+            kind = type(item)
+            if kind is str:
+                text = _encode_str(item)
+            elif kind is int:
+                text = int.__repr__(item)
+            elif kind is bool:
+                text = "true" if item else "false"
+            else:
+                text = _json_text(item, inner)
+            items.append(_encode_str(key) + ": " + text)
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = pad + "  "
-        items = [_json_text(item, inner) for item in value]
+        items = []
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                items.append(_encode_str(item))
+            elif kind is int:
+                items.append(int.__repr__(item))
+            elif kind is bool:
+                items.append("true" if item else "false")
+            else:
+                items.append(_json_text(item, inner))
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
     return json.dumps(value)
 
 
@@ -372,9 +388,14 @@ def _sweep_t2(t: Tiling, violations: list, reports: list) -> None:
 
 
 def _sweep_worker(args: tuple) -> tuple[dict, list, list]:
+    """_sweep_one on a tiling sent to a pool process as member lists."""
     M, a_members, b_members, check = args
     ctx = factorize(M)
-    t = Tiling(TileSet(ctx, a_members), TileSet(ctx, b_members), check=False)
+    return _sweep_one(Tiling(TileSet(ctx, a_members), TileSet(ctx, b_members),
+                             check=False), check)
+
+
+def _sweep_one(t: Tiling, check: str) -> tuple[dict, list, list]:
     counts = {"tilings": 1, "fibers": 0, "grids": 0}
     violations: list = []
     reports: list = []
@@ -395,7 +416,6 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
     ctx = factorize(M)
     corpus = (sample_tilings(ctx, cap=limit) if limit is not None
               else iter_tilings(ctx))
-    work = ((M, list(t.A), list(t.B), check) for t in corpus)
 
     counts = {"tilings": 0, "fibers": 0, "grids": 0}
     violations: list = []
@@ -409,12 +429,13 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
             reports.extend(part_reports)
 
     if jobs > 1:
+        work = ((M, list(t.A), list(t.B), check) for t in corpus)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # Executor.map submits its whole input at once: feed it batches
             while batch := list(itertools.islice(work, 256 * jobs)):
                 add(pool.map(_sweep_worker, batch, chunksize=16))
     else:
-        add(map(_sweep_worker, work))
+        add(_sweep_one(t, check) for t in corpus)
 
     violations.sort(key=lambda v: json.dumps(v, sort_keys=True))
     reports.sort(key=lambda r: json.dumps(r, sort_keys=True))
@@ -436,12 +457,12 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
 
 def cmd_prove(arg: str, fmt: str) -> int:
     t = _parse_tiling(arg)
-    if not verify_direct(t.A, t.B):
-        print(f"input is not a tiling of Z_{t.context.M}", file=sys.stderr)
-        return 1
     report = _report("prove", t)
     try:
         cert = prove_t2_largeprime(t)
+    except NotATilingError:
+        print(f"input is not a tiling of Z_{t.context.M}", file=sys.stderr)
+        return 1
     except PipelineStuckError as exc:
         report["stuck"] = str(exc)
         _emit(report, fmt)

@@ -20,7 +20,7 @@ and Lam and Leung, "On vanishing sums of roots of unity", J. Algebra 224
 
 The polynomials are evaluated at X = 2^w, one packed integer per tile, with
 a field of w bits per residue; w is the least multiple of 8 with
-2^w > 2|A|.  The indicator of A packs into M fields; the counts mod s are
+2^w > |A|.  The indicator of A packs into M fields; the counts mod s are
 the sum of the p slices of w*s bits of the counts mod s*p, and no field
 carries, since a count is at most |A|.  Each operator 1 - X^d is
 P - (P << w*d), and reducing mod X^s - 1 becomes reducing mod
@@ -33,10 +33,13 @@ counts at pairwise distinct residues mod s: if two sets S != T gave
 congruent sums, take q in one and not the other, with q^e exactly dividing
 s; every s/p with p != q is divisible by q^e and s/q is not, so the two
 sums differ mod q^e, hence mod s.  A sum of counts at distinct residues is
-at most |A|.  So each coefficient is below 2^(w-1) in absolute value,
-|R(2^w)| < N, and a nonzero R has a leading coefficient whose term
-outweighs all lower ones.  Hence R = 0 exactly when R(2^w) = 0 exactly when
-the packed value is 0 mod N.
+at most |A|, so every |r_x| <= 2^w - 1.  The coefficients also sum to
+R(1) = c(1) * prod (1 - 1) = 0, as s > 1 has a prime.  |R(2^w)| could
+reach N = (2^w - 1) * sum_{x < s} 2^(w x) only with every r_x equal to
+2^w - 1, or every r_x to -(2^w - 1), and those do not sum to 0; so
+|R(2^w)| < N, and the packed value is 0 mod N exactly when R(2^w) = 0.
+That forces R = 0: the lowest nonzero r_x would be divisible by 2^w,
+yet 0 < |r_x| < 2^w.
 
 The two classical conditions on a tile, with S_A the set of prime powers
 s | M whose Phi_s divides the mask:
@@ -113,7 +116,7 @@ def cyclo_profile(A: TileSet) -> CycloProfile:
     if not len(A):
         raise InputError("cannot profile the empty tile")
     ctx = A.context
-    nbytes = (len(A).bit_length() + 8) // 8
+    nbytes = (len(A).bit_length() + 7) // 8
     w = 8 * nbytes
     packed = bytearray(ctx.M * nbytes)
     for a in A.members:

@@ -17,6 +17,10 @@ class ContextMismatchError(InputError):
     """Operands built over different moduli."""
 
 
+class NotATilingError(InputError):
+    """A pair given as a tiling does not tile Z_M."""
+
+
 class InvariantViolationError(TilelabError):
     """A proved statement failed on concrete data (CLI exit code 3).
 

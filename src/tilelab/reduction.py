@@ -24,6 +24,7 @@ from .errors import (
     ImplicationViolationError,
     InputError,
     InvariantViolationError,
+    NotATilingError,
     PipelineStuckError,
     TheoremViolationError,
 )
@@ -66,17 +67,16 @@ def project_tile(A: TileSet, direction: int) -> TileSet:
     return TileSet(child, {a * u % child.M for a in A.members})
 
 
-def _projected_slab(A: TileSet, direction: int, c: int = 0) -> TileSet:
-    """The slab of A - c, its members whose CRT coordinate in `direction`
-    is below p^{n-1}, projected to Z_{M/p}."""
+def _projected_slab(A: TileSet, direction: int) -> TileSet:
+    """The slab of A, its members whose CRT coordinate in `direction` is
+    below p^{n-1}, projected to Z_{M/p}."""
     ctx = A.context
     p, n = ctx.primes[direction]
     child, u = _projection(ctx, direction)
-    m = child.M
     low = p ** (n - 1)
     coord = ctx.coord_tables[direction]
-    shifted = [(a - c) % ctx.M for a in A.members]
-    return TileSet(child, {v * u % m for v in shifted if coord[v] < low})
+    return TileSet(child, {a * u % child.M for a in A.members
+                           if coord[a] < low})
 
 
 def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
@@ -88,11 +88,39 @@ def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     homomorphism, so the rest of c only translates the projected pair, which
     keeps or breaks the tiling alike.  Every failing c is therefore congruent
     mod p^n to a failing c below p^n, and the least witness is unchanged.
+
+    The test runs in Z_M, on masks.  The projection pi has kernel
+    K = <M/p>, whose members carry the coordinates k p^{n-1}, so pi is
+    injective on a slab window.  The preimage of pi(B) is B + K, and that
+    of pi(B) + pi(s) is B + K + s.  With S the members a of A whose
+    coordinate minus c's lies below p^{n-1} mod p^n (the slab, translated
+    back by c), the projected pair tiles exactly when |S| |pi(B)| = M/p,
+    where |pi(B)| = |B + K|/p, and the rotations of B + K by the a in S
+    cover Z_M.
     """
-    p, n = t.context.check_direction(direction)
-    projected_b = project_tile(t.B, direction)
-    for c in range(p ** n):
-        if not verify_direct(_projected_slab(t.A, direction, c), projected_b):
+    ctx = t.context
+    p, n = ctx.check_direction(direction)
+    M, q, low = ctx.M, p ** n, p ** (n - 1)
+    step = M // p
+    b_mask = t.B.mask
+    for k in range(1, p):
+        b_mask |= ctx.rotate(t.B.mask, k * step)
+    size_b = b_mask.bit_count() // p
+    doubled = b_mask | b_mask << M     # rotate(b_mask, a) = doubled >> (M - a)
+    coord = ctx.coord_tables[direction]
+    unions, counts = [0] * q, [0] * q   # per coordinate x of a member
+    for a in t.A.members:
+        unions[coord[a]] |= doubled >> (M - a)
+        counts[coord[a]] += 1
+    unions += unions                    # so that windows need not wrap
+    counts += counts
+    for c in range(q):
+        x = coord[c]
+        covered = 0
+        for u in unions[x:x + low]:
+            covered |= u
+        if (sum(counts[x:x + low]) * size_b != step
+                or covered & ctx.full_mask != ctx.full_mask):
             return False, c
     return True, None
 
@@ -465,12 +493,12 @@ def prove_t2_largeprime(t: Tiling) -> T2Certificate:
     cardinality (largest such); otherwise slab the largest prime; otherwise
     fall back to a direct check.  Prime removal branches over all residue
     classes; class 0 continues the main chain and the rest carry their own
-    certificates.  A non-tiling raises InputError before anything is
-    derived; the chain is then replayed once, here.  Past that first check,
-    any error but PipelineStuckError is a bug.
+    certificates.  A non-tiling raises NotATilingError (an InputError)
+    before anything is derived; the chain is then replayed once, here.
+    Past that first check, any error but PipelineStuckError is a bug.
     """
     if not verify_direct(t.A, t.B):
-        raise InputError(f"not a tiling: {t!r}")
+        raise NotATilingError(f"not a tiling: {t!r}")
     cert = _derive_certificate(t)
     replay_certificate(cert)
     return cert

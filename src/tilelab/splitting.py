@@ -89,48 +89,51 @@ def fiber_parity(t: Tiling, z: int, direction: int) -> Parity:
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Per-fiber parity map for one direction, with uniformity verdicts."""
+    """The parities of one direction's fibers, with uniformity verdicts.
+
+    Fibers are named by their anchors k < M/p (the fiber k*F holds the
+    points k + j M/p), and the masks hold bit k for anchor k: `ab_mask` for
+    the fibers of parity AB (the others are BA), `a_mask` and `b_mask` for
+    the anchors of the members of A and of B."""
 
     direction: int
     prime: int
-    fibers: dict[int, Parity]
-    a_anchors: frozenset[int]
-    b_anchors: frozenset[int]
-
-    def _uniform(self, parity: Parity, anchors=None) -> bool:
-        keys = self.fibers if anchors is None else anchors
-        return all(self.fibers[k] is parity for k in keys)
+    step: int          # M/p, the number of fibers
+    ab_mask: int
+    a_mask: int
+    b_mask: int
 
     @property
     def uniform_ab(self) -> bool:
-        return self._uniform(Parity.AB)
+        return self.ab_mask == (1 << self.step) - 1
 
     @property
     def uniform_ba(self) -> bool:
-        return self._uniform(Parity.BA)
+        return not self.ab_mask
 
     @property
     def a_uniform_ab(self) -> bool:
-        return self._uniform(Parity.AB, self.a_anchors)
+        return not self.a_mask & ~self.ab_mask
 
     @property
     def a_uniform_ba(self) -> bool:
-        return self._uniform(Parity.BA, self.a_anchors)
+        return not self.a_mask & self.ab_mask
 
     @property
     def b_uniform_ab(self) -> bool:
-        return self._uniform(Parity.AB, self.b_anchors)
+        return not self.b_mask & ~self.ab_mask
 
     @property
     def b_uniform_ba(self) -> bool:
-        return self._uniform(Parity.BA, self.b_anchors)
+        return not self.b_mask & self.ab_mask
 
     def to_json(self) -> dict:
+        bits = format(self.ab_mask, f"0{self.step}b")[::-1]   # bit k at [k]
         return {
             "direction": self.prime,
             "direction_index": self.direction,
-            "fibers": [{"anchor": k, "parity": self.fibers[k].value}
-                       for k in sorted(self.fibers)],
+            "fibers": [{"anchor": k, "parity": "AB" if bit == "1" else "BA"}
+                       for k, bit in enumerate(bits)],
             "verdicts": {
                 "uniform_AB": self.uniform_ab,
                 "uniform_BA": self.uniform_ba,
@@ -142,20 +145,26 @@ class SplitReport:
         }
 
 
+def _anchor_mask(mask: int, step: int) -> int:
+    """Bit k < step set when the mask meets the fiber of anchor k: the OR of
+    its slices of step bits."""
+    low = (1 << step) - 1
+    out = 0
+    while mask:
+        out |= mask & low
+        mask >>= step
+    return out
+
+
 def split_report(t: Tiling, direction: int) -> SplitReport:
     """The parity of every fiber of one direction, read off _ab_fibers."""
     ctx = t.context
     p, _ = ctx.check_direction(direction)
     step = ctx.M // p
     ab = _ab_fibers(t.A, t.B.members, direction)
-    return SplitReport(
-        direction=direction,
-        prime=p,
-        fibers={anchor: Parity.AB if ab >> anchor & 1 else Parity.BA
-                for anchor in range(step)},
-        a_anchors=frozenset(a % step for a in t.A.members),
-        b_anchors=frozenset(b % step for b in t.B.members),
-    )
+    return SplitReport(direction, p, step, ab & ((1 << step) - 1),
+                       _anchor_mask(t.A.mask, step),
+                       _anchor_mask(t.B.mask, step))
 
 
 def _coord_unions(ctx: ZmContext, mask: int, shifts,

@@ -24,7 +24,8 @@ from types import GeneratorType
 from typing import Iterator, Sequence
 
 from .cyclotomic import cyclo_profile
-from .errors import InputError, InvariantViolationError, TheoremViolationError
+from .errors import (InputError, InvariantViolationError, NotATilingError,
+                     TheoremViolationError)
 from .zm_core import TileSet, ZmContext, _same_context, factorize
 
 
@@ -36,7 +37,8 @@ class Tiling:
     def __init__(self, A: TileSet, B: TileSet, check: bool = True):
         ctx = _same_context(A, B)
         if check and not verify_direct(A, B):
-            raise InputError(f"not a tiling of Z_{ctx.M}: A={A.members} B={B.members}")
+            raise NotATilingError(
+                f"not a tiling of Z_{ctx.M}: A={A.members} B={B.members}")
         object.__setattr__(self, "context", ctx)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)

@@ -53,3 +53,35 @@ def unchecked_pairs(count, seed, moduli):
         A = tl.TileSet(ctx, [0] + rng.sample(range(1, M), ka - 1))
         B = tl.TileSet(ctx, [0] + rng.sample(range(1, M), kb - 1))
         yield tl.Tiling(A, B, check=False)
+
+
+def digit_tilings(M, count, seed):
+    """Seeded digit-product tilings of Z_M: the prime factors of M, shuffled
+    and grouped into a chain of levels; level m with place P contributes
+    the digits {d P : d < m} to A or to B (each side gets one at least),
+    which tiles by mixed radix; then A and B are dilated by random units."""
+    ctx = tl.factorize(M)
+    rng = random.Random(seed)
+    factors = [p for p, n in ctx.primes for _ in range(n)]
+    out = []
+    for _ in range(count):
+        rng.shuffle(factors)
+        chain, cur = [], 1
+        for f in factors:
+            cur *= f
+            if rng.random() < 0.6:
+                chain.append(cur)
+                cur = 1
+        chain += [cur] if cur > 1 else []
+        sides = [rng.random() < 0.5 for _ in chain]
+        if len(set(sides)) < 2:
+            sides[rng.randrange(len(chain))] = not sides[0]
+        tiles, place = {True: [0], False: [0]}, 1
+        for m, side in zip(chain, sides):
+            tiles[side] = [v + d * place for v in tiles[side] for d in range(m)]
+            place *= m
+        A, B = (tl.TileSet(ctx, {v * r % M for v in tiles[side]})
+                for side, r in ((True, rng.choice(ctx.units)),
+                                (False, rng.choice(ctx.units))))
+        out.append(tl.Tiling(A, B))
+    return out

@@ -438,6 +438,23 @@ class TestJsonWriter:
             tilelab.cli._emit(report, "json")
         assert out.getvalue() == indented(report)
 
+    @pytest.mark.parametrize("report", [
+        {"fibers": [{"anchor": k, "parity": "AB" if k % 3 else "BA"}
+                    for k in range(744)]},
+        {"rows": [{"k": k, "flag": k % 2 == 0, "none": None, "s": str(k),
+                   "big": -2**70 + k, "list": [k, None, True]}
+                  for k in range(300)]},
+        {"a": {"b": {"c": [True, False, None, {"d": None, "e": True},
+                           [False, [None, {"f": False}]]]}}},
+        {"x": [[[[True]]], {"y": {"z": {"w": None}}}, (None, (False,))],
+         "empty": [[], {}, [{}], {"g": []}], "t": True, "n": None},
+    ], ids=["fibers", "flat_rows", "deep_dicts", "deep_lists"])
+    def test_long_and_deep_reports(self, report):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            tilelab.cli._emit(report, "json")
+        assert out.getvalue() == indented(report)
+
     @pytest.mark.parametrize("argv", [
         ["verify", GOOD], ["verify", BAD],
         ["analyze", WORKED, "--split", "--slab", "--boxgrid"],
@@ -520,6 +537,29 @@ class TestProve:
         code, out, err = run(capsys, "prove", BAD)
         assert code == 1
         assert "not a tiling" in err
+
+    def test_non_tiling_output_is_pinned(self, capsys):
+        assert run(capsys, "prove", BAD) == (
+            1, "", "input is not a tiling of Z_4\n")
+        assert run(capsys, "prove", WORKED.replace("8]", "9]")) == (
+            1, "", "input is not a tiling of Z_12\n")
+
+    @pytest.mark.parametrize("arg", [WORKED, BAD])
+    def test_input_is_verified_twice_at_most(self, capsys, monkeypatch, arg):
+        """prove_t2_largeprime's up-front check and the replay's: the CLI
+        adds none of its own, and a non-tiling stops at the first."""
+        real = tl.verify_direct
+        calls = []
+
+        def counting(A, B):
+            calls.append((A.mask, B.mask))
+            return real(A, B)
+
+        for module in (tilelab.cli, tilelab.reduction, tilelab.tiling):
+            monkeypatch.setattr(module, "verify_direct", counting)
+        t = tl.tiling_from_json(json.loads(arg), check=False)
+        code, _, _ = run(capsys, "prove", arg)
+        assert calls.count((t.A.mask, t.B.mask)) == (2 if code == 0 else 1)
 
 
 class TestNoCyclotomicCache:

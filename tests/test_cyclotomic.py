@@ -192,10 +192,11 @@ class TestPackedKernel:
     def test_one_class_tiles_at_the_width_edge(self, M, count):
         """Tiles inside one class mod s fold to a single count |A|, and the
         cuboid operators spread it to coefficients +-|A|, the most the width
-        proof allows.  127 is the largest size with one-byte fields
-        (2^8 > 2|A|) and 128 the least with two; 255 and 256 are that edge
-        for the weaker 2^w > |A|.  Each s with at least two primes, and each
-        u > 1 dividing it, against the oracle."""
+        proof allows.  255 is the largest size with one-byte fields
+        (2^8 > |A|) and 256 the least with two, where a coefficient reaches
+        +-(2^w - 1); 127 and 128 were that edge for the older 2^w > 2|A|.
+        Each s with at least two primes, and each u > 1 dividing it, against
+        the oracle."""
         ctx = tl.factorize(M)
         tiles = 0
         for s in ctx.divisors:
@@ -211,6 +212,26 @@ class TestPackedKernel:
                         assert (u in got) == cuboid_vanishes(A.members, u), (A, u)
                 tiles += 1
         assert tiles == count
+
+
+    @pytest.mark.parametrize("M", [1536, 1920])
+    def test_width_edge_sizes_against_division(self, M):
+        """Tiles of 127, 128, 255 and 256 members, on both sides of the
+        one-byte field width before and after its narrowing to 2^w > |A|:
+        one class mod each s with two primes and room for the tile, and
+        structured and random tiles of the size, against exact division."""
+        ctx = tl.factorize(M)
+        rng = random.Random(M)
+        tiles = []
+        for size in (127, 128, 255, 256):
+            tiles += [tl.TileSet(ctx, range(s - 1, size * s, s))
+                      for s in ctx.divisors
+                      if len(tl.prime_factorization(s)) >= 2 and size * s <= M]
+            tiles += structured_sets(ctx, size, rng)
+            tiles.append(tl.TileSet(ctx, rng.sample(range(M), size)))
+        assert {len(A) for A in tiles} == {127, 128, 255, 256}
+        for A in tiles:
+            assert cyclo_profile(A).divisors_of_mask == division_profile(A), A
 
 
 class TestPhiAtOne:

@@ -15,7 +15,8 @@ from tilelab import splitting as sp
 from tilelab.errors import (EquivalenceViolationError, InputError,
                             InvariantViolationError, TilelabError)
 
-from conftest import corpus, crt_value, oracle_tilings, unchecked_pairs
+from conftest import (corpus, crt_value, digit_tilings, oracle_tilings,
+                      unchecked_pairs)
 
 
 def T(M, A, B, check=True):
@@ -62,8 +63,8 @@ def certificate_tilings(cert):
 
 def _drop_first_member(real):
     """_projected_slab broken to lose the least member of every slab."""
-    def broken(A, direction, c=0):
-        got = real(A, direction, c)
+    def broken(A, direction):
+        got = real(A, direction)
         return tl.TileSet(got.context, got.members[1:])
     return broken
 
@@ -103,7 +104,7 @@ TAMPERINGS = {
 
 
 class TestSlabSubset:
-    """The slab subset of A - c, projected to Z_{M/p}: _projected_slab."""
+    """The slab subset of A, projected to Z_{M/p}: _projected_slab."""
 
     def test_worked_example(self):
         # coords in direction p=2: 0->0, 1->3, 6->2, 7->1; keep those < 2
@@ -123,12 +124,21 @@ class TestSlabSubset:
         assert rd._projected_slab(A, 0) == rd.project_tile(A, 0)
 
     def test_slab_of_a_translate(self):
-        A = t12().A
-        for d in range(2):
-            for c in range(-3, 15):
-                assert (rd._projected_slab(A, d, c)
-                        == rd._projected_slab(tl.TileSet(
-                            A.context, [(a - c) % 12 for a in A]), d))
+        """The slab of A - c is the projection of the members a of A with
+        coord(a) - coord(c) below p^{n-1} mod p^n, moved by -pi(c): the
+        window slab_cond_i reads off A."""
+        for t in (t12(), product_tiling_900()):
+            ctx = t.context
+            for d, (p, n) in enumerate(ctx.primes):
+                q, coord = p ** n, ctx.coord_tables[d]
+                child, table = literal_projection(ctx.M, d)
+                for c in range(-3, 2 * q):
+                    x = c % ctx.M
+                    shifted = tl.TileSet(ctx, [(a - x) % ctx.M for a in t.A])
+                    window = [table[a] for a in t.A
+                              if (coord[a] - coord[x]) % q < q // p]
+                    assert rd._projected_slab(shifted, d) == tl.TileSet(
+                        child, {(v - table[x]) % child.M for v in window})
 
 
 class TestProjection:
@@ -146,10 +156,10 @@ class TestProjection:
         assert sorted(rd.project_tile(t12().A, 0)) == [0, 5]
 
     def test_matches_literal_projection(self):
-        """project_tile and _projected_slab send each residue, translated or
-        not, where the coordinate tables and the CRT sum do: every residue
-        of every (M, direction) with M <= 4356 in the list, every 11th of
-        Z_27900 and Z_65520."""
+        """project_tile and _projected_slab send each residue where the
+        coordinate tables and the CRT sum do: every residue of every
+        (M, direction) with M <= 4356 in the list, every 11th of Z_27900
+        and Z_65520."""
         pairs = 0
         for M in [*range(1, 401), 900, 1764, 4356, 27900, 65520]:
             ctx = tl.factorize(M)
@@ -159,11 +169,9 @@ class TestProjection:
                     single = tl.TileSet(ctx, [v])
                     assert rd.project_tile(single, d).members == (
                         literal_image(ctx, d, v),)
-                    c = (7 * v + 3) % M
-                    w = (v - c) % M
-                    want = ((literal_image(ctx, d, w),)
-                            if coord[w] < p ** (n - 1) else ())
-                    assert rd._projected_slab(single, d, c).members == want
+                    want = ((literal_image(ctx, d, v),)
+                            if coord[v] < p ** (n - 1) else ())
+                    assert rd._projected_slab(single, d).members == want
                 pairs += 1
         assert pairs == 808
 
@@ -258,7 +266,7 @@ def literal_projection(M, direction):
 
 def literal_slab_cond_i(t, direction):
     ctx = t.context
-    p, n = ctx.primes[direction]
+    p, n = ctx.check_direction(direction)
     child, table = literal_projection(ctx.M, direction)
     coord = ctx.coord_tables[direction]
     projected_b = tl.TileSet(child, {table[b] for b in t.B})
@@ -305,6 +313,28 @@ class TestLiteralOracles:
             assert got == literal_slab_cond_i(tt, d), (tt, d)
             failing += not got[0]
         assert failing > 1000
+
+    @pytest.mark.parametrize("M", [72, 120, 360, 720])
+    def test_slab_cond_i_at_request_moduli(self, M):
+        """Windows of p^n = 8, 9 and 16 translates: digit-product tilings,
+        both orientations, every direction."""
+        verdicts = collections.Counter()
+        for t in digit_tilings(M, 12, seed=M):
+            for tt in (t, t.swapped()):
+                for d in range(len(tt.context.primes)):
+                    got = rd.slab_cond_i(tt, d)
+                    assert got == literal_slab_cond_i(tt, d), (tt, d)
+                    verdicts[got[0]] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_slab_cond_i_on_unchecked_pairs(self):
+        """Pairs that need not tile, and a direction out of range: the same
+        verdict, witness, or error type and message."""
+        for t in unchecked_pairs(300, seed=11, moduli=(2, 144)):
+            for tt in (t, t.swapped()):
+                for d in range(len(tt.context.primes) + 1):
+                    assert (outcome(rd.slab_cond_i, tt, d)
+                            == outcome(literal_slab_cond_i, tt, d)), (tt, d)
 
     def test_statement_iii_matches_per_b_classes(self):
         failing = 0

@@ -13,7 +13,7 @@ from tilelab.errors import (InputError, InvariantViolationError,
                             NotFiberedError, TilelabError)
 from tilelab.splitting import Parity
 
-from conftest import corpus, oracle_tilings, unchecked_pairs
+from conftest import corpus, digit_tilings, oracle_tilings, unchecked_pairs
 
 
 def T(M, A, B, check=True):
@@ -105,15 +105,25 @@ def literal_split_report(t, direction):
     a_of, b_of = t.decomp
     ca = [table[a] for a in a_of]
     cb = [table[b] for b in b_of]
-    fibers = {}
+    ab = 0
     for anchor in range(step):
         flat_a = len(set(ca[anchor::step])) == 1
         if flat_a == (len(set(cb[anchor::step])) == 1):
             sp.fiber_parity(t, anchor, direction)
-        fibers[anchor] = Parity.AB if flat_a else Parity.BA
-    return sp.SplitReport(direction, p, fibers,
-                          frozenset(a % step for a in t.A.members),
-                          frozenset(b % step for b in t.B.members))
+        ab |= flat_a << anchor
+    return sp.SplitReport(direction, p, step, ab,
+                          sum(1 << k for k in {a % step for a in t.A.members}),
+                          sum(1 << k for k in {b % step for b in t.B.members}))
+
+
+def parities(report):
+    """The parity of each anchor of a split report, read off its mask."""
+    return {k: Parity.AB if report.ab_mask >> k & 1 else Parity.BA
+            for k in range(report.step)}
+
+
+def anchors(mask):
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def outcome_with_message(check, *args):
@@ -140,10 +150,34 @@ class TestFiberParity:
                     want = {anchor: oracle_parity(tt, anchor, d)
                             for anchor in range(tt.context.M // p)}
                     report = sp.split_report(tt, d)
-                    assert report.fibers == want, (tt, d)
+                    assert parities(report) == want, (tt, d)
                     assert report == literal_split_report(tt, d)
                     for anchor, parity in want.items():
                         assert sp.fiber_parity(tt, anchor, d) is parity
+
+    @pytest.mark.parametrize("M", [72, 120, 360, 720])
+    def test_matches_literal_report_at_request_moduli(self, M):
+        """Digit-product tilings, both orientations, every direction: the
+        masks, and the JSON read off them, against the definition scan."""
+        for t in digit_tilings(M, 12, seed=M):
+            for tt in (t, t.swapped()):
+                for d, (p, _) in enumerate(tt.context.primes):
+                    report = sp.split_report(tt, d)
+                    assert report == literal_split_report(tt, d), (tt, d)
+                    fibers = {anchor: oracle_parity(tt, anchor, d)
+                              for anchor in range(M // p)}
+                    anchor_sets = {
+                        "": fibers, "A_": {a % (M // p) for a in tt.A},
+                        "B_": {b % (M // p) for b in tt.B}}
+                    got = report.to_json()
+                    assert got["fibers"] == [
+                        {"anchor": k, "parity": v.value}
+                        for k, v in fibers.items()], (tt, d)
+                    assert got["verdicts"] == {
+                        f"{side}uniform_{x}": all(fibers[k] is Parity[x]
+                                                  for k in keys)
+                        for side, keys in anchor_sets.items()
+                        for x in ("AB", "BA")}, (tt, d)
 
     def test_sum_consistent_tables_match_definition(self):
         # Cover tables with a_of[z] + b_of[z] = z that need not come from a
@@ -222,32 +256,31 @@ class TestFiberParity:
 class TestSplitReport:
     def test_uniform_ab(self):
         rep = sp.split_report(t9(), 0)
-        assert {k: v for k, v in rep.fibers.items()} == {
-            0: Parity.AB, 1: Parity.AB, 2: Parity.AB}
+        assert parities(rep) == {0: Parity.AB, 1: Parity.AB, 2: Parity.AB}
         assert rep.uniform_ab and not rep.uniform_ba
 
     def test_uniform_ba(self):
         rep = sp.split_report(t12(), 0)
-        assert set(rep.fibers) == set(range(6))
-        assert all(v is Parity.BA for v in rep.fibers.values())
+        assert set(parities(rep)) == set(range(6))
+        assert all(v is Parity.BA for v in parities(rep).values())
         assert rep.uniform_ba and rep.a_uniform_ba and rep.b_uniform_ba
         assert not rep.uniform_ab
 
     def test_other_direction_of_same_tiling(self):
         rep = sp.split_report(t12(), 1)
-        assert all(v is Parity.AB for v in rep.fibers.values())
+        assert all(v is Parity.AB for v in parities(rep).values())
         assert rep.uniform_ab
 
     def test_m4_fiber_map(self):
         # both fibers: the single a collapses, b-diff 2 exactly div by 2
         rep = sp.split_report(T(4, [0, 1], [0, 2]), 0)
-        assert rep.fibers == {0: Parity.AB, 1: Parity.AB}
+        assert parities(rep) == {0: Parity.AB, 1: Parity.AB}
         assert rep.uniform_ab and not rep.uniform_ba
 
     def test_anchor_sets(self):
         rep = sp.split_report(t12(), 0)
-        assert sorted(rep.a_anchors) == [0, 1]
-        assert sorted(rep.b_anchors) == [0, 2, 4]
+        assert anchors(rep.a_mask) == [0, 1]
+        assert anchors(rep.b_mask) == [0, 2, 4]
 
     def test_non_covers_raise_the_literal_error(self):
         errors = collections.Counter()
@@ -260,14 +293,24 @@ class TestSplitReport:
                         errors[want[1].split()[0]] += 1
         assert errors["double"] > 500 and errors["residue"] > 100
 
+    def test_non_covers_at_request_moduli(self):
+        for M in (72, 120, 360, 720):
+            for t in unchecked_pairs(20, seed=M, moduli=(M, M)):
+                for tt in (t, t.swapped()):
+                    for d in range(len(tt.context.primes)):
+                        assert (outcome_with_message(sp.split_report, tt, d)
+                                == outcome_with_message(literal_split_report,
+                                                        tt, d))
+
     def test_verdicts_consistent_with_map(self):
         for t in corpus(16)[::23]:
             rep = sp.split_report(t, 0)
-            a_vals = {rep.fibers[k] for k in rep.a_anchors}
+            fibers = parities(rep)
+            a_vals = {fibers[k] for k in anchors(rep.a_mask)}
             assert rep.a_uniform_ab == (a_vals == {Parity.AB})
             assert rep.a_uniform_ba == (a_vals == {Parity.BA})
             assert rep.uniform_ab == all(
-                v is Parity.AB for v in rep.fibers.values())
+                v is Parity.AB for v in fibers.values())
 
     def test_json_shape(self):
         got = sp.split_report(T(4, [0, 1], [0, 2]), 0).to_json()
@@ -315,8 +358,8 @@ def parities_follow_translate(t, c, direction):
     ctx = t.context
     step = ctx.M // ctx.primes[direction][0]
     shifted = tl.TileSet(ctx, [(a - c) % ctx.M for a in t.A])
-    base = sp.split_report(t, direction).fibers
-    moved = sp.split_report(tl.Tiling(shifted, t.B), direction).fibers
+    base = parities(sp.split_report(t, direction))
+    moved = parities(sp.split_report(tl.Tiling(shifted, t.B), direction))
     return all(moved[(anchor - c) % step] is base[anchor] for anchor in base)
 
 
