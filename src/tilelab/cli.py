@@ -130,46 +130,38 @@ def _render_text(obj, indent: int = 0, out=None) -> list[str]:
     return lines
 
 
+_SCALARS = {     # by exact type, so that a bool is never written as an int
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _json_text(value, pad: str) -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2) for a value
     nested at indentation pad, with the C string encoder and no generators:
     on Python 3.11, indent always selects the pure-Python encoder.  The
-    loops write str, int and bool items in place, by exact type so that a
-    bool is never written as an int; only containers, None and floats
-    recurse."""
+    loops write items of the types in _SCALARS in place; only containers and
+    floats recurse."""
     kind = type(value)
+    inner = pad + "  "
     if kind is dict:
         if not value:
             return "{}"
-        inner = pad + "  "
         items = []
         for key, item in sorted(value.items()):
-            kind = type(item)
-            if kind is str:
-                text = _encode_str(item)
-            elif kind is int:
-                text = int.__repr__(item)
-            elif kind is bool:
-                text = "true" if item else "false"
-            else:
-                text = _json_text(item, inner)
+            enc = _SCALARS.get(type(item))
+            text = enc(item) if enc else _json_text(item, inner)
             items.append(_encode_str(key) + ": " + text)
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        inner = pad + "  "
         items = []
         for item in value:
-            kind = type(item)
-            if kind is str:
-                items.append(_encode_str(item))
-            elif kind is int:
-                items.append(int.__repr__(item))
-            elif kind is bool:
-                items.append("true" if item else "false")
-            else:
-                items.append(_json_text(item, inner))
+            enc = _SCALARS.get(type(item))
+            items.append(enc(item) if enc else _json_text(item, inner))
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(value)
 

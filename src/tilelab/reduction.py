@@ -93,36 +93,56 @@ def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     K = <M/p>, whose members carry the coordinates k p^{n-1}, so pi is
     injective on a slab window.  The preimage of pi(B) is B + K, and that
     of pi(B) + pi(s) is B + K + s.  With S the members a of A whose
-    coordinate minus c's lies below p^{n-1} mod p^n (the slab, translated
-    back by c), the projected pair tiles exactly when |S| |pi(B)| = M/p,
-    where |pi(B)| = |B + K|/p, and the rotations of B + K by the a in S
-    cover Z_M.
+    coordinate lies in the window [x, x + p^{n-1}) mod p^n, x the
+    coordinate of c (the slab, translated back by c), the projected pair
+    tiles exactly when |S| |pi(B)| = M/p, where |pi(B)| = |B + K|/p, and
+    the translates of B + K by S hit every point of Z_M once.
+
+    The sizes are tested first, for every window.  Where they hold, the
+    translates hit M points counted with multiplicity, so they cover Z_M
+    exactly when every point is hit an odd number of times: when the XOR
+    of the translates is the full mask.  XOR undoes itself, so the walk
+    over the windows in coordinate order adds the translates entering a
+    window and removes those leaving it, each member of A at most three
+    times in all, and keeps one mask of Z_M.
     """
     ctx = t.context
     p, n = ctx.check_direction(direction)
     M, q, low = ctx.M, p ** n, p ** (n - 1)
-    step = M // p
+    step, R = M // p, M // q        # x R mod q is the c < q of coordinate x
     b_mask = t.B.mask
     for k in range(1, p):
         b_mask |= ctx.rotate(t.B.mask, k * step)
     size_b = b_mask.bit_count() // p
-    doubled = b_mask | b_mask << M     # rotate(b_mask, a) = doubled >> (M - a)
     coord = ctx.coord_tables[direction]
-    unions, counts = [0] * q, [0] * q   # per coordinate x of a member
+    by_coord = [[] for _ in range(q)]
     for a in t.A.members:
-        unions[coord[a]] |= doubled >> (M - a)
-        counts[coord[a]] += 1
-    unions += unions                    # so that windows need not wrap
-    counts += counts
-    for c in range(q):
-        x = coord[c]
-        covered = 0
-        for u in unions[x:x + low]:
-            covered |= u
-        if (sum(counts[x:x + low]) * size_b != step
-                or covered & ctx.full_mask != ctx.full_mask):
-            return False, c
-    return True, None
+        by_coord[coord[a]].append(a)
+    sizes = [len(members) for members in by_coord]
+    witness, size = q, sum(sizes[:low])
+    for x in range(q):
+        if size * size_b != step:
+            witness = min(witness, x * R % q)
+        size += sizes[(x + low) % q] - sizes[x]
+    if not witness:
+        return False, 0
+    doubled = b_mask | b_mask << M     # rotate(b_mask, a) = doubled >> (M - a)
+    odd = 0                            # bits above M cancel out, unread
+    for y in range(low):
+        for a in by_coord[y]:
+            odd ^= doubled >> (M - a)
+    covers = None                      # read once per distinct window
+    for x in range(q):
+        c = x * R % q
+        if c < witness:
+            if covers is None:
+                covers = odd & ctx.full_mask == ctx.full_mask
+            if not covers:
+                witness = c
+        for a in by_coord[x] + by_coord[(x + low) % q]:
+            odd ^= doubled >> (M - a)
+            covers = None
+    return (True, None) if witness == q else (False, witness)
 
 
 def slab_cond_ii(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:

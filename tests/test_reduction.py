@@ -327,6 +327,41 @@ class TestLiteralOracles:
                     verdicts[got[0]] += 1
         assert verdicts[True] and verdicts[False]
 
+    @pytest.mark.parametrize("B, A, check, want", [
+        (range(4096), [0, 4096], True, (True, None)),
+        (range(0, 4096, 2), [0, 5, 4096, 4101], True, (True, None)),
+        (range(4096), [0, 4096, 4099], False, (False, 4)),
+        (range(0, 4096, 2), [0, 2, 4096, 4098], False, (False, 0)),
+    ])
+    def test_slab_cond_i_at_z8192(self, B, A, check, want):
+        """One direction of 8192 translates: two tilings, a window one
+        member too large from c = 4 on, and a slab that misses the odd
+        points; the literal oracle agrees on each."""
+        t = T(8192, A, B, check=check)
+        assert rd.slab_cond_i(t, 0) == literal_slab_cond_i(t, 0) == want
+
+    @pytest.mark.parametrize("M, A, B, direction, c", [
+        (12, [0, 1, 6, 10], [6, 7], 1, 1),
+        (12, [2, 4, 6, 7, 8, 9], [0, 4, 6, 8, 10], 1, 2),
+        (24, [3, 5, 9, 15], [1, 2, 10, 11, 12, 21], 0, 2),
+        (24, [4, 8, 10, 14], [4, 5, 6, 19, 20, 21], 0, 2),
+    ])
+    def test_slab_cond_i_cover_fails_late(self, M, A, B, direction, c):
+        """The sizes hold at the witness c > 0, and the translates of
+        B + K by the window fail to cover Z_M there but not before."""
+        t = T(M, A, B, check=False)
+        assert (rd.slab_cond_i(t, direction)
+                == literal_slab_cond_i(t, direction) == (False, c))
+
+    def test_slab_cond_i_at_z65536(self):
+        """The largest modulus, one direction of 65536 translates."""
+        h = 32768
+        assert rd.slab_cond_i(T(65536, [0, h], range(h)), 0) == (True, None)
+        assert (rd.slab_cond_i(T(65536, range(0, 2 * h, 2), [0, 1]), 0)
+                == (True, None))
+        assert (rd.slab_cond_i(T(65536, [0, h, h + 3], range(h), check=False),
+                               0) == (False, 4))
+
     def test_slab_cond_i_on_unchecked_pairs(self):
         """Pairs that need not tile, and a direction out of range: the same
         verdict, witness, or error type and message."""
