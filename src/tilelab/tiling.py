@@ -39,10 +39,21 @@ class Tiling:
         if check and not verify_direct(A, B):
             raise NotATilingError(
                 f"not a tiling of Z_{ctx.M}: A={A.members} B={B.members}")
-        object.__setattr__(self, "context", ctx)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "_decomp", None)
+        _set_context(self, ctx)
+        _set_A(self, A)
+        _set_B(self, B)
+        _set_decomp(self, None)
+
+    @classmethod
+    def _from_parts(cls, ctx: ZmContext, A: TileSet, B: TileSet) -> "Tiling":
+        """The pair (A, B) of tiles of ctx, unchecked: for callers that
+        already hold two tiles of one context (the pair search, swapped)."""
+        t = object.__new__(cls)
+        _set_context(t, ctx)
+        _set_A(t, A)
+        _set_B(t, B)
+        _set_decomp(t, None)
+        return t
 
     def __setattr__(self, *_):
         raise AttributeError("Tiling is immutable")
@@ -77,11 +88,18 @@ class Tiling:
                 raise InvariantViolationError(
                     f"residue {a_of.index(-1)} uncovered; not a tiling")
             got = (tuple(a_of), tuple(b_of))
-            object.__setattr__(self, "_decomp", got)
+            _set_decomp(self, got)
         return got
 
     def swapped(self) -> "Tiling":
-        return Tiling(self.B, self.A, check=False)
+        return Tiling._from_parts(self.context, self.B, self.A)
+
+
+# Slot setters that bypass the immutability guard (see zm_core.TileSet).
+_set_context = Tiling.context.__set__
+_set_A = Tiling.A.__set__
+_set_B = Tiling.B.__set__
+_set_decomp = Tiling._decomp.__set__
 
 
 def verify_direct(A: TileSet, B: TileSet) -> bool:
@@ -233,8 +251,8 @@ def iter_complements(A: TileSet, normalize: bool = True,
         if d in div_a:          # the class of M is empty
             forb |= cls
     Amask = A.mask
+    fb = forb | 1               # bit 0 carries b itself into blocked
     full = ctx.full_mask
-    rotate = ctx.rotate
     members = A.members
     from_parts = TileSet._from_parts
     B: list[int] = []
@@ -251,13 +269,15 @@ def iter_complements(A: TileSet, normalize: bool = True,
             if (blocked >> b) & 1:
                 continue
             B.append(b)
-            yield walk(covered | rotate(Amask, b),
-                       blocked | rotate(forb, b) | (1 << b), Bmask | 1 << b)
+            # rotate(x, b) for b in [0, M), as in _pair_dfs
+            yield walk(covered | (((Amask << b) | (Amask >> (M - b))) & full),
+                       blocked | (((fb << b) | (fb >> (M - b))) & full),
+                       Bmask | 1 << b)
             B.pop()
 
     if normalize:
         B.append(0)
-        root = walk(Amask, forb | 1, 1)
+        root = walk(Amask, fb, 1)
     else:
         root = walk(0, 0, 0)
     yield from itertools.islice(_run_search(root), limit)
@@ -337,12 +357,18 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
     w in W, indexed without a reduction mod M: v - w lies in (-M, M), a
     negative index reads cbit[M + v - w], and (M - x, M) = (x, M).  A leaf
     builds its tiles from the masks and member lists it holds.
+
+    Rotations are written out: ctx.rotate(x, k) is
+    ((x << k) | (x >> (M - k))) & full for k in [0, M], and a reflected
+    shift by -k is the shift by M - k.  Neither k = 0 nor k = M needs a
+    branch, because every mask here holds only M bits: then x >> M is 0
+    and x << M is cut off by full, so both ends give x itself.
     """
     M = ctx.M
     full = ctx.full_mask
-    rotate = ctx.rotate
     cbit, class_masks = _class_bits(ctx)
-    from_parts = TileSet._from_parts
+    tile = TileSet._from_parts
+    tiling = Tiling._from_parts
     A = [0]
     B = [0]
 
@@ -350,8 +376,8 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
         (Amask, Bmask, covered, divA, divB, forbA, forbB,
          blockedA, blockedB, blockedB_refl) = state
         if covered == full:
-            yield Tiling(from_parts(ctx, Amask, tuple(sorted(A))),
-                         from_parts(ctx, Bmask, tuple(sorted(B))), check=False)
+            yield tiling(ctx, tile(ctx, Amask, tuple(sorted(A))),
+                         tile(ctx, Bmask, tuple(sorted(B))))
             return
         z = (~covered & (covered + 1)).bit_length() - 1
         na, nb = len(A), len(B)
@@ -378,7 +404,8 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
                     A.pop()
         # both new, a + b = z
         if na < dA and nb < dB:
-            cand = full & ~blockedA & ~rotate(blockedB_refl, z)
+            cand = full & ~blockedA & ~((blockedB_refl << z)
+                                        | (blockedB_refl >> (M - z)))
             while cand:
                 bit = cand & -cand
                 a = bit.bit_length() - 1
@@ -403,14 +430,16 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
         A and gB of b against B; the caller pops them again."""
         (Amask, Bmask, covered, divA, divB, forbA, forbB, blockedA,
          blockedB, blockedB_refl) = state
-        # b first, so a's coverage update sees the final Bmask
+        # b first, so a's coverage update sees the final Bmask.  forb | 1
+        # blocks the new member itself: no class mask holds bit 0.
         if b is not None:
             newd = gB & ~divB
             B.append(b)
             Bmask |= 1 << b
-            covered |= rotate(Amask, b)
-            blockedB |= rotate(forbB, b) | (1 << b)
-            blockedB_refl |= rotate(forbB, -b) | (1 << (-b % M))
+            covered |= ((Amask << b) | (Amask >> (M - b))) & full
+            fb = forbB | 1
+            blockedB |= ((fb << b) | (fb >> (M - b))) & full
+            blockedB_refl |= ((fb << (M - b)) | (fb >> b)) & full
             if newd:
                 divB |= newd
                 grow = 0
@@ -420,14 +449,17 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
                     newd ^= low
                 if grow:
                     forbA |= grow
+                    spread = 0
                     for w in A:
-                        blockedA |= rotate(grow, w)
+                        spread |= (grow << w) | (grow >> (M - w))
+                    blockedA |= spread & full
         if a is not None:
             newd = gA & ~divA
             A.append(a)
             Amask |= 1 << a
-            covered |= rotate(Bmask, a)
-            blockedA |= rotate(forbA, a) | (1 << a)
+            covered |= ((Bmask << a) | (Bmask >> (M - a))) & full
+            fa = forbA | 1
+            blockedA |= ((fa << a) | (fa >> (M - a))) & full
             if newd:
                 divA |= newd
                 grow = 0
@@ -437,9 +469,12 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
                     newd ^= low
                 if grow:
                     forbB |= grow
+                    spread = refl = 0
                     for w in B:
-                        blockedB |= rotate(grow, w)
-                        blockedB_refl |= rotate(grow, -w)
+                        spread |= (grow << w) | (grow >> (M - w))
+                        refl |= (grow << (M - w)) | (grow >> w)
+                    blockedB |= spread & full
+                    blockedB_refl |= refl & full
         return (Amask, Bmask, covered, divA, divB, forbA, forbB,
                 blockedA, blockedB, blockedB_refl)
 

@@ -158,9 +158,9 @@ class TileSet:
             if not 0 <= v < context.M:
                 raise InputError(f"residue {v} outside [0, {context.M})")
             seen |= 1 << v
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "mask", seen)
-        object.__setattr__(self, "members", _mask_members(seen))
+        _set_context(self, context)
+        _set_mask(self, seen)
+        _set_members(self, _mask_members(seen))
 
     @classmethod
     def from_mask(cls, context: ZmContext, mask: int) -> "TileSet":
@@ -175,9 +175,9 @@ class TileSet:
         is members, unchecked: callers that already hold both (the searches
         in tiling) pass them as they are."""
         ts = object.__new__(cls)
-        object.__setattr__(ts, "context", context)
-        object.__setattr__(ts, "mask", mask)
-        object.__setattr__(ts, "members", members)
+        _set_context(ts, context)
+        _set_mask(ts, mask)
+        _set_members(ts, members)
         return ts
 
     def __setattr__(self, *_):
@@ -209,14 +209,21 @@ class TileSet:
         return TileSet(ctx, ((r * a) % ctx.M for a in self.members))
 
 
+# The slot descriptors' own setters: they fill a slot without going through
+# the immutability guard in __setattr__, and cost less than object.__setattr__.
+_set_context = TileSet.context.__set__
+_set_mask = TileSet.mask.__set__
+_set_members = TileSet.members.__set__
+
+
 def _mask_members(mask: int) -> tuple[int, ...]:
+    """The set bits of a nonnegative mask, ascending: O(M + |members|)."""
+    bits = bin(mask)[:1:-1]      # bits[v] is bit v
+    find = bits.find
     out = []
-    v = 0
-    while mask:
-        tz = (mask & -mask).bit_length() - 1
-        v += tz
+    v = find("1")
+    while v >= 0:
         out.append(v)
-        mask >>= tz + 1
-        v += 1
+        v = find("1", v + 1)
     return tuple(out)
 

@@ -9,7 +9,8 @@ import pytest
 
 import tilelab as tl
 import tilelab.tiling
-from tilelab.errors import InputError, TheoremViolationError
+from tilelab.errors import (ContextMismatchError, InputError,
+                             TheoremViolationError)
 from tilelab.tiling import (_class_bits, _dilate_div, _run_search,
                             tiling_to_json, tiling_from_json)
 
@@ -114,6 +115,13 @@ class TestTiling:
     def test_rejects_non_tiling(self):
         with pytest.raises(InputError):
             T(4, [0, 2], [0, 2])
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_rejects_mixed_contexts(self, check):
+        A = tl.TileSet(tl.factorize(4), [0, 1])
+        B = tl.TileSet(tl.factorize(8), [0, 2])
+        with pytest.raises(ContextMismatchError, match="4 and 8"):
+            tl.Tiling(A, B, check=check)
 
     def test_decomp_round_trip(self):
         t = T(12, [0, 1, 6, 7], [0, 4, 8])
@@ -274,22 +282,48 @@ def literal_pair_dfs(ctx, dA, dB):
                                  0, 0, 1, 1, 1)))
 
 
+def assert_immutable(obj):
+    for name in obj.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
 def assert_checked_tile(tile):
-    """tile agrees with the checked constructor on its own members."""
+    """tile agrees with the checked constructor on its own members, in the
+    one shared context of its modulus, and cannot be changed."""
+    assert tile.context is tl.factorize(tile.context.M), tile
     want = tl.TileSet(tile.context, list(tile.members))
     assert tile.mask == want.mask and tile.members == want.members, tile
     assert hash(tile) == hash(want) and tile == want, tile
+    assert_immutable(tile)
+
+
+def assert_checked_tiling(t):
+    """t, built unchecked by a search, is the object the checked
+    constructor builds: same context, tiles, equality and hash; immutable;
+    its decomposition builds; swapping twice gives it back."""
+    assert t.context is tl.factorize(t.context.M), t
+    assert t.A.context is t.context and t.B.context is t.context, t
+    want = tl.Tiling(t.A, t.B, check=True)
+    assert t == want and hash(t) == hash(want), t
+    assert_immutable(t)
+    a_of, b_of = t.decomp
+    assert len(a_of) == len(b_of) == t.context.M, t
+    back = t.swapped().swapped()
+    assert back == t and hash(back) == hash(t), t
+    assert_checked_tile(t.A)
+    assert_checked_tile(t.B)
 
 
 def assert_same_tilings(got, want):
-    """Two tiling streams agree item by item: order, members and masks."""
+    """Two tiling streams agree item by item: order, members and masks,
+    and each tiling got is a whole, checked Tiling."""
     count = 0
     for g, w in itertools.zip_longest(got, want):
         assert g is not None and w is not None, count
         assert (g.A.members, g.B.members) == (w.A.members, w.B.members), count
         assert (g.A.mask, g.B.mask) == (w.A.mask, w.B.mask), count
-        assert_checked_tile(g.A)
-        assert_checked_tile(g.B)
+        assert_checked_tiling(g)
         count += 1
     return count
 

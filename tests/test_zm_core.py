@@ -1,10 +1,13 @@
 import math
+import random
+import timeit
 
 import pytest
 from hypothesis import given, strategies as st
 
 import tilelab as tl
 from tilelab.errors import InputError
+from tilelab.zm_core import MAX_M, _mask_members
 
 from conftest import crt_value
 
@@ -36,7 +39,6 @@ class TestFactorize:
             tl.factorize(0)
 
     def test_above_max_m_rejected(self):
-        from tilelab.zm_core import MAX_M
         with pytest.raises(InputError, match="MAX_M"):
             tl.factorize(MAX_M + 1)
         assert tl.factorize(MAX_M).primes == ((2, 16),)
@@ -135,3 +137,39 @@ class TestTileSet:
         ctx = tl.factorize(12)
         with pytest.raises(InputError):
             tl.TileSet(ctx, [0, 12])
+
+
+def shift_loop_members(mask):
+    """The set bits of mask, one shift per bit."""
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+class TestMaskMembers:
+    def test_matches_shift_loop(self):
+        rng = random.Random(5)
+        masks = []
+        for M in (1, 2, 3, 30, 64, 65, 720, 4099):
+            full = (1 << M) - 1
+            masks += [0, full, 1 << (M - 1), 1]
+            for density in (0.02, 0.5, 0.98):
+                masks += [sum(1 << v for v in range(M) if rng.random() < density)
+                          for _ in range(5)]
+        for mask in masks:
+            assert _mask_members(mask) == shift_loop_members(mask), hex(mask)
+
+    def test_dense_tile_is_linear(self):
+        """A dense tile of the largest modulus: the members are read off
+        the mask in O(M), not with one whole-mask shift per member."""
+        ctx = tl.factorize(MAX_M)
+        members = range(0, MAX_M, 2)
+        best = min(timeit.repeat(lambda: tl.TileSet(ctx, members),
+                                 number=1, repeat=3))
+        assert tl.TileSet(ctx, members).members == tuple(members)
+        assert best < 0.1, best
