@@ -138,22 +138,30 @@ _SCALARS = {     # by exact type, so that a bool is never written as an int
 }
 
 
-def _json_text(value, pad: str) -> str:
+def _json_text(value, pad: str, rows: dict) -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2) for a value
     nested at indentation pad, with the C string encoder and no generators:
     on Python 3.11, indent always selects the pure-Python encoder.  The
     loops write items of the types in _SCALARS in place; only containers and
-    floats recurse."""
+    floats recurse.  rows, one per report, maps the key tuple of each dict
+    met so far to its keys sorted, each with its text '"key": ', so that
+    like dicts (a split report's fibers) sort and encode their keys once."""
     kind = type(value)
     inner = pad + "  "
     if kind is dict:
         if not value:
             return "{}"
+        shape = tuple(value)
+        row = rows.get(shape)
+        if row is None:
+            row = rows[shape] = [(key, _encode_str(key) + ": ")
+                                 for key in sorted(shape)]
         items = []
-        for key, item in sorted(value.items()):
+        for key, head in row:
+            item = value[key]
             enc = _SCALARS.get(type(item))
-            text = enc(item) if enc else _json_text(item, inner)
-            items.append(_encode_str(key) + ": " + text)
+            items.append(head + (enc(item) if enc
+                                 else _json_text(item, inner, rows)))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if kind is list or kind is tuple:
         if not value:
@@ -161,7 +169,7 @@ def _json_text(value, pad: str) -> str:
         items = []
         for item in value:
             enc = _SCALARS.get(type(item))
-            items.append(enc(item) if enc else _json_text(item, inner))
+            items.append(enc(item) if enc else _json_text(item, inner, rows))
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     return json.dumps(value)
 
@@ -171,7 +179,7 @@ def _emit(report: dict, fmt: str) -> None:
     print(json.dumps(report, sort_keys=True, indent=2)), for the str-keyed
     reports of this module; as text, _render_text's lines."""
     if fmt == "json":
-        print(_json_text(report, ""))
+        print(_json_text(report, "", {}))
     else:
         print("\n".join(_render_text(report)))
 

@@ -116,20 +116,28 @@ def verify_direct(A: TileSet, B: TileSet) -> bool:
     return covered == ctx.full_mask
 
 
+def _diff_mask(A: TileSet) -> int:
+    """The difference mask of A: the OR of rotate(A, -a) over a in A, whose
+    low M bits are the differences a' - a (the bits above M are stray and
+    meet no class mask of _class_bits)."""
+    M = A.context.M
+    doubled = A.mask | A.mask << M   # low M bits of doubled >> a: rotate(A, -a)
+    diff = 0
+    for a in A.members:
+        diff |= doubled >> a
+    return diff
+
+
 def _div_set(A: TileSet) -> frozenset[int]:
     """Div(A) = {(a - a', M)}; contains M whenever A is nonempty.
 
-    Read off the difference mask D = OR of rotate(A, -a) over a in A, whose
-    bits are the differences a' - a: d < M is in Div(A) exactly when D
-    meets the class {v : (v, M) = d}.
+    d < M is in Div(A) exactly when the difference mask of A meets the
+    class {v : (v, M) = d}.
     """
     if not len(A):
         return frozenset()
     ctx = A.context
-    doubled = A.mask | A.mask << ctx.M   # low M bits of doubled >> a: rotate(A, -a)
-    diff = 0
-    for a in A.members:
-        diff |= doubled >> a
+    diff = _diff_mask(A)
     classes = zip(ctx.divisors, _class_bits(ctx)[1])
     return frozenset([ctx.M] + [d for d, cls in classes if diff & cls])
 
@@ -143,6 +151,23 @@ def div_set(A: TileSet) -> frozenset[int]:
 def _dilate_div(D: frozenset[int], r: int, M: int) -> frozenset[int]:
     """{(r x, M) : (x, M) in D}, since (x, M) = d gives (r x, M) = d (r, M/d)."""
     return frozenset(d * math.gcd(r, M // d) for d in D)
+
+
+@lru_cache(maxsize=None)
+def _orbit_reach(ctx: ZmContext, k: int) -> tuple[int, ...]:
+    """Per divisor index i, the divisor-index bits j of the classes
+    d_j = d_i gcd(g, M/d_i) that the divisors g < M coprime to k send d_i
+    to (d_i = ctx.divisors[i]): D ints of D bits, D = len(ctx.divisors)."""
+    index = {d: i for i, d in enumerate(ctx.divisors)}
+    admissible = [g for g in ctx.divisors[:-1] if math.gcd(g, k) == 1]
+    table = []
+    for d in ctx.divisors:
+        bits = 0
+        for g in admissible:
+            (e,) = _dilate_div(frozenset([d]), g, ctx.M)
+            bits |= 1 << index[e]
+        table.append(bits)
+    return tuple(table)
 
 
 def verify_sands(A: TileSet, B: TileSet) -> bool:
@@ -168,26 +193,39 @@ def tijdeman_orbit_check(t: Tiling) -> bool:
     A collapse (|rA| < |A|) or a failed cover for an admissible r would
     contradict the dilation theorem; both raise TheoremViolationError.
 
-    Div(rA) depends on r only through g = gcd(r, M) (see _dilate_div), so
-    the check is decided once per class g.  With |A||B| = M, |A| divides M,
-    so r is admissible exactly when g is coprime to |A|, and the classes met
-    are the divisors g < M of M.  A class is clean when no d in Div(A) minus
-    {M} has d gcd(g, M/d) in Div(B).  Then for every r in it no two members
-    of A meet under r (M is in Div(B)) and (rA - rA) meets (B - B) only in
-    0, so the M sums ra + b are distinct and rA + B tiles: the elementary
-    direction of Sands' criterion, not the theorem being checked.  Unless
-    |A||B| = M and every class is clean, the literal loop below runs, and
-    the first failing r and its message are those it has always reported.
+    With |A||B| = M, |A| divides M, so r is admissible exactly when
+    g = gcd(r, M) is coprime to |A|, and the classes g met are the divisors
+    g < M of M.  The differences rx, x in A - A, have (rx, M) = d gcd(g, M/d)
+    for d = (x, M) (see _dilate_div), so hit, the OR of _orbit_reach over
+    the classes d < M that the difference mask of A meets, holds every
+    (rx, M) with x != 0 over every admissible r.  If hit holds M, some
+    admissible r sends two members of A together: a collapse, checked
+    literally below.  Otherwise no r collapses A, and if the difference
+    mask of B meets no class in hit, (rA - rA) meets (B - B) only in 0 for
+    every admissible r, so the M sums ra + b are distinct and rA + B tiles:
+    the elementary direction of Sands' criterion, not the theorem being
+    checked.  In every other case the literal loop below runs, and the
+    first failing r and its message are those it has always reported.
     """
-    M = t.context.M
+    ctx = t.context
+    M = ctx.M
     k = len(t.A)
     if k * len(t.B) == M:
-        # the uncached kernel: the orbit check must not pin every tile it sees
-        div_a = _div_set(t.A) - {M}
-        div_b = _div_set(t.B)
-        if all(_dilate_div(div_a, g, M).isdisjoint(div_b)
-               for g in t.context.divisors[:-1] if math.gcd(g, k) == 1):
-            return True
+        # uncached kernels: the orbit check must not pin every tile it sees
+        masks = _class_bits(ctx)[1]
+        diff = _diff_mask(t.A)
+        hit = 0
+        for reach, cls in zip(_orbit_reach(ctx, k), masks):
+            if diff & cls:
+                hit |= reach
+        if not hit >> (len(masks) - 1):   # M, the last divisor, is not hit
+            diff = _diff_mask(t.B)
+            for cls in masks:   # bit 0 of hit stands for cls
+                if hit & 1 and diff & cls:
+                    break
+                hit >>= 1
+            else:
+                return True
     for r in range(1, M):
         if math.gcd(r, k) != 1:
             continue

@@ -461,6 +461,13 @@ class TestJsonWriter:
         ["analyze", '{"M":72,"A":[0,1,2,3,4,5,6,7],"B":[0,8,16,24,32,40,48,56,64]}',
          "--split", "--slab", "--boxgrid"],
         ["analyze", BAD, "--split"],
+        ["analyze", json.dumps({   # 744 fibers over three directions
+            "M": 720,
+            "A": sorted(a + 4 * b + 24 * c for a in range(2)
+                        for b in range(3) for c in range(5)),
+            "B": sorted(2 * a + 12 * b + 120 * c for a in range(2)
+                        for b in range(2) for c in range(6))}),
+         "--split"],
         ["prove", '{"M":84,"A":[0,12,24,36,48,60,72],'
                   '"B":[0,1,2,3,4,5,6,7,8,9,10,11]}'],
         ["sweep", "84", "--check", "t2", "--limit", "5"],

@@ -11,8 +11,8 @@ import tilelab as tl
 import tilelab.tiling
 from tilelab.errors import (ContextMismatchError, InputError,
                              TheoremViolationError)
-from tilelab.tiling import (_class_bits, _dilate_div, _run_search,
-                            tiling_to_json, tiling_from_json)
+from tilelab.tiling import (_class_bits, _dilate_div, _orbit_reach,
+                            _run_search, tiling_to_json, tiling_from_json)
 
 from conftest import corpus, oracle_tilings, unchecked_pairs
 
@@ -535,13 +535,23 @@ class TestOrbitOracle:
                 assert literal_orbit_check(tt) is True, tt
 
     def test_unchecked_pairs_match_literal_loop(self):
-        raised = unequal_sizes = 0
+        raised = unequal_sizes = sized_raised = sized_collapsing = 0
         for t in unchecked_pairs(1500, seed=4, moduli=(12, 72)):
             want = orbit_outcome(literal_orbit_check, t)
             assert orbit_outcome(tl.tijdeman_orbit_check, t) == want, t
             raised += want is not True
-            unequal_sizes += len(t.A) * len(t.B) != t.context.M
+            if len(t.A) * len(t.B) != t.context.M:
+                unequal_sizes += 1
+                continue
+            # pairs the reach table decides: a rejection and a collapse
+            # bit must both reach the oracle comparison above
+            sized_raised += want is not True
+            k = len(t.A)
+            sized_collapsing += any(
+                len(t.A.dilate(r)) < k for r in range(1, t.context.M)
+                if math.gcd(r, k) == 1)
         assert raised > 900 and unequal_sizes > 400
+        assert sized_raised > 0 and sized_collapsing > 0
 
     def test_degenerate_tiles_match_literal_loop(self):
         ctx = tl.factorize(12)
@@ -576,13 +586,31 @@ class TestOrbitOracle:
             return real(A, B)
 
         monkeypatch.setattr(tilelab.tiling, "verify_direct", counting)
-        for t in corpus(24):
-            for tt in (t, t.swapped()):
-                assert tl.tijdeman_orbit_check(tt)
+        for M in (20, 24, 27):   # the corpora of perfbench's orbit workload
+            for t in corpus(M):
+                for tt in (t, t.swapped()):
+                    assert tl.tijdeman_orbit_check(tt)
         assert calls == []
         with pytest.raises(TheoremViolationError):
             tl.tijdeman_orbit_check(T(4, [0, 2], [0, 2], check=False))
         assert len(calls) == 1
+
+
+def test_orbit_reach_matches_literal_dilations():
+    """Bit j of entry i: (r d_i, M) = d_j for some r in [1, M) coprime to
+    k; and each entry holds divisor-index bits only."""
+    for M in range(1, 73):
+        ctx = tl.factorize(M)
+        index = {d: i for i, d in enumerate(ctx.divisors)}
+        for k in ctx.divisors:
+            units = [r for r in range(1, M) if math.gcd(r, k) == 1]
+            want = tuple(
+                functools.reduce(int.__or__, (1 << index[math.gcd(r * d, M)]
+                                              for r in units), 0)
+                for d in ctx.divisors)
+            reach = _orbit_reach(ctx, k)
+            assert reach == want, (M, k)
+            assert all(entry < 1 << len(ctx.divisors) for entry in reach)
 
 
 class TestDilationStabilizer:
