@@ -30,8 +30,9 @@ from .errors import (
 )
 from .zm_core import TileSet, ZmContext, factorize, radical_quotient
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
-from .tiling import Tiling, div_set, tiling_to_json, verify_direct
-from .splitting import _ab_fibers, split_report
+from .tiling import (Tiling, _class_bits, div_set, tiling_to_json,
+                     verify_direct)
+from .splitting import _ab_fibers, _lane_fibers, split_report
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +235,71 @@ def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
 
 
 @lru_cache(maxsize=2)   # one tiling's two sides, so sweeps stay bounded
-def _distinct_dilates(B: TileSet) -> tuple[list[int], ...]:
-    """The member lists of the distinct dilates rB over the units r of Z_M;
-    they do not depend on the direction, so each side builds them once.
-    Callers share the cached lists and only read them."""
-    M = B.context.M
-    dilates: dict[frozenset[int], list[int]] = {}
-    for r in B.context.units:
-        rb = [r * b % M for b in B.members]
-        dilates.setdefault(frozenset(rb), rb)
-    return tuple(dilates.values())
+def _dilate_lanes(A: TileSet, B: TileSet) -> tuple[tuple[int, ...], int, int,
+                                                    int]:
+    """The distinct dilates rB over the units r of Z_M, one lane each in
+    the order of their least r, packed as _lane_fibers reads them: (those
+    r, the lanes of rB, the lanes of r^-1 A, the low M bits of every lane).
+    None of this depends on the direction."""
+    ctx = A.context
+    M, width = ctx.M, 2 * ctx.M
+    # the bits 1 << r b of distinct b are distinct for a unit r: sums are ORs
+    first: dict[int, int] = {}
+    for r in ctx.units:
+        first.setdefault(sum([1 << r * b % M for b in B.members]), r)
+    lanes = tuple(first.values())
+    packed_a = packed_b = 0
+    for shift, rb, r in zip(range(0, width * len(lanes), width), first, lanes):
+        inverse = pow(r, -1, M)
+        packed_b |= rb << shift
+        packed_a |= sum([1 << inverse * a % M for a in A.members]) << shift
+    low = ((1 << width * len(lanes)) - 1) // ((1 << width) - 1) * ctx.full_mask
+    return lanes, packed_b | packed_b << M, packed_a | packed_a << M, low
+
+
+def _statement_ii(t: Tiling, direction: int) -> bool:
+    """Every dilate rB splits uniformly BA with A: _ab_fibers finds no AB
+    fiber of A + rB, for every distinct rB in the order of _dilate_lanes.
+
+    _ab_fibers returns 0 exactly when A + rB is an exact cover (|A||B| = M
+    and the translates cover Z_M), no fiber is A-flat, and every fiber is
+    rB-flat: a lane is clean when all of these hold.  The A-flat fibers of
+    every lane come at once, from the translates of the lanes of rB by A's
+    members.  For the rB-flat ones, the dilation by r^-1 maps A + rB onto
+    r^-1 A + B, the pair (a, rb) onto (r^-1 a, b).  It sends the fiber of
+    z to that of r^-1 z, as r is prime to p, so r^-1 k M/p runs over the
+    multiples of M/p with k; and it scales coordinates by a unit mod p^n.
+    So every fiber of A + rB is rB-flat exactly when every fiber of
+    r^-1 A + B is B-flat, and those come from the translates of the lanes
+    of r^-1 A by B's members, the same shifts in every lane.
+
+    If every lane is clean, (II) holds.  Otherwise the lowest lane that is
+    not clean, whatever the reason, is the first dilate on which the
+    literal loop stops: _ab_fibers there raises its error or returns
+    nonzero, and finding 0 instead is a defect.
+    """
+    ctx = t.context
+    p, _ = ctx.check_direction(direction)
+    M = ctx.M
+    r = ctx.units[0]                # every lane fails the sizes
+    if len(t.A) * len(t.B) == M:
+        lanes, packed_b, packed_a, low = _dilate_lanes(t.A, t.B)
+        union, flat_a = _lane_fibers(ctx, packed_b, t.A.members, low,
+                                     direction)
+        bad = low & ~union | flat_a
+        if not bad & ctx.full_mask:     # else lane 0 is the lowest to fail
+            _, flat_b = _lane_fibers(ctx, packed_a, t.B.members, low,
+                                     direction)
+            bad |= low & ~flat_b
+            if not bad:
+                return True
+        r = lanes[((bad & -bad).bit_length() - 1) // (2 * M)]
+    if _ab_fibers(t.A, [r * b % M for b in t.B.members], direction):
+        return False
+    raise InvariantViolationError(
+        f"dilate {r}B of B={t.B.members} with A={t.A.members} in Z_{M} "
+        f"(direction p={p}): the lane kernel finds a fiber off uniform BA, "
+        f"_ab_fibers none")
 
 
 def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
@@ -256,31 +312,38 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
           members of A whose difference class against x lies in Div(B))
           lies on x's p^n-plane.
 
+    (II) runs on every distinct dilate rB at once, one lane of a packed
+    integer each (_statement_ii).  (III) is one mask test: coordinates are
+    additive, so x - a has a coordinate other than 0 exactly when p^n does
+    not divide it.  With E the v whose class (v, M) lies in Div(B) and is
+    not a multiple of p^n, (III) fails exactly when the union of A's fibers
+    meets A + E, the OR of rotate(E, a) over a in A.
+
     Returns the common truth value; raises if the three ever disagree.
     """
     ctx = t.context
     p, n = ctx.check_direction(direction)
     q = p ** n
+    M = ctx.M
 
     first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
 
-    # Literal over the units; equal dilates rB give equal verdicts.  Each
-    # distinct rB splits uniformly BA when the parity decider finds no AB
-    # fiber; a failed cover or a bad fiber raises there.
-    second = all(not _ab_fibers(t.A, rb, direction)
-                 for rb in _distinct_dilates(t.B))
+    second = _statement_ii(t, direction)
 
-    # The difference classes of all b within B make up Div(B), so the members
-    # of A matched through some b are the saturating set A_x.
-    coord = ctx.coord_tables[direction]
-    gcds = ctx.gcd_table
     db = div_set(t.B)
-    members = t.A.members
-    step = ctx.M // p
-    third = all(coord[a] == coord[x]
-                for anchor in {a % step for a in members}
-                for x in range(anchor, ctx.M, step)
-                for a in members if gcds[x - a] in db)
+    e = 0
+    for d, cls in zip(ctx.divisors, _class_bits(ctx)[1]):
+        if d % q and d in db:
+            e |= cls
+    doubled = e | e << M            # rotate(e, a) = doubled >> (M - a)
+    near = 0                        # bits above M are cut off below
+    for a in t.A.members:
+        near |= doubled >> (M - a)
+    fibers = t.A.mask
+    doubled = fibers | fibers << M
+    for k in range(1, p):
+        fibers |= doubled >> (k * M // p)
+    third = not (near & fibers & ctx.full_mask)
 
     if not first == second == third:
         raise EquivalenceViolationError(
@@ -318,9 +381,12 @@ def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
     q = p ** n
     f = ctx.M // p
 
-    fibered = all(
-        any((a + k * f) % ctx.M in t.A for k in range(1, p))
-        for a in t.A)
+    # a + k f lies in A exactly when a lies in rotate(A, -k f)
+    doubled = t.A.mask | t.A.mask << ctx.M
+    others = 0
+    for k in range(1, p):
+        others |= doubled >> (k * f)
+    fibered = not t.A.mask & ~others
 
     divisible = divides_mask(q, t.A)
     expected = len(t.B) // math.gcd(len(t.B), q)

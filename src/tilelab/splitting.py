@@ -11,11 +11,14 @@ sets Sigma_A, Sigma_B always land in one of two patterns:
 This dichotomy is total for tilings, and the collapsing side alone decides
 it (see fiber_parity); uniformity notions quantify it over all fibers of a
 direction, or only over fibers anchored at tile elements.  One mask
-decider, _ab_fibers, gives a whole direction's parities to split_report and
-to the slab statement (II); fiber_parity is the literal single-fiber rule
-and the one source of the both/neither error.  Its kernel _full_fibers (the
-fibers lying inside a bitmask) also serves the cross-direction check and
-the fibered-grid profile.
+decider, _ab_fibers, gives a whole direction's parities to split_report;
+fiber_parity is the literal single-fiber rule and the one source of the
+both/neither error.  The slab statement (II) decides every dilate rB at
+once, one lane of a packed integer each, through the decider's kernel
+_lane_fibers (reduction._statement_ii), and calls _ab_fibers only on the
+first dilate that fails, for its verdict or its error.  The full-fiber
+kernel _full_fibers (the fibers lying inside a bitmask) also serves the
+cross-direction check and the fibered-grid profile.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -51,7 +54,11 @@ def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
 
 def _full_fibers(ctx: ZmContext, mask: int, direction: int) -> int:
     """Mask of the v in `mask` whose whole fiber v + k M/p (k < p) lies in
-    it: the AND of the mask with its p - 1 rotations by -k M/p."""
+    it: the AND of the mask with its p - 1 rotations by -k M/p.
+
+    It acts alike on the lanes of 2M bits of _lane_fibers when their high
+    halves are 0: a shift carries bits of the next lane into a high half,
+    where the AND with the mask clears them."""
     p, _ = ctx.primes[direction]
     step = ctx.M // p
     doubled = mask | mask << ctx.M     # low M bits of doubled >> s: rotate(mask, -s)
@@ -167,29 +174,34 @@ def split_report(t: Tiling, direction: int) -> SplitReport:
                        _anchor_mask(t.B.mask, step))
 
 
-def _coord_unions(ctx: ZmContext, mask: int, shifts,
-                  direction: int) -> Optional[list[int]]:
-    """rotate(mask, s) over the shifts s, OR-ed per direction coordinate
-    of s: the nonempty classes.
+def _lane_fibers(ctx: ZmContext, packed: int, shifts, low: int,
+                 direction: int) -> tuple[int, int]:
+    """Lane by lane, for the masks T held in the lanes of `packed`: the
+    union of the translates T + s over the shifts s, and the flat fibers,
+    those lying inside the translates by the shifts of one direction
+    coordinate.  Lane l is 2M bits from bit 2Ml on and holds T | T << M;
+    `low` holds the low M bits of every lane, where both results lie.  One
+    mask T is one lane: packed = T | T << M and low = ctx.full_mask.
 
-    None unless the rotations are disjoint and cover Z_M, that is unless
-    they hold M bits in all and their union is Z_M.  Then the class of
-    coordinate c holds the z whose representation uses a shift of
-    coordinate c.
+    Bits [0, M) of each lane of packed >> (M - s) are rotate(T, s); the
+    bits that the shift carries in from the next lane land in a high half,
+    which `low` cuts off.  The translates are OR-ed per coordinate of the
+    shift, and the flat fibers of a class are its full fibers.  On an
+    exact cover the classes partition the lane by the coordinate of each
+    point's shift.
     """
-    M, full = ctx.M, ctx.full_mask
-    if len(shifts) * mask.bit_count() != M:
-        return None
+    M = ctx.M
     table = ctx.coord_tables[direction]
-    doubled = mask | mask << M         # rotate(mask, s) = doubled >> (M - s) & full
-    unions = [0] * ctx.prime_powers[direction]
+    classes: dict[int, int] = {}
     for s in shifts:
-        unions[table[s]] |= doubled >> (M - s)
-    unions = [u & full for u in unions if u]
-    covered = 0
-    for u in unions:
-        covered |= u
-    return unions if covered == full else None
+        c = table[s]
+        classes[c] = classes.get(c, 0) | packed >> (M - s)
+    union = flat = 0
+    for u in classes.values():
+        u &= low
+        union |= u
+        flat |= _full_fibers(ctx, u, direction)
+    return union, flat
 
 
 def _ab_fibers(A: TileSet, b_members, direction: int) -> int:
@@ -206,17 +218,19 @@ def _ab_fibers(A: TileSet, b_members, direction: int) -> int:
     the least such anchor, which raises; it never yields an answer here.
     """
     ctx = A.context
+    M, full = ctx.M, ctx.full_mask
     b_mask = 0
     for b in b_members:
         b_mask |= 1 << b
     flat_a = flat_b = 0
-    by_a = _coord_unions(ctx, b_mask, A.members, direction)
-    if by_a is not None:            # an exact cover, so B's classes exist
-        for u in by_a:
-            flat_a |= _full_fibers(ctx, u, direction)
-        for v in _coord_unions(ctx, A.mask, b_members, direction):
-            flat_b |= _full_fibers(ctx, v, direction)
-    bad = ctx.full_mask & ~(flat_a ^ flat_b)
+    if len(A) * b_mask.bit_count() == M:
+        union, flat = _lane_fibers(ctx, b_mask | b_mask << M, A.members,
+                                   full, direction)
+        if union == full:           # an exact cover, so B's classes exist
+            flat_a = flat
+            flat_b = _lane_fibers(ctx, A.mask | A.mask << M, b_members,
+                                  full, direction)[1]
+    bad = full & ~(flat_a ^ flat_b)
     if not bad:
         return flat_a
     t = Tiling(A, TileSet.from_mask(ctx, b_mask), check=False)

@@ -14,13 +14,25 @@ evaluated on the two tiles of a tiling.  phi(M/m) divides phi(M), so
 phi(M) <A[x], B[y]> = sum_m w[m] row_A[m] row_B[m] is an integer with
 weights w[m] = phi(M)/phi(M/m); it counts dilation triples: the number of
 (a, b, r) with r coprime to M and r(a - x) + (b - y) = 0.
+
+Both kernels run on packed integers.  The rows of every point come from
+one product of polynomials evaluated at X = 2^w (_count_rows), and the
+whole grid check compares each distinct A row with all distinct B rows at
+once, the B rows packed per divisor column (box_product_all_ones).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 
 from .zm_core import TileSet, ZmContext, _same_context
+
+
+# (item size in bytes, array type code), narrowest first, up to 8 bytes.
+_ITEMS = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
 
 
 def _weights(ctx: ZmContext) -> list[int]:
@@ -29,28 +41,55 @@ def _weights(ctx: ZmContext) -> list[int]:
     return [phi_m // ctx.phi_table[ctx.M // d] for d in ctx.divisors]
 
 
-def _count_rows(T: TileSet, points) -> list[list[int]]:
+@lru_cache(maxsize=8)   # 3 M D nbytes bytes each
+def _class_polys(ctx: ZmContext, nbytes: int) -> int:
+    """(1 + X^M) C_m(X) for every divisor m, with C_m(X) the sum of X^v
+    over the v in [0, M) with (v, M) = m, at X = 2^(8 nbytes): one block of
+    3M fields per divisor, indexed like ctx.divisors."""
+    M = ctx.M
+    index = {d: i for i, d in enumerate(ctx.divisors)}
+    packed = bytearray(3 * M * nbytes * len(index))
+    for v, d in enumerate(ctx.gcd_table):
+        start = (3 * M * index[d] + v) * nbytes
+        packed[start] = packed[start + M * nbytes] = 1
+    return int.from_bytes(packed, "little")
+
+
+def _count_rows(T: TileSet) -> list[tuple[int, ...]]:
     """Per point x in [0, M): divisor-class counts of T relative to x,
-    indexed like ctx.divisors."""
+    indexed like ctx.divisors.
+
+    With P(X) the sum of X^t over T, the coefficient of X^(M + x) in
+    P(X) (1 + X^M) C_m(X) is #{t : (x - t, M) = m}, the count of class m
+    at x: a t <= x meets c = x - t in X^M C_m(X), a t > x meets
+    c = M + x - t in C_m(X).  Each coefficient of the product counts every
+    t at most once, so it is at most |T|, below 2^w with w = 8 nbytes: no
+    field carries, and the blocks of 3M fields, each holding a product of
+    degree below 3M, do not overlap.  The counts are read as bytes, fields
+    M to 2M of each block.
+    """
     ctx = T.context
-    index = {d: k for k, d in enumerate(ctx.divisors)}
-    gcds = ctx.gcd_table
-    members = T.members
-    rows = []
-    for x in points:
-        row = [0] * len(index)
-        for a in members:
-            row[index[gcds[x - a]]] += 1
-        rows.append(row)
-    return rows
+    nbytes = max(1, (len(T).bit_length() + 7) // 8)    # 2^w > |T|
+    size = ctx.M * nbytes
+    packed = bytearray(size)
+    for t in T.members:
+        packed[t * nbytes] = 1
+    product = int.from_bytes(packed, "little") * _class_polys(ctx, nbytes)
+    data = product.to_bytes(3 * size * len(ctx.divisors), "little")
+    cols = [data[start:start + size]
+            for start in range(size, len(data), 3 * size)]
+    if nbytes > 1:
+        cols = [[int.from_bytes(col[v:v + nbytes], "little")
+                 for v in range(0, size, nbytes)] for col in cols]
+    return list(zip(*cols))
 
 
 def box_product(A: TileSet, B: TileSet, x: int, y: int) -> Fraction:
     """<A[x], B[y]> as an exact rational, base points read mod M; equals 1
     on tilings."""
     ctx = _same_context(A, B)
-    (row_a,) = _count_rows(A, [x % ctx.M])
-    (row_b,) = _count_rows(B, [y % ctx.M])
+    row_a = _count_rows(A)[x % ctx.M]
+    row_b = _count_rows(B)[y % ctx.M]
     total = sum(w * na * nb for w, na, nb in zip(_weights(ctx), row_a, row_b))
     return Fraction(total, ctx.phi_table[ctx.M])
 
@@ -60,19 +99,31 @@ def box_product_all_ones(t) -> bool:
     integer form sum_m w[m]*countA*countB = phi(M).
 
     The product at (x, y) depends only on the count rows of x and y, so
-    each distinct pair of rows is checked once.
+    each distinct pair of rows is checked once.  The distinct B rows j go
+    into one integer per divisor m, with row j's count of class m in field
+    j of W bits, written as an array of W-bit items; an A row then gives
+    every pair's sum at once, in the fields of sum_m w[m] countA[m] col_m.
+    A field's sum is at most phi(M) |A| |B|, as w[m] <= phi(M) and
+    sum_m countA[m] countB[m] <= |A| |B|, so with 2^W > phi(M) (|A| |B| + 1)
+    no field carries, and the sums all equal phi(M) exactly when the packed
+    value equals phi(M) in every field.  That bound is below 2^48 for
+    M <= MAX_M, so 64-bit items always suffice.
     """
     ctx = t.context
     phi_m = ctx.phi_table[ctx.M]
+    bound = phi_m * (len(t.A) * len(t.B) + 1)
+    size, code = next(item for item in _ITEMS if bound >> 8 * item[0] == 0)
+    width = 8 * size
+    rows_b = set(_count_rows(t.B))
+    cols_b = [int.from_bytes(array(code, col), sys.byteorder)
+              for col in zip(*rows_b)]
+    target = phi_m * (((1 << width * len(rows_b)) - 1) // ((1 << width) - 1))
     weights = _weights(ctx)
-    points = range(ctx.M)
-    rows_a = set(map(tuple, _count_rows(t.A, points)))
-    rows_b = set(map(tuple, _count_rows(t.B, points)))
-    # Fold the weights into the A rows once; each pair is then a dot product.
-    packed = [[w * c for w, c in zip(weights, row)] for row in rows_a]
-    for row_a in packed:
-        sparse = [(k, wc) for k, wc in enumerate(row_a) if wc]
-        for row_b in rows_b:
-            if sum(wc * row_b[k] for k, wc in sparse) != phi_m:
-                return False
+    for row_a in set(_count_rows(t.A)):
+        total = 0
+        for w, c, col in zip(weights, row_a, cols_b):
+            if c:
+                total += w * c * col
+        if total != target:
+            return False
     return True

@@ -73,7 +73,6 @@ class ZmContext:
     primes: tuple[tuple[int, int], ...]      # ((p, n), ...) ascending
     divisors: tuple[int, ...]                # all divisors of M, ascending
     phi_table: dict[int, int]                # d | M  ->  phi(d)
-    prime_powers: tuple[int, ...]            # p_j^{n_j}
     gcd_table: tuple[int, ...]               # v -> gcd(v, M), v in [0, M)
     units: tuple[int, ...]                   # v in [0, M) with gcd(v, M) = 1
     coord_tables: tuple[tuple[int, ...], ...]  # per direction: v -> pi_j(v)
@@ -116,11 +115,10 @@ def factorize(M: int) -> ZmContext:
     primes = prime_factorization(M)
     divisors = _divisors_of(primes)
     phi_table = {d: euler_phi(d) for d in divisors}
-    prime_powers = tuple(p**n for p, n in primes)
     gcd_table = tuple(math.gcd(v, M) for v in range(M))
     units = tuple(v for v in range(M) if gcd_table[v] == 1)   # (0,) at M = 1
     coord_tables = []
-    for q in prime_powers:
+    for q in (p**n for p, n in primes):
         inv = pow(M // q, -1, q)
         coord_tables.append(tuple((v % q) * inv % q for v in range(M)))
     return ZmContext(
@@ -128,7 +126,6 @@ def factorize(M: int) -> ZmContext:
         primes=primes,
         divisors=divisors,
         phi_table=phi_table,
-        prime_powers=prime_powers,
         gcd_table=gcd_table,
         units=units,
         coord_tables=tuple(coord_tables),

@@ -5,6 +5,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
+import types
 
 import pytest
 
@@ -296,6 +298,36 @@ def literal_statement_iii(t, direction):
     return True
 
 
+def literal_statement_ii(t, direction):
+    """Statement (II) dilate by dilate: _ab_fibers on each distinct rB, in
+    the order of the least unit r giving it, until one finds an AB fiber or
+    raises."""
+    ctx = t.context
+    ctx.check_direction(direction)
+    dilates = {}
+    for r in ctx.units:
+        rb = [r * b % ctx.M for b in t.B.members]
+        dilates.setdefault(frozenset(rb), rb)
+    return all(not sp._ab_fibers(t.A, rb, direction)
+               for rb in dilates.values())
+
+
+def literal_slabcor_premise(t, direction):
+    """slabcor_check's two premises (fibered, saturated), the first
+    scanned member by member over the multiples of M/p."""
+    ctx = t.context
+    p, n = ctx.primes[direction]
+    f = ctx.M // p
+    fibered = all(any((a + k * f) % ctx.M in t.A for k in range(1, p))
+                  for a in t.A)
+    coord = ctx.coord_tables[direction]
+    planes = collections.Counter(coord[b] for b in t.B)
+    expected = len(t.B) // math.gcd(len(t.B), p ** n)
+    saturated = (tl.divides_mask(p ** n, t.A)
+                 and set(planes.values()) == {expected})
+    return fibered, saturated
+
+
 def oracle_corpus():
     """Both orientations of every tiling of Z_1..Z_24 and of a seeded Z_36
     sample, each with every direction."""
@@ -372,12 +404,52 @@ class TestLiteralOracles:
                             == outcome(literal_slab_cond_i, tt, d)), (tt, d)
 
     def test_statement_iii_matches_per_b_classes(self):
+        """The check returns (II) and (III) only when they agree, so its
+        verdict also matches (II) taken dilate by dilate."""
         failing = 0
         for tt, d in oracle_corpus():
             want = literal_statement_iii(tt, d)
-            assert rd.splittingslab_equiv_check(tt, d) is want, (tt, d)
+            assert (rd.splittingslab_equiv_check(tt, d) is want
+                    is literal_statement_ii(tt, d)), (tt, d)
             failing += not want
         assert failing > 1000
+
+    def test_statement_ii_on_unchecked_pairs(self):
+        """Pairs that need not tile, and a direction out of range: the same
+        verdict, or error type and message."""
+        errors = collections.Counter()
+        for t in unchecked_pairs(3000, seed=6, moduli=(2, 60)):
+            for tt in (t, t.swapped()):
+                for d in range(len(tt.context.primes) + 1):
+                    want = outcome(literal_statement_ii, tt, d)
+                    assert outcome(rd._statement_ii, tt, d) == want, (tt, d)
+                    if isinstance(want, tuple):
+                        errors[want[0]] += 1
+        assert errors[InputError] > 1000
+        assert errors[InvariantViolationError] > 1000
+
+    def test_statement_ii_lowest_lane_fails_any_way(self):
+        """The dilate r = 2 gives an A-flat fiber, and r = 1 a double
+        cover at 9: the lowest lane that is not clean, by either failure,
+        decides."""
+        t = T(39, [0, 9, 16, 17, 20, 22, 27, 29, 30, 31, 33, 34, 38],
+              [0, 31, 32], check=False)
+        want = (InvariantViolationError, "double cover at 9: 9+0 and 16+32")
+        assert outcome(literal_statement_ii, t, 0) == want
+        assert outcome(rd._statement_ii, t, 0) == want
+        assert outcome(rd.splittingslab_equiv_check, t, 0) == want
+
+    def test_slabcor_premise_matches_member_scan(self, monkeypatch):
+        """The premise alone: the slab conditions it implies are stubbed
+        as holding."""
+        monkeypatch.setattr(rd, "slab_equivalence_check",
+                            lambda t, d: types.SimpleNamespace(holds=True))
+        fibered_only = 0
+        for tt, d in oracle_corpus():
+            fibered, saturated = literal_slabcor_premise(tt, d)
+            assert rd.slabcor_check(tt, d) == (fibered or saturated,) * 2, (tt, d)
+            fibered_only += fibered and not saturated
+        assert fibered_only > 1000
 
 
 def literal_ab_fibers(A, rB, direction):
@@ -465,6 +537,27 @@ class TestStatementIIKernel:
         with pytest.raises(InvariantViolationError, match="double cover"):
             rd.splittingslab_equiv_check(T(4, [0, 2], [0, 2], check=False), 0)
         assert calls == {}
+
+
+    @pytest.mark.parametrize("M, A, B, flat, r", [
+        (12, [0, 1, 6, 7], [0, 4, 8], lambda M, flat: 0, 1),
+        (12, [0, 6], range(6), lambda M, flat: flat | 1 << 2 * M * 2, 7),
+    ], ids=["no_flat_fiber", "lane_2_flat"])
+    def test_lane_kernel_disagreement_is_a_bug(self, monkeypatch, M, A, B,
+                                               flat, r):
+        """A lane kernel that finds no flat fiber fails lane 0 of a holding
+        direction, and one that puts an A-flat fiber in lane 2 fails the
+        dilate of the third unit (1, 5, 7, 11 give distinct dilates of
+        {0, ..., 5}).  There _ab_fibers finds no AB fiber: that raises."""
+        real = sp._lane_fibers
+
+        def broken(ctx, *args):
+            union, found = real(ctx, *args)
+            return union, flat(ctx.M, found)
+        monkeypatch.setattr(rd, "_lane_fibers", broken)
+        with pytest.raises(InvariantViolationError,
+                           match=rf"^dilate {r}B .*: the lane kernel finds"):
+            rd.splittingslab_equiv_check(T(M, A, B), 0)
 
 
 class TestSlabcor:

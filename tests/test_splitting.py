@@ -551,6 +551,45 @@ class TestFullFibers:
                             == literal_full_fibers(T, d))
 
 
+def literal_lane_fibers(ctx, members, shifts, direction):
+    """_lane_fibers for one mask, on sets: the union of its translates, and
+    the points whose whole fiber lies in the translates by shifts of one
+    coordinate."""
+    M, p = ctx.M, ctx.primes[direction][0]
+    classes = collections.defaultdict(set)
+    for s in shifts:
+        classes[ctx.coord_tables[direction][s]].update(
+            (t + s) % M for t in members)
+    union = set().union(*classes.values())
+    flat = {z for cls in classes.values() for z in cls
+            if all((z + k * M // p) % M in cls for k in range(p))}
+    return sum(1 << z for z in union), sum(1 << z for z in flat)
+
+
+class TestLaneFibers:
+    def test_each_lane_matches_its_mask_alone(self):
+        """Unrelated masks packed in lanes: every lane gives what its mask
+        gives alone, so no bit crosses from one lane into another."""
+        rng = random.Random(5)
+        for _ in range(300):
+            ctx = tl.factorize(rng.randint(2, 60))
+            M, full = ctx.M, ctx.full_mask
+            masks = [rng.getrandbits(M) for _ in range(rng.randint(1, 6))]
+            shifts = rng.sample(range(M), rng.randint(1, M))
+            packed = low = 0
+            for lane, mask in enumerate(masks):
+                packed |= (mask | mask << M) << 2 * M * lane
+                low |= full << 2 * M * lane
+            for d in range(len(ctx.primes)):
+                union, flat = sp._lane_fibers(ctx, packed, shifts, low, d)
+                for lane, mask in enumerate(masks):
+                    members = tl.TileSet.from_mask(ctx, mask).members
+                    want = literal_lane_fibers(ctx, members, shifts, d)
+                    got = (union >> 2 * M * lane & full,
+                           flat >> 2 * M * lane & full)
+                    assert got == want, (M, mask, shifts, d, lane)
+
+
 class TestCrossDirection:
     def test_degenerate_exponent_one(self):
         # 0*F_2={0,6} sits inside A; the 3^0-plane is everything

@@ -8,7 +8,7 @@ import tilelab as tl
 from tilelab.errors import ContextMismatchError
 from tilelab.structure import _count_rows
 
-from conftest import corpus, unchecked_pairs
+from conftest import corpus, oracle_tilings, unchecked_pairs
 
 
 def oracle_counts(A, x):
@@ -29,8 +29,34 @@ def oracle_box(A, B, x, y):
 def count_row(A, x):
     """structure._count_rows at the single point x, as a {divisor: count}
     dict without zero entries, the shape of oracle_counts."""
-    (row,) = _count_rows(A, [x])
+    row = _count_rows(A)[x]
     return {m: c for m, c in zip(A.context.divisors, row) if c}
+
+
+def literal_count_rows(T, points):
+    """The count rows of the points, member by member, indexed like
+    ctx.divisors: the oracle of the packed _count_rows."""
+    ctx = T.context
+    index = {d: k for k, d in enumerate(ctx.divisors)}
+    rows = []
+    for x in points:
+        row = [0] * len(index)
+        for a in T.members:
+            row[index[ctx.gcd_table[x - a]]] += 1
+        rows.append(tuple(row))
+    return rows
+
+
+def literal_all_ones(t):
+    """box_product_all_ones as a dot product per distinct pair of literal
+    rows."""
+    ctx = t.context
+    phi_m = ctx.phi_table[ctx.M]
+    weights = [phi_m // ctx.phi_table[ctx.M // d] for d in ctx.divisors]
+    rows_a = set(literal_count_rows(t.A, range(ctx.M)))
+    rows_b = set(literal_count_rows(t.B, range(ctx.M)))
+    return all(sum(w * a * b for w, a, b in zip(weights, row_a, row_b)) == phi_m
+               for row_a in rows_a for row_b in rows_b)
 
 
 class TestCountRows:
@@ -44,7 +70,7 @@ class TestCountRows:
     def test_total_and_membership_flag(self):
         ctx = tl.factorize(12)
         A = tl.TileSet(ctx, [0, 1, 6, 7])
-        for x, row in enumerate(_count_rows(A, range(12))):
+        for x, row in enumerate(_count_rows(A)):
             assert sum(row) == len(A)
             assert row[ctx.divisors.index(12)] == (1 if x in A.members else 0)
 
@@ -53,6 +79,44 @@ class TestCountRows:
         A = tl.TileSet(ctx, [0, 1, 5, 6, 7, 11])
         for x in range(12):
             assert count_row(A, x) == oracle_counts(A, x)
+
+    def test_matches_literal_rows_on_tiles(self):
+        """Every distinct tile of the oracle tilings."""
+        tiles = {T for t in oracle_tilings() for T in (t.A, t.B)}
+        for T in tiles:
+            assert _count_rows(T) == literal_count_rows(T, range(T.context.M)), T
+        assert len(tiles) > 1000
+
+    def test_matches_literal_rows_on_non_tilings(self):
+        """Rows of both sides, and the grid verdict, on pairs that need not
+        tile."""
+        verdicts = []
+        for t in unchecked_pairs(600, seed=19, moduli=(1, 60)):
+            for T in (t.A, t.B):
+                assert (_count_rows(T)
+                        == literal_count_rows(T, range(t.context.M))), T
+            want = literal_all_ones(t)
+            assert tl.box_product_all_ones(t) is want, t
+            verdicts.append(want)
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+    @pytest.mark.parametrize("A, B, want", [
+        (range(256), [0, 256], True),
+        (range(256), [0, 2], False),
+        ([0, 1], range(0, 512, 2), True),
+        ([0, 2], range(0, 512, 2), False),
+    ])
+    def test_two_byte_fields(self, A, B, want):
+        """A tile of 256 members needs fields of two bytes: tilings of Z_512
+        and pairs of the same sizes that do not tile.  Against the even
+        residues, an odd point counts all 256 in class 1."""
+        ctx = tl.factorize(512)
+        t = tl.Tiling(tl.TileSet(ctx, A), tl.TileSet(ctx, B), check=False)
+        big = t.A if len(t.A) == 256 else t.B
+        rows = _count_rows(big)
+        assert rows == literal_count_rows(big, range(512))
+        assert max(map(max, rows)) == (256 if big is t.B else 128)
+        assert tl.box_product_all_ones(t) is want is tl.verify_direct(t.A, t.B)
 
 
 class TestBoxProduct:
