@@ -234,24 +234,53 @@ def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
 # the splitting form of the slab conditions
 
 
-@lru_cache(maxsize=2)   # one tiling's two sides, so sweeps stay bounded
-def _dilate_lanes(A: TileSet, B: TileSet) -> tuple[tuple[int, ...], int, int,
-                                                    int]:
-    """The distinct dilates rB over the units r of Z_M, one lane each in
-    the order of their least r, packed as _lane_fibers reads them: (those
-    r, the lanes of rB, the lanes of r^-1 A, the low M bits of every lane).
-    None of this depends on the direction."""
+_BATCH_BITS = 1 << 20   # bits of lane classes that one batch may hold
+
+
+@lru_cache(maxsize=2)   # one tiling's two sides
+def _dilate_units(B: TileSet) -> tuple[int, ...]:
+    """The least unit r giving each distinct dilate rB, ascending; the
+    first is 1 (0 at M = 1), giving B itself.
+
+    rB = r'B exactly when r^-1 r' fixes B, so the distinct dilates are the
+    cosets of the units fixing B, and a unit is the least of its coset
+    when no smaller unit has marked it.  A unit s fixes B when sB lies in
+    B, as s is injective."""
+    ctx = B.context
+    M, mask, members = ctx.M, B.mask, B.members
+    fixing = [s for s in ctx.units
+              if all(mask >> s * b % M & 1 for b in members)]
+    seen = bytearray(M)
+    least = []
+    for r in ctx.units:
+        if not seen[r]:
+            least.append(r)
+            for s in fixing:
+                seen[r * s % M] = 1
+    return tuple(least)
+
+
+@lru_cache(maxsize=2)   # one tiling's two sides when they fit in one batch
+def _dilate_batch(A: TileSet, B: TileSet, start: int) -> tuple[
+        tuple[int, ...], int, int, int]:
+    """The distinct dilates rB from the start-th on, one lane of 2M bits
+    each, packed as _lane_fibers reads them: (their least units r, the
+    lanes of rB, the lanes of r^-1 A, the low M bits of every lane).  None
+    of this depends on the direction.
+
+    _lane_fibers holds one class per shift at most, each as wide as the
+    batch, and the shifts are the members of A or of B; so a batch takes
+    as many lanes as keep max(|A|, |B|) classes within _BATCH_BITS, and
+    one lane, as _ab_fibers does, when a single lane exceeds it."""
     ctx = A.context
     M, width = ctx.M, 2 * ctx.M
-    # the bits 1 << r b of distinct b are distinct for a unit r: sums are ORs
-    first: dict[int, int] = {}
-    for r in ctx.units:
-        first.setdefault(sum([1 << r * b % M for b in B.members]), r)
-    lanes = tuple(first.values())
+    size = max(1, _BATCH_BITS // (width * max(len(A), len(B))))
+    lanes = _dilate_units(B)[start:start + size]
     packed_a = packed_b = 0
-    for shift, rb, r in zip(range(0, width * len(lanes), width), first, lanes):
+    # the bits 1 << r b of distinct b are distinct for a unit r: sums are ORs
+    for shift, r in zip(range(0, width * len(lanes), width), lanes):
         inverse = pow(r, -1, M)
-        packed_b |= rb << shift
+        packed_b |= sum([1 << r * b % M for b in B.members]) << shift
         packed_a |= sum([1 << inverse * a % M for a in A.members]) << shift
     low = ((1 << width * len(lanes)) - 1) // ((1 << width) - 1) * ctx.full_mask
     return lanes, packed_b | packed_b << M, packed_a | packed_a << M, low
@@ -259,10 +288,12 @@ def _dilate_lanes(A: TileSet, B: TileSet) -> tuple[tuple[int, ...], int, int,
 
 def _statement_ii(t: Tiling, direction: int) -> bool:
     """Every dilate rB splits uniformly BA with A: _ab_fibers finds no AB
-    fiber of A + rB, for every distinct rB in the order of _dilate_lanes.
+    fiber of A + rB, for every distinct rB in the order of _dilate_units.
 
-    _ab_fibers returns 0 exactly when A + rB is an exact cover (|A||B| = M
-    and the translates cover Z_M), no fiber is A-flat, and every fiber is
+    The first dilate, B itself, goes to _ab_fibers, which returns nonzero
+    or raises as the literal loop does there; past it, |A||B| = M.  The
+    others run in batches of lanes.  _ab_fibers returns 0 exactly when
+    A + rB is an exact cover, no fiber is A-flat, and every fiber is
     rB-flat: a lane is clean when all of these hold.  The A-flat fibers of
     every lane come at once, from the translates of the lanes of rB by A's
     members.  For the rB-flat ones, the dilation by r^-1 maps A + rB onto
@@ -273,33 +304,33 @@ def _statement_ii(t: Tiling, direction: int) -> bool:
     r^-1 A + B is B-flat, and those come from the translates of the lanes
     of r^-1 A by B's members, the same shifts in every lane.
 
-    If every lane is clean, (II) holds.  Otherwise the lowest lane that is
-    not clean, whatever the reason, is the first dilate on which the
-    literal loop stops: _ab_fibers there raises its error or returns
-    nonzero, and finding 0 instead is a defect.
+    The lowest lane that is not clean, whatever the reason, in the first
+    batch that has one, is the dilate on which the literal loop stops:
+    _ab_fibers there raises its error or returns nonzero, and finding 0
+    instead is a defect.  If every lane is clean, (II) holds.
     """
     ctx = t.context
     p, _ = ctx.check_direction(direction)
+    if _ab_fibers(t.A, t.B.members, direction):
+        return False
     M = ctx.M
-    r = ctx.units[0]                # every lane fails the sizes
-    if len(t.A) * len(t.B) == M:
-        lanes, packed_b, packed_a, low = _dilate_lanes(t.A, t.B)
+    start, count = 1, len(_dilate_units(t.B))
+    while start < count:
+        lanes, packed_b, packed_a, low = _dilate_batch(t.A, t.B, start)
         union, flat_a = _lane_fibers(ctx, packed_b, t.A.members, low,
                                      direction)
-        bad = low & ~union | flat_a
-        if not bad & ctx.full_mask:     # else lane 0 is the lowest to fail
-            _, flat_b = _lane_fibers(ctx, packed_a, t.B.members, low,
-                                     direction)
-            bad |= low & ~flat_b
-            if not bad:
-                return True
-        r = lanes[((bad & -bad).bit_length() - 1) // (2 * M)]
-    if _ab_fibers(t.A, [r * b % M for b in t.B.members], direction):
-        return False
-    raise InvariantViolationError(
-        f"dilate {r}B of B={t.B.members} with A={t.A.members} in Z_{M} "
-        f"(direction p={p}): the lane kernel finds a fiber off uniform BA, "
-        f"_ab_fibers none")
+        _, flat_b = _lane_fibers(ctx, packed_a, t.B.members, low, direction)
+        bad = low & ~(union & flat_b) | flat_a
+        if bad:
+            r = lanes[((bad & -bad).bit_length() - 1) // (2 * M)]
+            if _ab_fibers(t.A, [r * b % M for b in t.B.members], direction):
+                return False
+            raise InvariantViolationError(
+                f"dilate {r}B of B={t.B.members} with A={t.A.members} in "
+                f"Z_{M} (direction p={p}): the lane kernel finds a fiber "
+                f"off uniform BA, _ab_fibers none")
+        start += len(lanes)
+    return True
 
 
 def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
@@ -312,7 +343,7 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
           members of A whose difference class against x lies in Div(B))
           lies on x's p^n-plane.
 
-    (II) runs on every distinct dilate rB at once, one lane of a packed
+    (II) runs on the distinct dilates rB in batches, one lane of a packed
     integer each (_statement_ii).  (III) is one mask test: coordinates are
     additive, so x - a has a coordinate other than 0 exactly when p^n does
     not divide it.  With E the v whose class (v, M) lies in Div(B) and is

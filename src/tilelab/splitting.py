@@ -13,12 +13,13 @@ it (see fiber_parity); uniformity notions quantify it over all fibers of a
 direction, or only over fibers anchored at tile elements.  One mask
 decider, _ab_fibers, gives a whole direction's parities to split_report;
 fiber_parity is the literal single-fiber rule and the one source of the
-both/neither error.  The slab statement (II) decides every dilate rB at
-once, one lane of a packed integer each, through the decider's kernel
-_lane_fibers (reduction._statement_ii), and calls _ab_fibers only on the
-first dilate that fails, for its verdict or its error.  The full-fiber
-kernel _full_fibers (the fibers lying inside a bitmask) also serves the
-cross-direction check and the fibered-grid profile.
+both/neither error.  The slab statement (II) (reduction._statement_ii)
+asks _ab_fibers about B itself, then decides the other dilates rB in
+batches, one lane of a packed integer each, through the decider's kernel
+_lane_fibers, and calls _ab_fibers again only on the first dilate that
+fails, for its verdict or its error.  The full-fiber kernel _full_fibers
+(the fibers lying inside a bitmask) also serves the cross-direction check
+and the fibered-grid profile.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -188,7 +189,8 @@ def _lane_fibers(ctx: ZmContext, packed: int, shifts, low: int,
     which `low` cuts off.  The translates are OR-ed per coordinate of the
     shift, and the flat fibers of a class are its full fibers.  On an
     exact cover the classes partition the lane by the coordinate of each
-    point's shift.
+    point's shift.  The classes are held at once: at most len(shifts)
+    integers as wide as `packed`.
     """
     M = ctx.M
     table = ctx.coord_tables[direction]

@@ -15,24 +15,25 @@ phi(M) <A[x], B[y]> = sum_m w[m] row_A[m] row_B[m] is an integer with
 weights w[m] = phi(M)/phi(M/m); it counts dilation triples: the number of
 (a, b, r) with r coprime to M and r(a - x) + (b - y) = 0.
 
-Both kernels run on packed integers.  The rows of every point come from
-one product of polynomials evaluated at X = 2^w (_count_rows), and the
-whole grid check compares each distinct A row with all distinct B rows at
-once, the B rows packed per divisor column (box_product_all_ones).
+The whole-grid check runs on packed integers: the rows of every point
+come from one product of polynomials evaluated at X = 2^w (_count_rows),
+and each distinct A row is compared with all distinct B rows at once, the
+B rows packed per divisor column (box_product_all_ones).  The product at a
+single pair of points counts its two rows member by member (box_product).
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 from .zm_core import TileSet, ZmContext, _same_context
 
 
-# (item size in bytes, array type code), narrowest first, up to 8 bytes.
-_ITEMS = sorted({array(code).itemsize: code for code in "BHILQ"}.items())
+_FIELD = 8 * array("Q").itemsize     # bits per packed field, at least 64
 
 
 def _weights(ctx: ZmContext) -> list[int]:
@@ -86,12 +87,15 @@ def _count_rows(T: TileSet) -> list[tuple[int, ...]]:
 
 def box_product(A: TileSet, B: TileSet, x: int, y: int) -> Fraction:
     """<A[x], B[y]> as an exact rational, base points read mod M; equals 1
-    on tilings."""
+    on tilings.  Each member a of A adds w[m] row_B[m] for its class
+    m = (x - a, M), which sums to sum_m w[m] row_A[m] row_B[m]."""
     ctx = _same_context(A, B)
-    row_a = _count_rows(A)[x % ctx.M]
-    row_b = _count_rows(B)[y % ctx.M]
-    total = sum(w * na * nb for w, na, nb in zip(_weights(ctx), row_a, row_b))
-    return Fraction(total, ctx.phi_table[ctx.M])
+    M, gcds, phi = ctx.M, ctx.gcd_table, ctx.phi_table
+    x, y = x % M, y % M
+    row_b = Counter(gcds[y - b] for b in B.members)
+    total = sum(phi[M] // phi[M // m] * row_b[m]
+                for m in (gcds[x - a] for a in A.members))
+    return Fraction(total, phi[M])
 
 
 def box_product_all_ones(t) -> bool:
@@ -106,18 +110,17 @@ def box_product_all_ones(t) -> bool:
     A field's sum is at most phi(M) |A| |B|, as w[m] <= phi(M) and
     sum_m countA[m] countB[m] <= |A| |B|, so with 2^W > phi(M) (|A| |B| + 1)
     no field carries, and the sums all equal phi(M) exactly when the packed
-    value equals phi(M) in every field.  That bound is below 2^48 for
-    M <= MAX_M, so 64-bit items always suffice.
+    value equals phi(M) in every field.  As phi(M) < 2^16 and
+    |A| |B| <= M^2 <= 2^32 for M <= MAX_M, the bound is below 2^49, so
+    items of W >= 64 bits fit every M.
     """
     ctx = t.context
     phi_m = ctx.phi_table[ctx.M]
-    bound = phi_m * (len(t.A) * len(t.B) + 1)
-    size, code = next(item for item in _ITEMS if bound >> 8 * item[0] == 0)
-    width = 8 * size
     rows_b = set(_count_rows(t.B))
-    cols_b = [int.from_bytes(array(code, col), sys.byteorder)
+    cols_b = [int.from_bytes(array("Q", col), sys.byteorder)
               for col in zip(*rows_b)]
-    target = phi_m * (((1 << width * len(rows_b)) - 1) // ((1 << width) - 1))
+    target = phi_m * (((1 << _FIELD * len(rows_b)) - 1)
+                      // ((1 << _FIELD) - 1))
     weights = _weights(ctx)
     for row_a in set(_count_rows(t.A)):
         total = 0

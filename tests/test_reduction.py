@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 import types
 
 import pytest
@@ -539,16 +540,17 @@ class TestStatementIIKernel:
         assert calls == {}
 
 
-    @pytest.mark.parametrize("M, A, B, flat, r", [
-        (12, [0, 1, 6, 7], [0, 4, 8], lambda M, flat: 0, 1),
-        (12, [0, 6], range(6), lambda M, flat: flat | 1 << 2 * M * 2, 7),
-    ], ids=["no_flat_fiber", "lane_2_flat"])
-    def test_lane_kernel_disagreement_is_a_bug(self, monkeypatch, M, A, B,
-                                               flat, r):
-        """A lane kernel that finds no flat fiber fails lane 0 of a holding
-        direction, and one that puts an A-flat fiber in lane 2 fails the
-        dilate of the third unit (1, 5, 7, 11 give distinct dilates of
-        {0, ..., 5}).  There _ab_fibers finds no AB fiber: that raises."""
+    @pytest.mark.parametrize("flat, r", [
+        (lambda M, flat: 0, 5),
+        (lambda M, flat: flat | 1 << 2 * M, 7),
+    ], ids=["no_flat_fiber", "second_lane_flat"])
+    def test_lane_kernel_disagreement_is_a_bug(self, monkeypatch, flat, r):
+        """The units 1, 5, 7, 11 give distinct dilates of {0, ..., 5}, and
+        _ab_fibers decides B itself, so the lanes hold the dilates by 5, 7
+        and 11.  A lane kernel that finds no flat fiber fails the first of
+        them, and one that puts an A-flat fiber in the second lane fails
+        the dilate by 7.  There _ab_fibers finds no AB fiber: that
+        raises."""
         real = sp._lane_fibers
 
         def broken(ctx, *args):
@@ -557,7 +559,85 @@ class TestStatementIIKernel:
         monkeypatch.setattr(rd, "_lane_fibers", broken)
         with pytest.raises(InvariantViolationError,
                            match=rf"^dilate {r}B .*: the lane kernel finds"):
-            rd.splittingslab_equiv_check(T(M, A, B), 0)
+            rd.splittingslab_equiv_check(T(12, [0, 6], range(6)), 0)
+
+
+    def test_dilate_units_are_the_least_per_dilate(self):
+        """The least unit giving each distinct dilate rB, ascending, as the
+        literal loop meets them."""
+        rng = random.Random(3)
+        for _ in range(300):
+            ctx = tl.factorize(rng.randint(1, 120))
+            B = tl.TileSet(ctx, rng.sample(range(ctx.M),
+                                           rng.randint(1, ctx.M)))
+            first = {}
+            for r in ctx.units:
+                first.setdefault(frozenset(r * b % ctx.M for b in B), r)
+            assert rd._dilate_units(B) == tuple(first.values()), B
+
+    @pytest.mark.parametrize("bits", [1, 1000])
+    def test_batches_decide_as_one(self, batch_bits, bits):
+        """Batches of one lane each, and of a few lanes as M and the tile
+        sizes vary, give the verdicts and errors of a single batch."""
+        batch_bits(bits)
+        for t in corpus(24)[::16] + corpus(30)[::80]:
+            for tt in (t, t.swapped()):
+                for d in range(len(tt.context.primes)):
+                    assert (rd._statement_ii(tt, d)
+                            is literal_statement_ii(tt, d)), (tt, d)
+        for t in unchecked_pairs(200, seed=8, moduli=(2, 60)):
+            for tt in (t, t.swapped()):
+                for d in range(len(tt.context.primes)):
+                    assert (outcome(rd._statement_ii, tt, d)
+                            == outcome(literal_statement_ii, tt, d)), (tt, d)
+
+    def test_failing_lane_of_a_later_batch(self, batch_bits, monkeypatch):
+        """With one lane per batch, an A-flat fiber in the third batch's
+        lane fails the dilate of {0, ..., 5} by 11, not by 5 or 7."""
+        batch_bits(1)
+        real = sp._lane_fibers
+        calls = []
+
+        def broken(ctx, *args):
+            union, found = real(ctx, *args)
+            calls.append(None)
+            return union, found | (len(calls) == 5)
+        monkeypatch.setattr(rd, "_lane_fibers", broken)
+        with pytest.raises(InvariantViolationError,
+                           match=r"^dilate 11B .*: the lane kernel finds"):
+            rd.splittingslab_equiv_check(T(12, [0, 6], range(6)), 0)
+
+    def test_batches_bound_the_packed_width(self, monkeypatch):
+        """In Z_1024 the interval {0, ..., 31} has 512 distinct dilates.
+        Past B itself they take 32 batches of at most 16 lanes of 2048
+        bits, so that the 32 classes of a batch stay within _BATCH_BITS.
+        Its multiples-of-32 partner has one dilate."""
+        widths = []
+        real = rd._dilate_batch
+
+        def recording(A, B, start):
+            batch = real(A, B, start)
+            widths.append(max(packed.bit_length() for packed in batch[1:]))
+            return batch
+        monkeypatch.setattr(rd, "_dilate_batch", recording)
+        t = T(1024, range(0, 1024, 32), range(32))
+        assert rd._statement_ii(t, 0) is literal_statement_ii(t, 0) is True
+        assert len(widths) == 32 and 32 * max(widths) <= rd._BATCH_BITS
+        swapped = t.swapped()
+        assert (rd._statement_ii(swapped, 0)
+                is literal_statement_ii(swapped, 0) is False)
+        assert len(widths) == 32
+
+
+@pytest.fixture
+def batch_bits(monkeypatch):
+    """Sets reduction._BATCH_BITS for one test; the batch cache is emptied
+    around it, so no batch of another size is reused."""
+    def set_bits(bits):
+        monkeypatch.setattr(rd, "_BATCH_BITS", bits)
+        rd._dilate_batch.cache_clear()
+    yield set_bits
+    rd._dilate_batch.cache_clear()
 
 
 class TestSlabcor:
