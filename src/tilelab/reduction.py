@@ -32,7 +32,7 @@ from .zm_core import TileSet, ZmContext, factorize, radical_quotient
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
 from .tiling import (Tiling, _class_bits, div_set, tiling_to_json,
                      verify_direct)
-from .splitting import _ab_fibers, _lane_fibers, split_report
+from .splitting import _ab_fibers, split_report
 
 
 # ---------------------------------------------------------------------------
@@ -234,103 +234,25 @@ def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
 # the splitting form of the slab conditions
 
 
-_BATCH_BITS = 1 << 20   # bits of lane classes that one batch may hold
-
-
-@lru_cache(maxsize=2)   # one tiling's two sides
-def _dilate_units(B: TileSet) -> tuple[int, ...]:
-    """The least unit r giving each distinct dilate rB, ascending; the
-    first is 1 (0 at M = 1), giving B itself.
-
-    rB = r'B exactly when r^-1 r' fixes B, so the distinct dilates are the
-    cosets of the units fixing B, and a unit is the least of its coset
-    when no smaller unit has marked it.  A unit s fixes B when sB lies in
-    B, as s is injective."""
-    ctx = B.context
-    M, mask, members = ctx.M, B.mask, B.members
-    fixing = [s for s in ctx.units
-              if all(mask >> s * b % M & 1 for b in members)]
-    seen = bytearray(M)
-    least = []
-    for r in ctx.units:
-        if not seen[r]:
-            least.append(r)
-            for s in fixing:
-                seen[r * s % M] = 1
-    return tuple(least)
-
-
-@lru_cache(maxsize=2)   # one tiling's two sides when they fit in one batch
-def _dilate_batch(A: TileSet, B: TileSet, start: int) -> tuple[
-        tuple[int, ...], int, int, int]:
-    """The distinct dilates rB from the start-th on, one lane of 2M bits
-    each, packed as _lane_fibers reads them: (their least units r, the
-    lanes of rB, the lanes of r^-1 A, the low M bits of every lane).  None
-    of this depends on the direction.
-
-    _lane_fibers holds one class per shift at most, each as wide as the
-    batch, and the shifts are the members of A or of B; so a batch takes
-    as many lanes as keep max(|A|, |B|) classes within _BATCH_BITS, and
-    one lane, as _ab_fibers does, when a single lane exceeds it."""
-    ctx = A.context
-    M, width = ctx.M, 2 * ctx.M
-    size = max(1, _BATCH_BITS // (width * max(len(A), len(B))))
-    lanes = _dilate_units(B)[start:start + size]
-    packed_a = packed_b = 0
-    # the bits 1 << r b of distinct b are distinct for a unit r: sums are ORs
-    for shift, r in zip(range(0, width * len(lanes), width), lanes):
-        inverse = pow(r, -1, M)
-        packed_b |= sum([1 << r * b % M for b in B.members]) << shift
-        packed_a |= sum([1 << inverse * a % M for a in A.members]) << shift
-    low = ((1 << width * len(lanes)) - 1) // ((1 << width) - 1) * ctx.full_mask
-    return lanes, packed_b | packed_b << M, packed_a | packed_a << M, low
-
-
 def _statement_ii(t: Tiling, direction: int) -> bool:
-    """Every dilate rB splits uniformly BA with A: _ab_fibers finds no AB
-    fiber of A + rB, for every distinct rB in the order of _dilate_units.
+    """Every dilate rB splits uniformly BA with A, decided on B alone:
+    _ab_fibers finds no AB fiber of A + B.  On a pair that is not a tiling
+    it raises or finds one, as the loop over the dilates does at its first
+    dilate, B itself.
 
-    The first dilate, B itself, goes to _ab_fibers, which returns nonzero
-    or raises as the literal loop does there; past it, |A||B| = M.  The
-    others run in batches of lanes.  _ab_fibers returns 0 exactly when
-    A + rB is an exact cover, no fiber is A-flat, and every fiber is
-    rB-flat: a lane is clean when all of these hold.  The A-flat fibers of
-    every lane come at once, from the translates of the lanes of rB by A's
-    members.  For the rB-flat ones, the dilation by r^-1 maps A + rB onto
-    r^-1 A + B, the pair (a, rb) onto (r^-1 a, b).  It sends the fiber of
-    z to that of r^-1 z, as r is prime to p, so r^-1 k M/p runs over the
-    multiples of M/p with k; and it scales coordinates by a unit mod p^n.
-    So every fiber of A + rB is rB-flat exactly when every fiber of
-    r^-1 A + B is B-flat, and those come from the translates of the lanes
-    of r^-1 A by B's members, the same shifts in every lane.
-
-    The lowest lane that is not clean, whatever the reason, in the first
-    batch that has one, is the dilate on which the literal loop stops:
-    _ab_fibers there raises its error or returns nonzero, and finding 0
-    instead is a defect.  If every lane is clean, (II) holds.
+    Say A + B = Z_M, p^n || M, and B_c is the b in B of coordinate c.  A
+    fiber is B-flat exactly when it lies inside one S_c = A + B_c, and no
+    B-flat fiber is also A-flat (fiber_parity).  So A + B splits uniformly
+    BA exactly when every S_c is a union of fibers, that is when
+    A(X) B_c(X) (X^{M/p} - 1) = 0 mod X^M - 1, that is when Phi_d divides
+    A or B_c for every d with p^n | d | M, as Phi_d is irreducible.  For a
+    unit r, A + rB = Z_M (Tijdeman: r is prime to |B|); (rB)_{rc} = r B_c,
+    as coordinates are linear; and Phi_d | B_c(X^r) exactly when
+    Phi_d | B_c(X), as z -> z^r permutes the primitive d-th roots.  So the
+    condition is the same for every dilate.
     """
-    ctx = t.context
-    p, _ = ctx.check_direction(direction)
-    if _ab_fibers(t.A, t.B.members, direction):
-        return False
-    M = ctx.M
-    start, count = 1, len(_dilate_units(t.B))
-    while start < count:
-        lanes, packed_b, packed_a, low = _dilate_batch(t.A, t.B, start)
-        union, flat_a = _lane_fibers(ctx, packed_b, t.A.members, low,
-                                     direction)
-        _, flat_b = _lane_fibers(ctx, packed_a, t.B.members, low, direction)
-        bad = low & ~(union & flat_b) | flat_a
-        if bad:
-            r = lanes[((bad & -bad).bit_length() - 1) // (2 * M)]
-            if _ab_fibers(t.A, [r * b % M for b in t.B.members], direction):
-                return False
-            raise InvariantViolationError(
-                f"dilate {r}B of B={t.B.members} with A={t.A.members} in "
-                f"Z_{M} (direction p={p}): the lane kernel finds a fiber "
-                f"off uniform BA, _ab_fibers none")
-        start += len(lanes)
-    return True
+    t.context.check_direction(direction)
+    return not _ab_fibers(t.A, t.B.members, direction)
 
 
 def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
@@ -343,12 +265,12 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
           members of A whose difference class against x lies in Div(B))
           lies on x's p^n-plane.
 
-    (II) runs on the distinct dilates rB in batches, one lane of a packed
-    integer each (_statement_ii).  (III) is one mask test: coordinates are
-    additive, so x - a has a coordinate other than 0 exactly when p^n does
-    not divide it.  With E the v whose class (v, M) lies in Div(B) and is
-    not a multiple of p^n, (III) fails exactly when the union of A's fibers
-    meets A + E, the OR of rotate(E, a) over a in A.
+    (II) is decided on B alone, as the dilates rB cannot differ from it
+    (_statement_ii).  (III) is one mask test: coordinates are additive, so
+    x - a has a coordinate other than 0 exactly when p^n does not divide
+    it.  With E the v whose class (v, M) lies in Div(B) and is not a
+    multiple of p^n, (III) fails exactly when the union of A's fibers meets
+    A + E, the OR of rotate(E, a) over a in A.
 
     Returns the common truth value; raises if the three ever disagree.
     """

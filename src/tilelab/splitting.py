@@ -14,12 +14,10 @@ direction, or only over fibers anchored at tile elements.  One mask
 decider, _ab_fibers, gives a whole direction's parities to split_report;
 fiber_parity is the literal single-fiber rule and the one source of the
 both/neither error.  The slab statement (II) (reduction._statement_ii)
-asks _ab_fibers about B itself, then decides the other dilates rB in
-batches, one lane of a packed integer each, through the decider's kernel
-_lane_fibers, and calls _ab_fibers again only on the first dilate that
-fails, for its verdict or its error.  The full-fiber kernel _full_fibers
-(the fibers lying inside a bitmask) also serves the cross-direction check
-and the fibered-grid profile.
+is one _ab_fibers call on B itself.  The decider reads its flat fibers
+through _lane_fibers, and the full-fiber kernel _full_fibers (the fibers
+lying inside a bitmask) also serves the cross-direction check and the
+fibered-grid profile.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -55,11 +53,7 @@ def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
 
 def _full_fibers(ctx: ZmContext, mask: int, direction: int) -> int:
     """Mask of the v in `mask` whose whole fiber v + k M/p (k < p) lies in
-    it: the AND of the mask with its p - 1 rotations by -k M/p.
-
-    It acts alike on the lanes of 2M bits of _lane_fibers when their high
-    halves are 0: a shift carries bits of the next lane into a high half,
-    where the AND with the mask clears them."""
+    it: the AND of the mask with its p - 1 rotations by -k M/p."""
     p, _ = ctx.primes[direction]
     step = ctx.M // p
     doubled = mask | mask << ctx.M     # low M bits of doubled >> s: rotate(mask, -s)
@@ -175,32 +169,28 @@ def split_report(t: Tiling, direction: int) -> SplitReport:
                        _anchor_mask(t.B.mask, step))
 
 
-def _lane_fibers(ctx: ZmContext, packed: int, shifts, low: int,
+def _lane_fibers(ctx: ZmContext, mask: int, shifts,
                  direction: int) -> tuple[int, int]:
-    """Lane by lane, for the masks T held in the lanes of `packed`: the
-    union of the translates T + s over the shifts s, and the flat fibers,
-    those lying inside the translates by the shifts of one direction
-    coordinate.  Lane l is 2M bits from bit 2Ml on and holds T | T << M;
-    `low` holds the low M bits of every lane, where both results lie.  One
-    mask T is one lane: packed = T | T << M and low = ctx.full_mask.
+    """For the mask T: the union of the translates T + s over the shifts s,
+    and the flat fibers, those lying inside the translates by the shifts
+    of one direction coordinate.
 
-    Bits [0, M) of each lane of packed >> (M - s) are rotate(T, s); the
-    bits that the shift carries in from the next lane land in a high half,
-    which `low` cuts off.  The translates are OR-ed per coordinate of the
-    shift, and the flat fibers of a class are its full fibers.  On an
-    exact cover the classes partition the lane by the coordinate of each
-    point's shift.  The classes are held at once: at most len(shifts)
-    integers as wide as `packed`.
+    The lane T | T << M holds T twice, so bits [0, M) of lane >> (M - s)
+    are rotate(T, s); the full mask cuts off the bits above.  The
+    translates are OR-ed per coordinate of the shift, and the flat fibers
+    of a class are its full fibers.  On an exact cover the classes
+    partition Z_M by the coordinate of each point's shift.
     """
-    M = ctx.M
+    M, full = ctx.M, ctx.full_mask
     table = ctx.coord_tables[direction]
+    lane = mask | mask << M
     classes: dict[int, int] = {}
     for s in shifts:
         c = table[s]
-        classes[c] = classes.get(c, 0) | packed >> (M - s)
+        classes[c] = classes.get(c, 0) | lane >> (M - s)
     union = flat = 0
     for u in classes.values():
-        u &= low
+        u &= full
         union |= u
         flat |= _full_fibers(ctx, u, direction)
     return union, flat
@@ -226,12 +216,10 @@ def _ab_fibers(A: TileSet, b_members, direction: int) -> int:
         b_mask |= 1 << b
     flat_a = flat_b = 0
     if len(A) * b_mask.bit_count() == M:
-        union, flat = _lane_fibers(ctx, b_mask | b_mask << M, A.members,
-                                   full, direction)
+        union, flat = _lane_fibers(ctx, b_mask, A.members, direction)
         if union == full:           # an exact cover, so B's classes exist
             flat_a = flat
-            flat_b = _lane_fibers(ctx, A.mask | A.mask << M, b_members,
-                                  full, direction)[1]
+            flat_b = _lane_fibers(ctx, A.mask, b_members, direction)[1]
     bad = full & ~(flat_a ^ flat_b)
     if not bad:
         return flat_a

@@ -2,10 +2,9 @@
 
 Everything downstream works inside a fixed cyclic group Z_M with
 M = p_1^{n_1} * ... * p_K^{n_K}.  A ZmContext precomputes the factorization,
-divisor lattice, Euler phi values, per-residue CRT coordinates, the units
-of Z_M, plus a gcd table so that (x - y, M) lookups are O(1).  Residues are
-plain ints in [0, M).  Directions are 0-based indices into the ascending
-prime list.
+divisor lattice, Euler phi values, per-residue CRT coordinates, plus a gcd
+table so that (x - y, M) lookups are O(1).  Residues are plain ints in
+[0, M).  Directions are 0-based indices into the ascending prime list.
 
 Geometry is arithmetic on residues: the plane Pi(x, p_j^alpha) is
 {y : p_j^alpha | y - x}, equivalently the y whose direction-j coordinate is
@@ -74,7 +73,6 @@ class ZmContext:
     divisors: tuple[int, ...]                # all divisors of M, ascending
     phi_table: dict[int, int]                # d | M  ->  phi(d)
     gcd_table: tuple[int, ...]               # v -> gcd(v, M), v in [0, M)
-    units: tuple[int, ...]                   # v in [0, M) with gcd(v, M) = 1
     coord_tables: tuple[tuple[int, ...], ...]  # per direction: v -> pi_j(v)
     full_mask: int
 
@@ -116,7 +114,6 @@ def factorize(M: int) -> ZmContext:
     divisors = _divisors_of(primes)
     phi_table = {d: euler_phi(d) for d in divisors}
     gcd_table = tuple(math.gcd(v, M) for v in range(M))
-    units = tuple(v for v in range(M) if gcd_table[v] == 1)   # (0,) at M = 1
     coord_tables = []
     for q in (p**n for p, n in primes):
         inv = pow(M // q, -1, q)
@@ -127,7 +124,6 @@ def factorize(M: int) -> ZmContext:
         divisors=divisors,
         phi_table=phi_table,
         gcd_table=gcd_table,
-        units=units,
         coord_tables=tuple(coord_tables),
         full_mask=(1 << M) - 1,
     )

@@ -14,6 +14,11 @@ def crt_value(ctx, coords):
     return sum(x * (ctx.M // p**n) for x, (p, n) in zip(coords, ctx.primes)) % ctx.M
 
 
+def units(ctx) -> tuple:
+    """The v in [0, M) with gcd(v, M) = 1; (0,) at M = 1."""
+    return tuple(v for v in range(ctx.M) if ctx.gcd_table[v] == 1)
+
+
 def corpus(M: int, cap: int | None = None) -> list:
     """Complete enumeration when cap is None, stratified sample otherwise.
 
@@ -62,6 +67,7 @@ def digit_tilings(M, count, seed):
     which tiles by mixed radix; then A and B are dilated by random units."""
     ctx = tl.factorize(M)
     rng = random.Random(seed)
+    unit = units(ctx)
     factors = [p for p, n in ctx.primes for _ in range(n)]
     out = []
     for _ in range(count):
@@ -81,7 +87,7 @@ def digit_tilings(M, count, seed):
             tiles[side] = [v + d * place for v in tiles[side] for d in range(m)]
             place *= m
         A, B = (tl.TileSet(ctx, {v * r % M for v in tiles[side]})
-                for side, r in ((True, rng.choice(ctx.units)),
-                                (False, rng.choice(ctx.units))))
+                for side, r in ((True, rng.choice(unit)),
+                                (False, rng.choice(unit))))
         out.append(tl.Tiling(A, B))
     return out

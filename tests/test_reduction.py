@@ -4,9 +4,9 @@ import collections
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
-import random
 import types
 
 import pytest
@@ -19,7 +19,7 @@ from tilelab.errors import (EquivalenceViolationError, InputError,
                             InvariantViolationError, TilelabError)
 
 from conftest import (corpus, crt_value, digit_tilings, oracle_tilings,
-                      unchecked_pairs)
+                      unchecked_pairs, units)
 
 
 def T(M, A, B, check=True):
@@ -306,11 +306,25 @@ def literal_statement_ii(t, direction):
     ctx = t.context
     ctx.check_direction(direction)
     dilates = {}
-    for r in ctx.units:
+    for r in units(ctx):
         rb = [r * b % ctx.M for b in t.B.members]
         dilates.setdefault(frozenset(rb), rb)
     return all(not sp._ab_fibers(t.A, rb, direction)
                for rb in dilates.values())
+
+
+def cyclotomic_statement_ii(t, direction):
+    """The lemma behind _statement_ii: for every d with p^n | d | M and
+    every coordinate class B_c of B, Phi_d divides A or B_c."""
+    ctx = t.context
+    p, n = ctx.check_direction(direction)
+    coord = ctx.coord_tables[direction]
+    classes = collections.defaultdict(list)
+    for b in t.B:
+        classes[coord[b]].append(b)
+    parts = [tl.TileSet(ctx, members) for members in classes.values()]
+    return all(tl.divides_mask(d, t.A) or tl.divides_mask(d, part)
+               for d in ctx.divisors if d % p ** n == 0 for part in parts)
 
 
 def literal_slabcor_premise(t, direction):
@@ -333,6 +347,17 @@ def oracle_corpus():
     """Both orientations of every tiling of Z_1..Z_24 and of a seeded Z_36
     sample, each with every direction."""
     for t in oracle_tilings():
+        for tt in (t, t.swapped()):
+            for d in range(len(tt.context.primes)):
+                yield tt, d
+
+
+def two_square_corpus():
+    """Both orientations of samples at moduli where two primes have
+    exponent 2 or more (Z_72, Z_108, Z_200 and digit tilings of Z_900),
+    each with every direction."""
+    tilings = [t for M in (72, 108, 200) for t in corpus(M, 400)]
+    for t in tilings + digit_tilings(900, 30, seed=900):
         for tt in (t, t.swapped()):
             for d in range(len(tt.context.primes)):
                 yield tt, d
@@ -431,14 +456,33 @@ class TestLiteralOracles:
 
     def test_statement_ii_lowest_lane_fails_any_way(self):
         """The dilate r = 2 gives an A-flat fiber, and r = 1 a double
-        cover at 9: the lowest lane that is not clean, by either failure,
-        decides."""
+        cover at 9: B itself decides, as the first dilate of the loop."""
         t = T(39, [0, 9, 16, 17, 20, 22, 27, 29, 30, 31, 33, 34, 38],
               [0, 31, 32], check=False)
         want = (InvariantViolationError, "double cover at 9: 9+0 and 16+32")
         assert outcome(literal_statement_ii, t, 0) == want
         assert outcome(rd._statement_ii, t, 0) == want
         assert outcome(rd.splittingslab_equiv_check, t, 0) == want
+
+    def test_statement_ii_on_two_square_moduli(self):
+        """B itself decides beyond the oracle corpus too: the loop over
+        every distinct dilate agrees, with both verdicts."""
+        verdicts = collections.Counter()
+        for tt, d in two_square_corpus():
+            got = rd._statement_ii(tt, d)
+            assert got is literal_statement_ii(tt, d), (tt, d)
+            verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_statement_ii_is_the_cyclotomic_lemma(self):
+        """On tilings, B splitting uniformly BA with A is the condition on
+        Phi_d, A and the classes B_c that every dilate shares."""
+        verdicts = collections.Counter()
+        for tt, d in itertools.chain(oracle_corpus(), two_square_corpus()):
+            got = rd._statement_ii(tt, d)
+            assert got is cyclotomic_statement_ii(tt, d), (tt, d)
+            verdicts[got] += 1
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
 
     def test_slabcor_premise_matches_member_scan(self, monkeypatch):
         """The premise alone: the slab conditions it implies are stubbed
@@ -481,7 +525,7 @@ def statement_ii_cases(pairs):
         ctx = t.context
         M = ctx.M
         for d in range(len(ctx.primes)):
-            for r in ctx.units:
+            for r in units(ctx):
                 rb = [r * b % M for b in t.B.members]
                 rB = tl.TileSet(ctx, rb)
                 key = (M, t.A.mask, rB.mask, d)
@@ -539,105 +583,6 @@ class TestStatementIIKernel:
             rd.splittingslab_equiv_check(T(4, [0, 2], [0, 2], check=False), 0)
         assert calls == {}
 
-
-    @pytest.mark.parametrize("flat, r", [
-        (lambda M, flat: 0, 5),
-        (lambda M, flat: flat | 1 << 2 * M, 7),
-    ], ids=["no_flat_fiber", "second_lane_flat"])
-    def test_lane_kernel_disagreement_is_a_bug(self, monkeypatch, flat, r):
-        """The units 1, 5, 7, 11 give distinct dilates of {0, ..., 5}, and
-        _ab_fibers decides B itself, so the lanes hold the dilates by 5, 7
-        and 11.  A lane kernel that finds no flat fiber fails the first of
-        them, and one that puts an A-flat fiber in the second lane fails
-        the dilate by 7.  There _ab_fibers finds no AB fiber: that
-        raises."""
-        real = sp._lane_fibers
-
-        def broken(ctx, *args):
-            union, found = real(ctx, *args)
-            return union, flat(ctx.M, found)
-        monkeypatch.setattr(rd, "_lane_fibers", broken)
-        with pytest.raises(InvariantViolationError,
-                           match=rf"^dilate {r}B .*: the lane kernel finds"):
-            rd.splittingslab_equiv_check(T(12, [0, 6], range(6)), 0)
-
-
-    def test_dilate_units_are_the_least_per_dilate(self):
-        """The least unit giving each distinct dilate rB, ascending, as the
-        literal loop meets them."""
-        rng = random.Random(3)
-        for _ in range(300):
-            ctx = tl.factorize(rng.randint(1, 120))
-            B = tl.TileSet(ctx, rng.sample(range(ctx.M),
-                                           rng.randint(1, ctx.M)))
-            first = {}
-            for r in ctx.units:
-                first.setdefault(frozenset(r * b % ctx.M for b in B), r)
-            assert rd._dilate_units(B) == tuple(first.values()), B
-
-    @pytest.mark.parametrize("bits", [1, 1000])
-    def test_batches_decide_as_one(self, batch_bits, bits):
-        """Batches of one lane each, and of a few lanes as M and the tile
-        sizes vary, give the verdicts and errors of a single batch."""
-        batch_bits(bits)
-        for t in corpus(24)[::16] + corpus(30)[::80]:
-            for tt in (t, t.swapped()):
-                for d in range(len(tt.context.primes)):
-                    assert (rd._statement_ii(tt, d)
-                            is literal_statement_ii(tt, d)), (tt, d)
-        for t in unchecked_pairs(200, seed=8, moduli=(2, 60)):
-            for tt in (t, t.swapped()):
-                for d in range(len(tt.context.primes)):
-                    assert (outcome(rd._statement_ii, tt, d)
-                            == outcome(literal_statement_ii, tt, d)), (tt, d)
-
-    def test_failing_lane_of_a_later_batch(self, batch_bits, monkeypatch):
-        """With one lane per batch, an A-flat fiber in the third batch's
-        lane fails the dilate of {0, ..., 5} by 11, not by 5 or 7."""
-        batch_bits(1)
-        real = sp._lane_fibers
-        calls = []
-
-        def broken(ctx, *args):
-            union, found = real(ctx, *args)
-            calls.append(None)
-            return union, found | (len(calls) == 5)
-        monkeypatch.setattr(rd, "_lane_fibers", broken)
-        with pytest.raises(InvariantViolationError,
-                           match=r"^dilate 11B .*: the lane kernel finds"):
-            rd.splittingslab_equiv_check(T(12, [0, 6], range(6)), 0)
-
-    def test_batches_bound_the_packed_width(self, monkeypatch):
-        """In Z_1024 the interval {0, ..., 31} has 512 distinct dilates.
-        Past B itself they take 32 batches of at most 16 lanes of 2048
-        bits, so that the 32 classes of a batch stay within _BATCH_BITS.
-        Its multiples-of-32 partner has one dilate."""
-        widths = []
-        real = rd._dilate_batch
-
-        def recording(A, B, start):
-            batch = real(A, B, start)
-            widths.append(max(packed.bit_length() for packed in batch[1:]))
-            return batch
-        monkeypatch.setattr(rd, "_dilate_batch", recording)
-        t = T(1024, range(0, 1024, 32), range(32))
-        assert rd._statement_ii(t, 0) is literal_statement_ii(t, 0) is True
-        assert len(widths) == 32 and 32 * max(widths) <= rd._BATCH_BITS
-        swapped = t.swapped()
-        assert (rd._statement_ii(swapped, 0)
-                is literal_statement_ii(swapped, 0) is False)
-        assert len(widths) == 32
-
-
-@pytest.fixture
-def batch_bits(monkeypatch):
-    """Sets reduction._BATCH_BITS for one test; the batch cache is emptied
-    around it, so no batch of another size is reused."""
-    def set_bits(bits):
-        monkeypatch.setattr(rd, "_BATCH_BITS", bits)
-        rd._dilate_batch.cache_clear()
-    yield set_bits
-    rd._dilate_batch.cache_clear()
 
 
 class TestSlabcor:

@@ -659,7 +659,8 @@ class TestDilationStabilizer:
                 for xp in range(M):
                     if ctx.gcd_table[x] != ctx.gcd_table[xp]:
                         continue
-                    scan = tuple(r for r in ctx.units if r * x % M == xp)
+                    scan = tuple(r for r in range(M) if ctx.gcd_table[r] == 1
+                                 and r * x % M == xp)
                     assert tl.dilation_stabilizer(ctx, x, xp) == scan, (M, x, xp)
                     pairs += 1
         assert pairs == sum(tl.euler_phi(d) ** 2 for M in range(1, 61)
