@@ -295,12 +295,14 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
     ctx = t.context
     k = len(ctx.primes)
 
-    for i, (p, n) in enumerate(ctx.primes):
+    reports = []    # per direction; None skips its parity checks below
+    for i in range(k):
         try:
-            split_report(t, i)
-            counts["fibers"] += ctx.M // p
+            reports.append(split_report(t, i))
+            counts["fibers"] += reports[-1].step
         except InvariantViolationError as exc:
             _record(violations, t, "no_upgrades", str(exc))
+            reports.append(None)
 
     try:
         if not box_product_all_ones(t):
@@ -313,18 +315,23 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
     except InvariantViolationError as exc:
         _record(violations, t, "tijdeman_orbit", str(exc))
 
-    for side, tt in (("A", t), ("B", t.swapped())):
+    swapped = [report and report.swapped() for report in reports]
+    for side, tt, side_reports in (("A", t, reports),
+                                   ("B", t.swapped(), swapped)):
         for i, (p, n) in enumerate(ctx.primes):
             if not plane_bound_check(tt.B, i):
                 _record(violations, t, "plane_bound",
                         f"side {side} direction p={p}")
+            report = side_reports[i]
             try:
-                blowbound_check(tt, i)
+                if report is not None:
+                    blowbound_check(report)
                 # slabcor_check runs the slab equivalence when its premise holds
                 applicable, _ = slabcor_check(tt, i)
                 if not applicable and divides_mask(p ** n, tt.A):
                     slab_equivalence_check(tt, i)
-                splittingslab_equiv_check(tt, i)
+                if report is not None:
+                    splittingslab_equiv_check(report)
             except InvariantViolationError as exc:
                 _record(violations, t, "slab_suite",
                         f"side {side} direction p={p}: {exc}")
@@ -388,11 +395,12 @@ def _sweep_t2(t: Tiling, violations: list, reports: list) -> None:
 
 
 def _sweep_worker(args: tuple) -> tuple[dict, list, list]:
-    """_sweep_one on a tiling sent to a pool process as member lists."""
-    M, a_members, b_members, check = args
+    """_sweep_one on a tiling sent to a pool process as two masks."""
+    M, a_mask, b_mask, check = args
     ctx = factorize(M)
-    return _sweep_one(Tiling(TileSet(ctx, a_members), TileSet(ctx, b_members),
-                             check=False), check)
+    t = Tiling(TileSet.from_mask(ctx, a_mask), TileSet.from_mask(ctx, b_mask),
+               check=False)
+    return _sweep_one(t, check)
 
 
 def _sweep_one(t: Tiling, check: str) -> tuple[dict, list, list]:
@@ -429,7 +437,7 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
             reports.extend(part_reports)
 
     if jobs > 1:
-        work = ((M, list(t.A), list(t.B), check) for t in corpus)
+        work = ((M, t.A.mask, t.B.mask, check) for t in corpus)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # Executor.map submits its whole input at once: feed it batches
             while batch := list(itertools.islice(work, 256 * jobs)):

@@ -32,7 +32,7 @@ from .zm_core import TileSet, ZmContext, factorize, radical_quotient
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
 from .tiling import (Tiling, _class_bits, div_set, tiling_to_json,
                      verify_direct)
-from .splitting import _ab_fibers, split_report
+from .splitting import SplitReport, split_report
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +234,7 @@ def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
 # the splitting form of the slab conditions
 
 
-def _statement_ii(t: Tiling, direction: int) -> bool:
-    """Every dilate rB splits uniformly BA with A, decided on B alone:
-    _ab_fibers finds no AB fiber of A + B.  On a pair that is not a tiling
-    it raises or finds one, as the loop over the dilates does at its first
-    dilate, B itself.
-
-    Say A + B = Z_M, p^n || M, and B_c is the b in B of coordinate c.  A
-    fiber is B-flat exactly when it lies inside one S_c = A + B_c, and no
-    B-flat fiber is also A-flat (fiber_parity).  So A + B splits uniformly
-    BA exactly when every S_c is a union of fibers, that is when
-    A(X) B_c(X) (X^{M/p} - 1) = 0 mod X^M - 1, that is when Phi_d divides
-    A or B_c for every d with p^n | d | M, as Phi_d is irreducible.  For a
-    unit r, A + rB = Z_M (Tijdeman: r is prime to |B|); (rB)_{rc} = r B_c,
-    as coordinates are linear; and Phi_d | B_c(X^r) exactly when
-    Phi_d | B_c(X), as z -> z^r permutes the primitive d-th roots.  So the
-    condition is the same for every dilate.
-    """
-    t.context.check_direction(direction)
-    return not _ab_fibers(t.A, t.B.members, direction)
-
-
-def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
+def splittingslab_equiv_check(report: SplitReport) -> bool:
     """Three equivalent statements about splitting along one direction.
 
     (I)   Phi_{p^n} | A together with the divisor exclusion slab_cond_ii;
@@ -265,23 +244,35 @@ def splittingslab_equiv_check(t: Tiling, direction: int) -> bool:
           members of A whose difference class against x lies in Div(B))
           lies on x's p^n-plane.
 
-    (II) is decided on B alone, as the dilates rB cannot differ from it
-    (_statement_ii).  (III) is one mask test: coordinates are additive, so
-    x - a has a coordinate other than 0 exactly when p^n does not divide
-    it.  With E the v whose class (v, M) lies in Div(B) and is not a
-    multiple of p^n, (III) fails exactly when the union of A's fibers meets
-    A + E, the OR of rotate(E, a) over a in A.
+    (II) is decided on B alone, as the report's uniform_ba: no dilate rB
+    can differ from B.  Say A + B = Z_M, p^n || M, and B_c is the b in B
+    of coordinate c.  A fiber is B-flat exactly when it lies inside one
+    S_c = A + B_c, and no B-flat fiber is also A-flat (fiber_parity).  So
+    A + B splits uniformly BA exactly when every S_c is a union of fibers,
+    that is when A(X) B_c(X) (X^{M/p} - 1) = 0 mod X^M - 1, that is when
+    Phi_d divides A or B_c for every d with p^n | d | M, as Phi_d is
+    irreducible.  For a unit r, A + rB = Z_M (Tijdeman: r is prime to
+    |B|); (rB)_{rc} = r B_c, as coordinates are linear; and Phi_d divides
+    B_c(X^r) exactly when it divides B_c(X), as z -> z^r permutes the
+    primitive d-th roots.  So the condition is the same for every dilate.
+
+    (III) is one mask test: coordinates are additive, so x - a has a
+    coordinate other than 0 exactly when p^n does not divide it.  With E
+    the v whose class (v, M) lies in Div(B) and is not a multiple of p^n,
+    (III) fails exactly when the union of A's fibers meets A + E, the OR of
+    rotate(E, a) over a in A.
 
     Returns the common truth value; raises if the three ever disagree.
     """
+    t, direction = report.tiling, report.direction
     ctx = t.context
-    p, n = ctx.check_direction(direction)
+    p, n = ctx.primes[direction]
     q = p ** n
     M = ctx.M
 
     first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
 
-    second = _statement_ii(t, direction)
+    second = report.uniform_ba
 
     db = div_set(t.B)
     e = 0
@@ -368,16 +359,17 @@ def plane_bound_check(B: TileSet, direction: int) -> bool:
     return all(c <= bound for c in _plane_counts(B, direction).values())
 
 
-def blowbound_check(t: Tiling, direction: int) -> tuple[bool, bool]:
+def blowbound_check(report: SplitReport) -> tuple[bool, bool]:
     """When p > gcd(|B|, M/p^n) and M/p is absent from Div(A), every fiber
     must split with A collapsing.  Returns (applicable, verdict)."""
+    t = report.tiling
     ctx = t.context
-    p, n = ctx.check_direction(direction)
+    p, n = ctx.primes[report.direction]
     applicable = (p > math.gcd(len(t.B), ctx.M // p ** n)
                   and ctx.M // p not in div_set(t.A))
     if not applicable:
         return False, False
-    if not split_report(t, direction).uniform_ab:
+    if not report.uniform_ab:
         raise ImplicationViolationError(
             f"uniformity forced but violated: A={t.A.members} "
             f"B={t.B.members} M={ctx.M} direction p={p}")
@@ -567,7 +559,8 @@ def _derive_certificate(t: Tiling) -> T2Certificate:
         side_name = _slab_orientation(cur)
         if side_name is not None:
             missing = cur.swapped() if side_name == "A" else cur
-            blowbound_check(missing, len(ctx.primes) - 1)  # advisory; raises only on disproof
+            # advisory; raises only on disproof
+            blowbound_check(split_report(missing, len(ctx.primes) - 1))
             try:
                 cur = _slab_child(cur, side_name)
             except InputError:

@@ -12,12 +12,12 @@ This dichotomy is total for tilings, and the collapsing side alone decides
 it (see fiber_parity); uniformity notions quantify it over all fibers of a
 direction, or only over fibers anchored at tile elements.  One mask
 decider, _ab_fibers, gives a whole direction's parities to split_report;
-fiber_parity is the literal single-fiber rule and the one source of the
-both/neither error.  The slab statement (II) (reduction._statement_ii)
-is one _ab_fibers call on B itself.  The decider reads its flat fibers
-through _lane_fibers, and the full-fiber kernel _full_fibers (the fibers
-lying inside a bitmask) also serves the cross-direction check and the
-fibered-grid profile.
+the checks that read parities take that report, and SplitReport.swapped
+is the swapped tiling's report, with no second decision.  fiber_parity is
+the literal single-fiber rule and the one source of the both/neither
+error.  The full-fiber kernel _full_fibers (the fibers lying inside a
+bitmask) also serves the cross-direction check and the fibered-grid
+profile.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -91,13 +91,14 @@ def fiber_parity(t: Tiling, z: int, direction: int) -> Parity:
 
 @dataclass(frozen=True)
 class SplitReport:
-    """The parities of one direction's fibers, with uniformity verdicts.
+    """One direction's fiber parities of a tiling, with uniformity verdicts.
 
     Fibers are named by their anchors k < M/p (the fiber k*F holds the
     points k + j M/p), and the masks hold bit k for anchor k: `ab_mask` for
     the fibers of parity AB (the others are BA), `a_mask` and `b_mask` for
     the anchors of the members of A and of B."""
 
+    tiling: Tiling
     direction: int
     prime: int
     step: int          # M/p, the number of fibers
@@ -128,6 +129,13 @@ class SplitReport:
     @property
     def b_uniform_ba(self) -> bool:
         return not self.b_mask & self.ab_mask
+
+    def swapped(self) -> "SplitReport":
+        """The report of B + A: every fiber's flat side, so its parity,
+        flips (a report exists only when each fiber has one parity)."""
+        return SplitReport(self.tiling.swapped(), self.direction, self.prime,
+                           self.step, self.ab_mask ^ ((1 << self.step) - 1),
+                           self.b_mask, self.a_mask)
 
     def to_json(self) -> dict:
         bits = format(self.ab_mask, f"0{self.step}b")[::-1]   # bit k at [k]
@@ -163,8 +171,8 @@ def split_report(t: Tiling, direction: int) -> SplitReport:
     ctx = t.context
     p, _ = ctx.check_direction(direction)
     step = ctx.M // p
-    ab = _ab_fibers(t.A, t.B.members, direction)
-    return SplitReport(direction, p, step, ab & ((1 << step) - 1),
+    ab = _ab_fibers(t, direction)
+    return SplitReport(t, direction, p, step, ab & ((1 << step) - 1),
                        _anchor_mask(t.A.mask, step),
                        _anchor_mask(t.B.mask, step))
 
@@ -196,9 +204,9 @@ def _lane_fibers(ctx: ZmContext, mask: int, shifts,
     return union, flat
 
 
-def _ab_fibers(A: TileSet, b_members, direction: int) -> int:
-    """Mask of the points on AB fibers of A + B, for the tile B with these
-    distinct members: the one decider of the parities of a whole direction.
+def _ab_fibers(t: Tiling, direction: int) -> int:
+    """Mask of the points on AB fibers of the pair t: the one decider of the
+    parities of a whole direction.
 
     The B-rotations of A's members, OR-ed per coordinate of the member,
     partition an exact cover by the coordinate of each point's A-part.  A
@@ -209,21 +217,18 @@ def _ab_fibers(A: TileSet, b_members, direction: int) -> int:
     error, and a fiber of both or neither parity goes to fiber_parity at
     the least such anchor, which raises; it never yields an answer here.
     """
-    ctx = A.context
-    M, full = ctx.M, ctx.full_mask
-    b_mask = 0
-    for b in b_members:
-        b_mask |= 1 << b
+    ctx = t.context
+    A, B = t.A, t.B
+    full = ctx.full_mask
     flat_a = flat_b = 0
-    if len(A) * b_mask.bit_count() == M:
-        union, flat = _lane_fibers(ctx, b_mask, A.members, direction)
+    if len(A) * len(B) == ctx.M:
+        union, flat = _lane_fibers(ctx, B.mask, A.members, direction)
         if union == full:           # an exact cover, so B's classes exist
             flat_a = flat
-            flat_b = _lane_fibers(ctx, A.mask, b_members, direction)[1]
+            flat_b = _lane_fibers(ctx, A.mask, B.members, direction)[1]
     bad = full & ~(flat_a ^ flat_b)
     if not bad:
         return flat_a
-    t = Tiling(A, TileSet.from_mask(ctx, b_mask), check=False)
     t.decomp                        # raises on a failed cover
     anchor = (bad & -bad).bit_length() - 1
     fiber_parity(t, anchor, direction)   # raises NeitherParityError
@@ -280,15 +285,15 @@ def check_local_distribution(t: Tiling, a0: int,
     return divides_mask(p ** n, low_plane)
 
 
-def check_aunif(t: Tiling, direction: int) -> bool:
+def check_aunif(report: SplitReport) -> bool:
     """0 in B and A-uniform BA parity force the prime-power cyclotomic to
     divide A; returns the truth of that implication."""
-    ctx = t.context
-    p, n = ctx.check_direction(direction)
+    t = report.tiling
     if not t.B.mask & 1:
         return True
-    if not split_report(t, direction).a_uniform_ba:
+    if not report.a_uniform_ba:
         return True
+    p, n = t.context.primes[report.direction]
     return divides_mask(p ** n, t.A)
 
 

@@ -358,25 +358,17 @@ def _class_bits(ctx: ZmContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (tuple(1 << index[g] for g in ctx.gcd_table), tuple(masks))
 
 
-def iter_tilings(ctx: ZmContext,
-                 size_splits: Sequence[tuple[int, int]] | None = None
-                 ) -> Iterator[Tiling]:
+def iter_tilings(ctx: ZmContext) -> Iterator[Tiling]:
     """Stream every tiling with 0 in both tiles.
 
     Deterministic DFS, each tiling exactly once: the branch taken at the
     lowest uncovered residue z pins which pair (a, b) represents z, so two
     branches can never converge to the same pair.  Order is by size split
     (|A| ascending) then search order, not globally lexicographic; use
-    enumerate_tilings for the canonical ordering.  size_splits restricts to
-    the given (|A|, |B|) pairs.
+    enumerate_tilings for the canonical ordering.
     """
-    M = ctx.M
-    if size_splits is None:
-        size_splits = [(d, M // d) for d in ctx.divisors]
-    for dA, dB in size_splits:
-        if dA < 1 or dA * dB != M:
-            raise InputError(f"bad size split ({dA}, {dB}) for M={M}")
-        yield from _pair_dfs(ctx, dA, dB)
+    for d in ctx.divisors:
+        yield from _pair_dfs(ctx, d, ctx.M // d)
 
 
 def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
@@ -533,9 +525,7 @@ def enumerate_tilings(ctx: ZmContext) -> list[Tiling]:
 def sample_tilings(ctx: ZmContext, cap: int) -> list[Tiling]:
     """Deterministic stratified prefix of the tilings with 0 in both tiles:
     round-robin over size splits up to cap."""
-    M = ctx.M
-    streams = [iter_tilings(ctx, size_splits=[(d, M // d)])
-               for d in ctx.divisors]
+    streams = [_pair_dfs(ctx, d, ctx.M // d) for d in ctx.divisors]
     out: list[Tiling] = []
     while streams and len(out) < cap:
         still = []

@@ -179,7 +179,7 @@ def test_criterion_05_splitting_slab_equivalence():
             for d in range(len(t.context.primes)):
                 # Raises EquivalenceViolationError if (I), (II), (III)
                 # ever disagree; the return value is their common truth.
-                held += tl.splittingslab_equiv_check(t, d)
+                held += tl.splittingslab_equiv_check(tl.split_report(t, d))
                 checked += 1
     _report(5, f"splitting criteria (I)=(II)=(III) on {checked} "
                f"(tiling, direction) pairs ({held} hold)")

@@ -28,7 +28,7 @@ READERS = [*sorted(PACKAGE.glob("*.py")), GATE,
            *sorted((ROOT / "perfbench").glob("*.py"))]
 
 # The paper's splitting lemmas: unit tests call them, no workload does yet.
-# ROADMAP open item 4 wires them into `sweep --check lemmas`.
+# ROADMAP open item 8 wires them into `sweep --check lemmas`.
 LEMMA_CHECKS = {"check_disjoint_sigma", "check_local_distribution",
                 "check_aunif"}
 

@@ -15,7 +15,8 @@ import tilelab.reduction
 import tilelab.splitting
 from tilelab.cli import main
 from tilelab.errors import (EquivalenceViolationError, LemmaViolationError,
-                            PipelineStuckError, TheoremViolationError)
+                            NeitherParityError, PipelineStuckError,
+                            TheoremViolationError)
 from tilelab.zm_core import MAX_M
 
 
@@ -341,10 +342,13 @@ class TestSweep:
         real = getattr(tilelab.reduction, name)
         worked = tl.tiling_from_json(json.loads(WORKED))
 
-        def failing_on_worked(t, direction):
+        def failing_on_worked(*args):
+            # (tiling, direction), or the split report that carries them
+            t, direction = (args if len(args) == 2
+                            else (args[0].tiling, args[0].direction))
             if t == worked and direction == 0:
                 raise EquivalenceViolationError("injected")
-            return real(t, direction)
+            return real(*args)
 
         for module in (tilelab.reduction, tilelab.cli):
             monkeypatch.setattr(module, name, failing_on_worked)
@@ -357,6 +361,56 @@ class TestSweep:
             "check": "slab_suite",
             "tiling": {"M": 12, "A": [0, 1, 6, 7], "B": [0, 4, 8]},
             "detail": "side A direction p=2: injected"}]
+
+    @pytest.mark.parametrize("M, limit", [("24", "48"), ("60", "16")])
+    def test_parities_are_decided_once_per_direction(self, capsys,
+                                                     monkeypatch, M, limit):
+        real = tilelab.splitting._ab_fibers
+        seen = []
+
+        def counting(t, direction):
+            seen.append((t.A.members, t.B.members, direction))
+            return real(t, direction)
+
+        monkeypatch.setattr(tilelab.splitting, "_ab_fibers", counting)
+        code, rep, _ = run_json(capsys, "sweep", M, "--limit", limit,
+                                "--check", "lemmas")
+        assert code == 0
+        directions = len(tl.factorize(int(M)).primes)
+        assert len(seen) == len(set(seen)) == int(limit) * directions
+
+    def test_failed_decider_is_recorded_once(self, capsys, monkeypatch):
+        real = tilelab.splitting._ab_fibers
+        worked = tl.tiling_from_json(json.loads(WORKED))
+
+        def failing_on_worked(t, direction):
+            if t == worked and direction == 0:
+                raise NeitherParityError("injected")
+            return real(t, direction)
+
+        real_slabcor = tilelab.cli.slabcor_check
+        slabcor = []
+
+        def counting(t, direction):
+            slabcor.append((t.A.members, direction))
+            return real_slabcor(t, direction)
+
+        monkeypatch.setattr(tilelab.splitting, "_ab_fibers",
+                            failing_on_worked)
+        monkeypatch.setattr(tilelab.cli, "slabcor_check", counting)
+        monkeypatch.setattr(tilelab.cli, "iter_tilings",
+                            lambda ctx: iter([worked]))
+        code, rep, _ = run_json(capsys, "sweep", "12", "--check", "lemmas")
+        assert code == 1
+        # the other direction's 4 fibers are counted, and the slab checks
+        # that read no parity still run on both sides in both directions
+        assert rep["counts"] == {"tilings": 1, "fibers": 4, "grids": 0}
+        assert sorted(slabcor) == [((0, 1, 6, 7), 0), ((0, 1, 6, 7), 1),
+                                   ((0, 4, 8), 0), ((0, 4, 8), 1)]
+        assert rep["violations"] == [{
+            "check": "no_upgrades",
+            "tiling": {"M": 12, "A": [0, 1, 6, 7], "B": [0, 4, 8]},
+            "detail": "injected"}]
 
     def test_modulus_above_max_m_exits_two(self, capsys):
         code, out, err = run(capsys, "sweep", str(MAX_M + 1))

@@ -231,16 +231,16 @@ class TestSlabEquivalence:
 
 class TestSplittingSlab:
     def test_holding_direction(self):
-        assert rd.splittingslab_equiv_check(t12(), 0) is True
+        assert rd.splittingslab_equiv_check(sp.split_report(t12(), 0)) is True
 
     def test_failing_direction(self):
         # Phi_3 does not divide A, and the splitting criteria fail with it
-        assert rd.splittingslab_equiv_check(t12(), 1) is False
+        assert rd.splittingslab_equiv_check(sp.split_report(t12(), 1)) is False
 
     def test_three_way_equality_over_corpus(self):
         for t in corpus(12):
             for d in range(2):
-                rd.splittingslab_equiv_check(t, d)
+                rd.splittingslab_equiv_check(sp.split_report(t, d))
 
 
 # Literal forms of slab condition (i) and splitting statement (III), kept as
@@ -300,22 +300,26 @@ def literal_statement_iii(t, direction):
 
 
 def literal_statement_ii(t, direction):
-    """Statement (II) dilate by dilate: _ab_fibers on each distinct rB, in
-    the order of the least unit r giving it, until one finds an AB fiber or
-    raises."""
+    """Statement (II) dilate by dilate: _ab_fibers on A + rB for each
+    distinct rB, in the order of the least unit r giving it, until one
+    finds an AB fiber or raises."""
     ctx = t.context
     ctx.check_direction(direction)
-    dilates = {}
-    for r in units(ctx):
-        rb = [r * b % ctx.M for b in t.B.members]
-        dilates.setdefault(frozenset(rb), rb)
-    return all(not sp._ab_fibers(t.A, rb, direction)
-               for rb in dilates.values())
+    dilates = dict.fromkeys(t.B.dilate(r) for r in units(ctx))
+    return all(not sp._ab_fibers(tl.Tiling(t.A, rB, check=False), direction)
+               for rB in dilates)
+
+
+def statement_ii(t, direction):
+    """Statement (II) as the library decides it, on B alone: the split
+    report's uniform BA verdict (see splittingslab_equiv_check)."""
+    return sp.split_report(t, direction).uniform_ba
 
 
 def cyclotomic_statement_ii(t, direction):
-    """The lemma behind _statement_ii: for every d with p^n | d | M and
-    every coordinate class B_c of B, Phi_d divides A or B_c."""
+    """The lemma behind deciding statement (II) on B alone: for every d with
+    p^n | d | M and every coordinate class B_c of B, Phi_d divides A or
+    B_c."""
     ctx = t.context
     p, n = ctx.check_direction(direction)
     coord = ctx.coord_tables[direction]
@@ -435,8 +439,8 @@ class TestLiteralOracles:
         failing = 0
         for tt, d in oracle_corpus():
             want = literal_statement_iii(tt, d)
-            assert (rd.splittingslab_equiv_check(tt, d) is want
-                    is literal_statement_ii(tt, d)), (tt, d)
+            got = rd.splittingslab_equiv_check(sp.split_report(tt, d))
+            assert got is want is literal_statement_ii(tt, d), (tt, d)
             failing += not want
         assert failing > 1000
 
@@ -448,9 +452,38 @@ class TestLiteralOracles:
             for tt in (t, t.swapped()):
                 for d in range(len(tt.context.primes) + 1):
                     want = outcome(literal_statement_ii, tt, d)
-                    assert outcome(rd._statement_ii, tt, d) == want, (tt, d)
+                    assert outcome(statement_ii, tt, d) == want, (tt, d)
                     if isinstance(want, tuple):
                         errors[want[0]] += 1
+        assert errors[InputError] > 1000
+        assert errors[InvariantViolationError] > 1000
+
+    def test_swapped_report_is_the_report_of_the_swapped_tiling(self):
+        """Swapping the tiles flips every fiber's parity and exchanges the
+        anchor masks, so the sweep never decides B + A again."""
+        verdicts = collections.Counter()
+        for tt, d in oracle_corpus():
+            report = sp.split_report(tt, d)
+            swapped = report.swapped()
+            assert swapped == sp.split_report(tt.swapped(), d), (tt, d)
+            assert swapped.swapped() == report
+            verdicts[report.uniform_ab] += 1
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+    def test_swapped_pairs_fail_alike(self):
+        """The pairs of test_statement_ii_on_unchecked_pairs: where one
+        orientation raises, the other raises the same error type; where
+        one gives a report, the other gives its swap."""
+        errors = collections.Counter()
+        for t in unchecked_pairs(3000, seed=6, moduli=(2, 60)):
+            for d in range(len(t.context.primes) + 1):
+                got = outcome(sp.split_report, t, d)
+                other = outcome(sp.split_report, t.swapped(), d)
+                if isinstance(got, sp.SplitReport):
+                    assert got.swapped() == other, (t, d)
+                else:
+                    assert got[0] is other[0], (t, d, got, other)
+                    errors[got[0]] += 1
         assert errors[InputError] > 1000
         assert errors[InvariantViolationError] > 1000
 
@@ -461,15 +494,14 @@ class TestLiteralOracles:
               [0, 31, 32], check=False)
         want = (InvariantViolationError, "double cover at 9: 9+0 and 16+32")
         assert outcome(literal_statement_ii, t, 0) == want
-        assert outcome(rd._statement_ii, t, 0) == want
-        assert outcome(rd.splittingslab_equiv_check, t, 0) == want
+        assert outcome(statement_ii, t, 0) == want
 
     def test_statement_ii_on_two_square_moduli(self):
         """B itself decides beyond the oracle corpus too: the loop over
         every distinct dilate agrees, with both verdicts."""
         verdicts = collections.Counter()
         for tt, d in two_square_corpus():
-            got = rd._statement_ii(tt, d)
+            got = statement_ii(tt, d)
             assert got is literal_statement_ii(tt, d), (tt, d)
             verdicts[got] += 1
         assert verdicts[True] and verdicts[False]
@@ -479,7 +511,7 @@ class TestLiteralOracles:
         Phi_d, A and the classes B_c that every dilate shares."""
         verdicts = collections.Counter()
         for tt, d in itertools.chain(oracle_corpus(), two_square_corpus()):
-            got = rd._statement_ii(tt, d)
+            got = statement_ii(tt, d)
             assert got is cyclotomic_statement_ii(tt, d), (tt, d)
             verdicts[got] += 1
         assert verdicts[True] > 1000 and verdicts[False] > 1000
@@ -517,49 +549,51 @@ def outcome(check, *args):
 
 
 def statement_ii_cases(pairs):
-    """(A, rB, rb, direction) for every direction and every unit r, each
-    distinct input once; rb lists rB's members in B's order, as statement
-    (II) builds it."""
+    """(A, rB, direction) for every direction and every unit r, each
+    distinct input once."""
     seen = set()
     for t in pairs:
         ctx = t.context
-        M = ctx.M
         for d in range(len(ctx.primes)):
             for r in units(ctx):
-                rb = [r * b % M for b in t.B.members]
-                rB = tl.TileSet(ctx, rb)
-                key = (M, t.A.mask, rB.mask, d)
+                rB = t.B.dilate(r)
+                key = (ctx.M, t.A.mask, rB.mask, d)
                 if key not in seen:
                     seen.add(key)
-                    yield t.A, rB, rb, d
+                    yield t.A, rB, d
 
 
 class TestStatementIIKernel:
     """The parity decider of statement (II) against fiber_parity at every
-    anchor of each dilate rB, and its cost: statement (II) builds no
-    report, dilate or saturating set."""
+    anchor of each dilate rB, and its cost: given a split report, the
+    splitting check decides no parity and builds no report or dilate."""
 
     def test_tilings_match_literal_report(self):
         values = collections.Counter()
         for t in oracle_tilings():
-            for A, rB, rb, d in statement_ii_cases((t, t.swapped())):
+            for A, rB, d in statement_ii_cases((t, t.swapped())):
                 want = literal_ab_fibers(A, rB, d)
-                assert sp._ab_fibers(A, rb, d) == want, (A, rB, d)
+                got = sp._ab_fibers(tl.Tiling(A, rB, check=False), d)
+                assert got == want, (A, rB, d)
                 values[want == 0] += 1
         assert values[True] > 10000 and values[False] > 10000
 
     def test_unchecked_pairs_match_literal_report(self):
         double = uncovered = 0
         for t in unchecked_pairs(1200, seed=6, moduli=(8, 36)):
-            for A, rB, rb, d in statement_ii_cases((t, t.swapped())):
+            for A, rB, d in statement_ii_cases((t, t.swapped())):
                 want = outcome(literal_ab_fibers, A, rB, d)
-                assert outcome(sp._ab_fibers, A, rb, d) == want, (A, rB, d)
+                got = outcome(sp._ab_fibers, tl.Tiling(A, rB, check=False), d)
+                assert got == want, (A, rB, d)
                 if isinstance(want, tuple):
                     double += "double cover" in want[1]
                     uncovered += "uncovered" in want[1]
         assert double > 1000 and uncovered > 1000
 
     def test_corpus_builds_no_reports(self, monkeypatch):
+        reports = [sp.split_report(tt, d) for t in corpus(24)
+                   for tt in (t, t.swapped())
+                   for d in range(len(tt.context.primes))]
         calls = collections.Counter()
 
         def counting(name, real):
@@ -571,18 +605,13 @@ class TestStatementIIKernel:
         for module in (sp, rd):
             monkeypatch.setattr(module, "split_report", counting(
                 "split_report", sp.split_report))
+        monkeypatch.setattr(sp, "_ab_fibers", counting(
+            "_ab_fibers", sp._ab_fibers))
         monkeypatch.setattr(tl.TileSet, "dilate", counting(
             "dilate", tl.TileSet.dilate))
-        for t in corpus(24):
-            for tt in (t, t.swapped()):
-                for d in range(len(tt.context.primes)):
-                    rd.splittingslab_equiv_check(tt, d)
+        for report in reports:
+            rd.splittingslab_equiv_check(report)
         assert calls == {}
-        # a non-cover raises the cover table's error, still without a report
-        with pytest.raises(InvariantViolationError, match="double cover"):
-            rd.splittingslab_equiv_check(T(4, [0, 2], [0, 2], check=False), 0)
-        assert calls == {}
-
 
 
 class TestSlabcor:
@@ -623,17 +652,17 @@ class TestPlaneBound:
 class TestBlowbound:
     def test_worked_example(self):
         # p=3 exceeds gcd(|B|, 4) = 1 and 4 is missing from Div(A)
-        assert rd.blowbound_check(t12(), 1) == (True, True)
+        assert rd.blowbound_check(sp.split_report(t12(), 1)) == (True, True)
 
     def test_not_applicable(self):
-        assert rd.blowbound_check(t12(), 0) == (False, False)
+        assert rd.blowbound_check(sp.split_report(t12(), 0)) == (False, False)
 
     def test_never_falsified_over_corpus(self):
         applicable = 0
         for M in (12, 16):
             for t in corpus(M):
                 for d in range(len(t.context.primes)):
-                    app, verdict = rd.blowbound_check(t, d)
+                    app, verdict = rd.blowbound_check(sp.split_report(t, d))
                     applicable += app
                     assert verdict == app
         assert applicable > 0

@@ -111,7 +111,7 @@ def literal_split_report(t, direction):
         if flat_a == (len(set(cb[anchor::step])) == 1):
             sp.fiber_parity(t, anchor, direction)
         ab |= flat_a << anchor
-    return sp.SplitReport(direction, p, step, ab,
+    return sp.SplitReport(t, direction, p, step, ab,
                           sum(1 << k for k in {a % step for a in t.A.members}),
                           sum(1 << k for k in {b % step for b in t.B.members}))
 
@@ -343,7 +343,7 @@ class TestDeciderDisagreement:
 
     def test_statement_ii_raises(self):
         with pytest.raises(InvariantViolationError, match="mask decider"):
-            rd.splittingslab_equiv_check(t12(), 0)
+            rd.splittingslab_equiv_check(sp.split_report(t12(), 0))
 
     def test_analyze_exits_three(self, capsys):
         code = cli.main(["analyze", '{"M":12,"A":[0,1,6,7],"B":[0,4,8]}',
@@ -503,19 +503,20 @@ def literal_local_distribution(t, a0, direction):
 
 class TestAunif:
     def test_worked_example(self):
-        assert sp.check_aunif(t12(), 0) is True
+        assert sp.check_aunif(sp.split_report(t12(), 0)) is True
 
     def test_vacuous_when_not_a_uniform_ba(self):
-        assert sp.check_aunif(t9(), 0) is True
+        assert sp.check_aunif(sp.split_report(t9(), 0)) is True
 
     def test_vacuous_when_zero_not_in_b(self):
-        assert sp.check_aunif(T(12, [0, 1, 6, 7], [1, 5, 9]), 0) is True
+        t = T(12, [0, 1, 6, 7], [1, 5, 9])
+        assert sp.check_aunif(sp.split_report(t, 0)) is True
 
     def test_implication_never_falsified(self):
         for M in (12, 16):
             for t in corpus(M):
                 for d in range(len(t.context.primes)):
-                    assert sp.check_aunif(t, d)
+                    assert sp.check_aunif(sp.split_report(t, d))
 
 
 class TestPlaneConsistency:
