@@ -22,7 +22,6 @@ from .errors import (
     InputError,
     InvariantViolationError,
     NotATilingError,
-    NotFiberedError,
     PipelineStuckError,
     TilelabError,
 )
@@ -338,31 +337,25 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
 
     if k == 3:
         for pair in itertools.permutations(range(3), 2):
-            # the grid L(z, M/(p_i p_j)) depends on z only mod its step
-            step = ctx.M // (ctx.primes[pair[0]][0] * ctx.primes[pair[1]][0])
-            for z in range(step):
-                try:
-                    if pair[0] < pair[1]:
-                        plane_consistency(t, z, pair)
-                    cross_direction_check(t, z, pair)
-                except InvariantViolationError as exc:
-                    _record(violations, t, "grid_consistency",
-                            f"z={z} pair={pair}: {exc}")
+            try:
+                if pair[0] < pair[1]:
+                    plane_consistency(t, pair)
+                cross_direction_check(t, pair)
+            except InvariantViolationError as exc:
+                _record(violations, t, "grid_consistency",
+                        f"pair={pair}: {exc}")
         try:
             profile = fibered_grid_profile(t)
-        except (NotFiberedError, InputError):
-            profile = None
-        if profile is not None:
-            counts["grids"] += len(profile.grid_dirs)
-            try:
-                check_fiber_basic(profile)
-                consistency3_check(profile)
-                for z0 in range(profile.radical_step):
-                    consistent_splitting_check(profile, z0)
-            except NotFiberedError:
-                pass
-            except InvariantViolationError as exc:
-                _record(violations, t, "fibered_grid", str(exc))
+        except InputError:
+            return
+        counts["grids"] += len(profile.grid_dirs)
+        try:
+            check_fiber_basic(profile)
+            consistency3_check(profile)
+            for z0 in range(profile.radical_step):
+                consistent_splitting_check(profile, z0)
+        except InvariantViolationError as exc:
+            _record(violations, t, "fibered_grid", str(exc))
 
 
 def _sweep_t2(t: Tiling, violations: list, reports: list) -> None:

@@ -15,9 +15,9 @@ decider, _ab_fibers, gives a whole direction's parities to split_report;
 the checks that read parities take that report, and SplitReport.swapped
 is the swapped tiling's report, with no second decision.  fiber_parity is
 the literal single-fiber rule and the one source of the both/neither
-error.  The full-fiber kernel _full_fibers (the fibers lying inside a
-bitmask) also serves the cross-direction check and the fibered-grid
-profile.
+error.  The full-fiber kernel _full_fibers (the fibers inside a bitmask)
+also serves the fibered-grid profile and the grid lemmas, which take a
+direction pair and check every grid L(z, M/p_i p_j) of it.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -297,55 +297,62 @@ def check_aunif(report: SplitReport) -> bool:
     return divides_mask(p ** n, t.A)
 
 
-def plane_consistency(t: Tiling, z: int, pair: tuple[int, int]) -> int:
-    """Some direction nu in the pair confines both Sigma sets of the grid
-    L(z, M/p_i p_j) to the p_nu^{n_nu - 1}-planes of z's own pair (a, b)."""
-    ctx = t.context
-    i, j = pair
-    pi, _ = ctx.check_direction(i)
-    pj, _ = ctx.check_direction(j)
-    if i == j:
-        raise InputError("plane consistency needs two distinct directions")
-    step = ctx.M // (pi * pj)
-    sa, sb = _sigmas(t, z, step)
-    for nu in sorted(pair):
-        p, n = ctx.primes[nu]
-        table = ctx.coord_tables[nu]
-        q = p ** (n - 1)
-        if (len({table[x] % q for x in sa}) == 1
-                and len({table[x] % q for x in sb}) == 1):
-            return nu
-    raise LemmaViolationError(
-        f"no consistent direction for grid at {z % step} (pair p={pi},{pj}): "
-        f"Sigma_A={sorted(sa)} Sigma_B={sorted(sb)}")
+def _grid_step(ctx: ZmContext, pair: tuple[int, int]) -> int:
+    """M/(p_i p_j), the step of the grids L(z, step) of two directions."""
+    pi, pj = (ctx.check_direction(nu)[0] for nu in pair)
+    if pair[0] == pair[1]:
+        raise InputError("the grid lemmas need two distinct directions")
+    return ctx.M // (pi * pj)
 
 
-def cross_direction_check(t: Tiling, z: int,
-                          pair: tuple[int, int]) -> Optional[bool]:
-    """If some contributing a0 carries a full direction-i fiber inside A,
-    the whole Sigma_A of the grid sits in a0's p_j^{n_j - 1}-plane."""
+def plane_consistency(t: Tiling, pair: tuple[int, int]) -> tuple[int, ...]:
+    """On every grid L(z, M/p_i p_j), some direction nu in the pair confines
+    both Sigma sets to the p_nu^{n_nu - 1}-planes of z's own pair (a, b).
+    Returns the least such nu of each grid, indexed by its anchor z."""
     ctx = t.context
-    i, j = pair
-    pi, _ = ctx.check_direction(i)
-    pj, nj = ctx.check_direction(j)
-    if i == j:
-        raise InputError("cross-direction check needs two distinct directions")
-    step = ctx.M // (pi * pj)
-    sa = _sigmas(t, z, step)[0]
-    full = _full_fibers(ctx, t.A.mask, i)
-    anchors = [a for a in sa if full >> a & 1]
-    if not anchors:
-        return None
-    table = ctx.coord_tables[j]
+    step = _grid_step(ctx, pair)
+    out = []
+    for z in range(step):
+        sa, sb = _sigmas(t, z, step)
+        for nu in sorted(pair):
+            p, n = ctx.primes[nu]
+            q = p ** (n - 1)
+            if len({x % q for x in sa}) == len({x % q for x in sb}) == 1:
+                out.append(nu)
+                break
+        else:
+            pi, pj = (ctx.primes[nu][0] for nu in pair)
+            raise LemmaViolationError(
+                f"no consistent direction for grid at {z} (pair p={pi},{pj}): "
+                f"Sigma_A={sorted(sa)} Sigma_B={sorted(sb)}")
+    return tuple(out)
+
+
+def cross_direction_check(t: Tiling,
+                          pair: tuple[int, int]) -> Optional[tuple[int, ...]]:
+    """On every grid L(z, M/p_i p_j) where some contributing a0 carries a
+    full direction-i fiber inside A, Sigma_A sits in a0's p_j^{n_j - 1}-plane.
+    Returns the grids z where this applies, or None when it applies on none."""
+    ctx = t.context
+    step = _grid_step(ctx, pair)
+    a_of = t.decomp[0]              # raises on a failed cover
+    full = _full_fibers(ctx, t.A.mask, pair[0])
+    (pi, _), (pj, nj) = (ctx.primes[nu] for nu in pair)
     q = pj ** (nj - 1)
-    for a0 in anchors:
-        want = table[a0] % q
-        bad = [a for a in sa if table[a] % q != want]
+    applies = []
+    for z in range(step):
+        sa = set(a_of[z::step])
+        a0 = next((a for a in sa if full >> a & 1), None)
+        if a0 is None:
+            continue
+        # every other anchor passes once all of Sigma_A shares a0's plane
+        bad = [a for a in sa if (a - a0) % q]
         if bad:
             raise LemmaViolationError(
-                f"Sigma_A escapes the plane of a0={a0} (directions "
-                f"p={pi},{pj}): offending elements {sorted(bad)}")
-    return True
+                f"Sigma_A of grid at {z} escapes the plane of a0={a0} (directions"
+                f" p={pi},{pj}): offending elements {sorted(bad)}")
+        applies.append(z)
+    return tuple(applies) or None
 
 
 # ---------------------------------------------------------------------------

@@ -274,22 +274,13 @@ def test_criterion_08_dilation_stabilizer_lattice():
 def test_criterion_09_grid_lemma_suite():
     counts = defaultdict(int)
     for t in _tilings(60):
-        ctx = t.context
-        for i in range(3):
-            for j in range(i + 1, 3):
-                step = ctx.M // (ctx.primes[i][0] * ctx.primes[j][0])
-                for z in range(step):
-                    nu = tl.plane_consistency(t, z, (i, j))
-                    assert nu in (i, j)
-                    counts["plane_consistency"] += 1
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                step = ctx.M // (ctx.primes[i][0] * ctx.primes[j][0])
-                for z in range(step):
-                    if tl.cross_direction_check(t, z, (i, j)) is not None:
-                        counts["cross_direction_check"] += 1
+        for pair in itertools.combinations(range(3), 2):
+            nus = tl.plane_consistency(t, pair)
+            assert set(nus) <= set(pair)
+            counts["plane_consistency"] += len(nus)
+        for pair in itertools.permutations(range(3), 2):
+            counts["cross_direction_check"] += len(
+                tl.cross_direction_check(t, pair) or ())
         try:
             prof = tl.fibered_grid_profile(t)
         except (InputError, NotFiberedError):

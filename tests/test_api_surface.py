@@ -8,13 +8,14 @@ And no module may import a name it never uses.
 
 Below the module level, the readers are src/tilelab, the gate and
 perfbench/.  Every annotated field and non-dunder method or property of a
-class must be read as an attribute outside its own definition; every
-defaulted parameter must be passed, by keyword or by position, in some call
-to its function (to the class, for __init__); and every parameter must be
-read in its function's body.  Members and calls are matched by name alone,
-so a member is taken as read when any attribute of that name is: the check
-could not see an unread Parity.swapped while Tiling.swapped was read, nor an
-unread CycloProfile.tile while the CLI read args.tile.
+class must be read as an attribute, or as a string key of some `__dict__`,
+outside its own definition; every defaulted parameter must be passed, by
+keyword or by position, in some call to its function (to the class, for
+__init__); and every parameter must be read in its function's body.
+Members and calls are matched by name alone, so a member is taken as read
+when any attribute of that name is: the check could not see an unread
+Parity.swapped while Tiling.swapped was read, nor an unread
+CycloProfile.tile while the CLI read args.tile.
 """
 
 import ast
@@ -106,9 +107,29 @@ def test_no_module_imports_an_unused_name():
 
 
 def _attribute_reads(tree: ast.AST) -> Counter:
-    return Counter(node.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute)
-                   and isinstance(node.ctx, ast.Load))
+    """Attribute loads by name, counting `obj.__dict__["name"]` as a read
+    of name."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "__dict__"
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            reads[node.slice.value] += 1
+    return reads
+
+
+def test_dict_subscript_counts_as_a_read():
+    tree = ast.parse('f = tileset.__dict__["from_mask"]\n'
+                     'tileset.__dict__["held"] = 1\n'
+                     'g = tileset.__dict__[name]\n')
+    reads = _attribute_reads(tree)
+    assert reads["from_mask"] == 1
+    assert reads["held"] == 0 and reads["name"] == 0
 
 
 def test_every_member_is_read():

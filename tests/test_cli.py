@@ -274,22 +274,50 @@ class TestSweep:
             "tiling": {"M": 12, "A": [0, 1, 6, 7], "B": [0, 4, 8]},
             "detail": "injected"}]
 
-    def test_each_grid_is_checked_once(self, capsys, monkeypatch):
-        real = tilelab.cli.plane_consistency
-        first = tl.sample_tilings(tl.factorize(30), 10)[0]
+    def test_each_pair_is_checked_once(self, capsys, monkeypatch):
+        """One grid lemma call per pair checks all of that pair's grids:
+        plane_consistency once per (tiling, i < j), cross_direction_check
+        once per (tiling, ordered pair)."""
+        calls = {"plane_consistency": [], "cross_direction_check": []}
+        for name, seen in calls.items():
+            def counting(t, pair, real=getattr(tilelab.cli, name), seen=seen):
+                seen.append((t.A.members, t.B.members, pair))
+                return real(t, pair)
+            monkeypatch.setattr(tilelab.cli, name, counting)
+        code, rep, _ = run_json(capsys, "sweep", "60", "--check", "lemmas",
+                                "--limit", "16")
+        assert code == 0 and rep["counts"]["tilings"] == 16
+        tilings = {(a, b) for a, b, _ in calls["cross_direction_check"]}
+        assert len(tilings) == 16
+        for name, pairs in (("plane_consistency", [(0, 1), (0, 2), (1, 2)]),
+                            ("cross_direction_check",
+                             [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])):
+            assert sorted(calls[name]) == sorted(
+                (a, b, pair) for a, b in tilings for pair in pairs)
 
-        def failing_on_one_grid(t, z, pair):
-            # the grid L(0, 30/(2*3)) of the first sampled tiling
-            if t == first and pair == (0, 1) and z % 5 == 0:
-                raise LemmaViolationError("injected")
-            return real(t, z, pair)
+    def test_failed_pair_is_recorded_once(self, capsys, monkeypatch):
+        """Sigma_A = {0, 1} on the grid L(7, 150) of the first Z_900 tiling
+        leaves no consistent direction: one violation names the pair (0, 1)
+        and the grid, and the other pairs still run clean."""
+        real = tilelab.splitting._sigmas
+        first = []
 
-        monkeypatch.setattr(tilelab.cli, "plane_consistency",
-                            failing_on_one_grid)
-        code, rep, _ = run_json(capsys, "sweep", "30", "--check", "lemmas",
-                                "--limit", "10")
+        def scattered(t, z, step):
+            if not first:
+                first.append(t)
+            if t is first[0] and step == 150 and z == 7:
+                return {0, 1}, real(t, z, step)[1]
+            return real(t, z, step)
+
+        monkeypatch.setattr(tilelab.splitting, "_sigmas", scattered)
+        code, rep, _ = run_json(capsys, "sweep", "900", "--check", "lemmas",
+                                "--limit", "3")
         assert code == 1
-        assert [v["check"] for v in rep["violations"]] == ["grid_consistency"]
+        [violation] = rep["violations"]
+        assert violation["check"] == "grid_consistency"
+        assert violation["detail"].startswith(
+            "pair=(0, 1): no consistent direction for grid at 7 "
+            "(pair p=2,3): Sigma_A=[0, 1] ")
 
     def test_each_grid_is_stratified_once(self, capsys, monkeypatch):
         real = tilelab.splitting.grid_stratification

@@ -1,7 +1,9 @@
 """Splitting parities, uniformity verdicts, and fibered-grid machinery."""
 
 import collections
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -519,19 +521,144 @@ class TestAunif:
                     assert sp.check_aunif(sp.split_report(t, d))
 
 
+def literal_plane_consistency(t, z, pair):
+    """The plane lemma on the one grid L(z, M/p_i p_j): the least direction
+    nu of the pair whose p_nu^{n_nu - 1}-planes, read off the coordinate
+    tables, hold Sigma_A and Sigma_B."""
+    ctx = t.context
+    i, j = pair
+    pi, _ = ctx.check_direction(i)
+    pj, _ = ctx.check_direction(j)
+    if i == j:
+        raise InputError("plane consistency needs two distinct directions")
+    step = ctx.M // (pi * pj)
+    a_of, b_of = t.decomp
+    sa, sb = set(a_of[z % step::step]), set(b_of[z % step::step])
+    for nu in sorted(pair):
+        p, n = ctx.primes[nu]
+        table = ctx.coord_tables[nu]
+        q = p ** (n - 1)
+        if (len({table[x] % q for x in sa}) == 1
+                and len({table[x] % q for x in sb}) == 1):
+            return nu
+    raise LemmaViolationError(
+        f"no consistent direction for grid at {z % step} (pair p={pi},{pj}): "
+        f"Sigma_A={sorted(sa)} Sigma_B={sorted(sb)}")
+
+
+def literal_cross_direction(t, z, pair):
+    """The cross-direction lemma on the one grid L(z, M/p_i p_j), tested
+    against every anchor in turn: True, or None when no a0 of Sigma_A has
+    its full direction-i fiber in A."""
+    ctx = t.context
+    i, j = pair
+    pi, _ = ctx.check_direction(i)
+    pj, nj = ctx.check_direction(j)
+    if i == j:
+        raise InputError("cross-direction check needs two distinct directions")
+    step = ctx.M // (pi * pj)
+    sa = set(t.decomp[0][z % step::step])
+    full = sp._full_fibers(ctx, t.A.mask, i)
+    anchors = [a for a in sa if full >> a & 1]
+    if not anchors:
+        return None
+    table = ctx.coord_tables[j]
+    q = pj ** (nj - 1)
+    for a0 in anchors:
+        want = table[a0] % q
+        bad = [a for a in sa if table[a] % q != want]
+        if bad:
+            raise LemmaViolationError(
+                f"Sigma_A escapes the plane of a0={a0} (directions "
+                f"p={pi},{pj}): offending elements {sorted(bad)}")
+    return True
+
+
+def grid_step(t, pair):
+    return t.context.M // (t.context.primes[pair[0]][0]
+                           * t.context.primes[pair[1]][0])
+
+
+def grid_outcome(check, t, pair):
+    """The pair-wide answer of a grid lemma, or its error's type and text."""
+    try:
+        return check(t, pair)
+    except InvariantViolationError as exc:
+        return type(exc), str(exc)
+
+
+def literal_grid_outcome(literal, t, pair):
+    """The literal per-grid answers of every grid of the pair in turn, or
+    the first grid's error, as grid_outcome gives them."""
+    answers = []
+    for z in range(grid_step(t, pair)):
+        try:
+            answers.append(literal(t, z, pair))
+        except InvariantViolationError as exc:
+            return z, type(exc), str(exc)
+    return answers
+
+
+def assert_same_outcome(check, literal, t, pair):
+    """The pair form checks every grid as the literal per-grid form does:
+    the same answers, or the same error at the same first grid.  A cross
+    check's escape names the same a0 and offending set."""
+    got = grid_outcome(check, t, pair)
+    want = literal_grid_outcome(literal, t, pair)
+    if isinstance(want, list):
+        if literal is literal_plane_consistency:
+            assert got == tuple(want)
+        else:
+            assert got == (tuple(z for z, ok in enumerate(want) if ok)
+                           or None)
+        return False
+    z, kind, text = want
+    assert got[0] is kind
+    assert f"grid at {z} " in got[1]
+    if literal is literal_plane_consistency:
+        assert got[1] == text
+    else:
+        witness = re.compile(r"a0=(\d+) .*offending elements (\[.*\])$")
+        assert witness.search(got[1]).groups() == witness.search(text).groups()
+    return True
+
+
+def grid_corpus():
+    """Three-prime tilings: a Z_60 sample and digit tilings of Z_900 and
+    Z_1764, where both exponents of some pairs exceed one."""
+    return [*corpus(60, 2000), *digit_tilings(900, 30, seed=900),
+            *digit_tilings(1764, 20, seed=1764)]
+
+
+def escaping_fakes(count, seed):
+    """Random cover tables on Z_36, Z_100 and Z_225 whose A-parts hold
+    whole direction fibers of several residue classes, so that Sigma_A of
+    some grids meets two or more anchors in different planes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ctx = tl.factorize(rng.choice((36, 100, 225)))
+        p = ctx.primes[rng.randrange(2)][0]
+        seeds = rng.sample(range(ctx.M), rng.randint(2, 4))
+        pool = sorted({(a + k * ctx.M // p) % ctx.M
+                       for a in seeds for k in range(p)})
+        pool += rng.sample(range(ctx.M), 3)
+        a_of = tuple(rng.choice(pool) for _ in range(ctx.M))
+        b_of = tuple(rng.choice(seeds) for _ in range(ctx.M))
+        yield FakeDecomp(ctx, a_of, b_of)
+
+
 class TestPlaneConsistency:
     def test_worked_example(self):
         # Sigma_A(L(0,2)) = {0,6}, Sigma_B = {0,4,8}: both inside 2-planes
-        assert sp.plane_consistency(t12(), 0, (0, 1)) == 0
+        assert sp.plane_consistency(t12(), (0, 1))[0] == 0
 
     def test_equal_directions_rejected(self):
-        with pytest.raises(InputError):
-            sp.plane_consistency(t12(), 0, (1, 1))
+        with pytest.raises(InputError, match="two distinct directions"):
+            sp.plane_consistency(t12(), (1, 1))
 
     def test_some_direction_always_works(self):
         for t in corpus(12):
-            for z in range(12):
-                assert sp.plane_consistency(t, z, (0, 1)) in (0, 1)
+            assert set(sp.plane_consistency(t, (0, 1))) <= {0, 1}
 
     def test_violation_aborts_with_witness(self):
         # cover table scattering Sigma_A across planes of both directions
@@ -539,8 +666,24 @@ class TestPlaneConsistency:
         for w in range(0, 36, 6):
             a_of[w] = w // 6
         fake = FakeDecomp(tl.factorize(36), tuple(a_of), (0,) * 36)
-        with pytest.raises(LemmaViolationError, match="no consistent"):
-            sp.plane_consistency(fake, 0, (0, 1))
+        with pytest.raises(LemmaViolationError,
+                           match="no consistent direction for grid at 0 "):
+            sp.plane_consistency(fake, (0, 1))
+
+    def test_each_grid_matches_literal(self):
+        for t in grid_corpus():
+            for pair in itertools.permutations(range(3), 2):
+                assert not assert_same_outcome(
+                    sp.plane_consistency, literal_plane_consistency, t, pair)
+
+    def test_fake_tables_match_literal(self):
+        raised = 0
+        for fake in escaping_fakes(300, seed=3):
+            for pair in ((0, 1), (1, 0)):
+                raised += assert_same_outcome(
+                    sp.plane_consistency, literal_plane_consistency, fake,
+                    pair)
+        assert raised > 50
 
 
 class TestFullFibers:
@@ -586,26 +729,61 @@ class TestLaneFibers:
 
 class TestCrossDirection:
     def test_degenerate_exponent_one(self):
-        # 0*F_2={0,6} sits inside A; the 3^0-plane is everything
-        assert sp.cross_direction_check(t12(), 0, (0, 1)) is True
+        # 0*F_2={0,6} and 1*F_2={1,7} sit inside A; the 3^0-plane is everything
+        assert sp.cross_direction_check(t12(), (0, 1)) == (0, 1)
 
     def test_no_contained_fiber_reports_not_applicable(self):
-        assert sp.cross_direction_check(t12(), 0, (1, 0)) is None
+        assert sp.cross_direction_check(t12(), (1, 0)) is None
 
     def test_equal_directions_rejected(self):
-        with pytest.raises(InputError):
-            sp.cross_direction_check(t12(), 0, (0, 0))
+        with pytest.raises(InputError, match="two distinct directions"):
+            sp.cross_direction_check(t12(), (0, 0))
 
     def test_nondegenerate_instance(self):
         t = T(72, [0, 36], range(36))
-        assert sp.cross_direction_check(t, 0, (0, 1)) is True
+        assert sp.cross_direction_check(t, (0, 1)) == tuple(range(12))
 
     def test_never_violated_over_corpus(self):
         for t in corpus(24)[::199]:
-            for z in range(4):
-                for pair in ((0, 1), (1, 0)):
-                    got = sp.cross_direction_check(t, z, pair)
-                    assert got is None or got is True
+            for pair in ((0, 1), (1, 0)):
+                got = sp.cross_direction_check(t, pair)
+                assert got is None or set(got) <= set(range(4))
+
+    def test_each_grid_matches_literal(self):
+        for t in grid_corpus():
+            for pair in itertools.permutations(range(3), 2):
+                assert not assert_same_outcome(
+                    sp.cross_direction_check, literal_cross_direction, t, pair)
+
+    def test_escape_names_the_first_anchor(self):
+        """Sigma_A of the grid L(0, 6) in Z_36 is {33, 15, 2, 20, 4}: four
+        anchors, with the 2-fibers {15, 33} and {2, 20} inside A, in two
+        3-planes.  Both forms blame the first anchor in Sigma_A's order,
+        which need not be the least, and its offenders."""
+        a_of = [0] * 36
+        for w, a in zip(range(0, 36, 6), (33, 15, 2, 20, 4, 33)):
+            a_of[w] = a
+        fake = FakeDecomp(tl.factorize(36), tuple(a_of), (0,) * 36)
+        assert assert_same_outcome(
+            sp.cross_direction_check, literal_cross_direction, fake, (0, 1))
+        with pytest.raises(LemmaViolationError, match="grid at 0 "):
+            sp.cross_direction_check(fake, (0, 1))
+
+    def test_fake_tables_match_literal(self):
+        """Random tables with several anchors per grid: the first raise,
+        its grid, a0 and offending set agree with the per-anchor loop."""
+        raised = several = 0
+        for fake in escaping_fakes(300, seed=4):
+            full = [literal_full_fibers(fake.A, d) for d in range(2)]
+            for pair in ((0, 1), (1, 0)):
+                if assert_same_outcome(sp.cross_direction_check,
+                                       literal_cross_direction, fake, pair):
+                    raised += 1
+                    z = literal_grid_outcome(literal_cross_direction, fake,
+                                             pair)[0]
+                    sigma = set(fake.decomp[0][z::grid_step(fake, pair)])
+                    several += sum(full[pair[0]] >> a & 1 for a in sigma) > 1
+        assert raised > 50 and several > 20
 
 
 # Hand instances for the fibered-grid machinery.  M=180 lifts the tiling
