@@ -4,7 +4,7 @@ from .zm_core import (ZmContext, TileSet, factorize,
                       prime_factorization, euler_phi, radical_quotient)
 from .cyclotomic import (CycloProfile, phi_at_one, divides_mask, cyclo_profile,
                          check_T1, check_T2)
-from .tiling import (Tiling, verify_direct, div_set, verify_sands,
+from .tiling import (Tiling, verify_direct, div_bits, verify_sands,
                      verify_cyclotomic, tijdeman_orbit_check,
                      dilation_stabilizer, find_complements, iter_complements,
                      enumerate_tilings, iter_tilings, sample_tilings,

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .zm_core import TileSet, ZmContext, factorize, radical_quotient
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
-from .tiling import (Tiling, _class_bits, div_set, tiling_to_json,
+from .tiling import (Tiling, _class_bits, div_bits, tiling_to_json,
                      verify_direct)
 from .splitting import SplitReport, split_report
 
@@ -151,10 +151,11 @@ def slab_cond_ii(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     ctx = t.context
     p, n = ctx.check_direction(direction)
     q = p ** n
-    da = div_set(t.A)
-    db = div_set(t.B)
+    cbit = _class_bits(ctx)[0]      # the bit of d | M is cbit[d mod M]
+    da = div_bits(t.A)
+    db = div_bits(t.B)
     for m in ctx.divisors:
-        if m % q == 0 and m in da and (m // p) in db:
+        if m % q == 0 and da & cbit[m % ctx.M] and db & cbit[m // p]:
             return False, m
     return True, None
 
@@ -274,10 +275,11 @@ def splittingslab_equiv_check(report: SplitReport) -> bool:
 
     second = report.uniform_ba
 
-    db = div_set(t.B)
+    db = div_bits(t.B)
     e = 0
-    for d, cls in zip(ctx.divisors, _class_bits(ctx)[1]):
-        if d % q and d in db:
+    cbit, masks = _class_bits(ctx)
+    for d, cls in zip(ctx.divisors, masks):
+        if d % q and db & cbit[d]:      # d < M, as q | M
             e |= cls
     doubled = e | e << M            # rotate(e, a) = doubled >> (M - a)
     near = 0                        # bits above M are cut off below
@@ -366,7 +368,7 @@ def blowbound_check(report: SplitReport) -> tuple[bool, bool]:
     ctx = t.context
     p, n = ctx.primes[report.direction]
     applicable = (p > math.gcd(len(t.B), ctx.M // p ** n)
-                  and ctx.M // p not in div_set(t.A))
+                  and not div_bits(t.A) & _class_bits(ctx)[0][ctx.M // p])
     if not applicable:
         return False, False
     if not report.uniform_ab:
@@ -482,19 +484,19 @@ def _removal_prime(t: Tiling) -> Optional[int]:
 
 
 def _slab_orientation(t: Tiling) -> Optional[str]:
-    """Side to slab for the largest prime, or None if no orientation exists.
+    """Side to slab for the largest prime p, or None if no orientation exists.
 
-    Divisor exclusion guarantees M/p_1 is absent from Div(A) or Div(B) in a
-    genuine tiling; the slab applies to the opposite tile (whose mask then
-    carries Phi_{p^n}).  When both are absent, A is reduced.
+    In a genuine tiling exactly one mask carries Phi_{p^n}: by (T1), the
+    prime powers p^k | M split between S_A and S_B.  That tile is the side,
+    unless M/p lies in the other tile's Div (slab_cond_ii fails at m = M).
+    _slab_child still gates the side it is given.
     """
     ctx = t.context
-    f = ctx.M // ctx.primes[-1][0]
-    if f not in div_set(t.B):
-        return "A"
-    if f not in div_set(t.A):
-        return "B"
-    return None
+    p, n = ctx.primes[-1]
+    side, other = ("A", t.B) if divides_mask(p ** n, t.A) else ("B", t.A)
+    if div_bits(other) & _class_bits(ctx)[0][ctx.M // p]:
+        return None
+    return side
 
 
 def _slab_child(t: Tiling, side: str) -> Tiling:

@@ -6,7 +6,8 @@ Equivalent formulations, all implemented and kept in agreement:
   direct:      the sumset covers every residue exactly once
   divisor:     |A||B| = M and Div(A) & Div(B) = {M}, where
                Div(A) = {(a - a', M) : a, a' in A}, read off the
-               difference mask OR_a rotate(A, -a) class by class
+               difference mask OR_a rotate(A, -a) class by class and
+               kept on the tile as divisor-index bits (div_bits)
   cyclotomic:  |A||B| = M and every Phi_s with s | M, s > 1 divides
                A(X) or B(X)
 
@@ -26,7 +27,8 @@ from typing import Iterator, Sequence
 from .cyclotomic import cyclo_profile
 from .errors import (InputError, InvariantViolationError, NotATilingError,
                      TheoremViolationError)
-from .zm_core import TileSet, ZmContext, _same_context, factorize
+from .zm_core import (TileSet, ZmContext, _same_context, _set_div,
+                      factorize)
 
 
 class Tiling:
@@ -128,24 +130,26 @@ def _diff_mask(A: TileSet) -> int:
     return diff
 
 
-def _div_set(A: TileSet) -> frozenset[int]:
-    """Div(A) = {(a - a', M)}; contains M whenever A is nonempty.
+def div_bits(A: TileSet) -> int:
+    """Div(A) as divisor-index bits (bit i for ctx.divisors[i], see
+    _class_bits), with the bit of M whenever A is nonempty.
 
     d < M is in Div(A) exactly when the difference mask of A meets the
-    class {v : (v, M) = d}.
+    class {v : (v, M) = d}.  Read once per tile object and kept in its div
+    slot; the pair search fills that slot at its leaves.
     """
-    if not len(A):
-        return frozenset()
-    ctx = A.context
-    diff = _diff_mask(A)
-    classes = zip(ctx.divisors, _class_bits(ctx)[1])
-    return frozenset([ctx.M] + [d for d, cls in classes if diff & cls])
-
-
-@lru_cache(maxsize=4096)
-def div_set(A: TileSet) -> frozenset[int]:
-    """Div(A), memoized by tile."""
-    return _div_set(A)
+    bits = A.div
+    if bits is None:
+        bits = 0
+        if len(A):
+            diff = _diff_mask(A)
+            cbit, masks = _class_bits(A.context)
+            bits = cbit[0]              # the bit of M = (0, M)
+            for i, cls in enumerate(masks):
+                if diff & cls:
+                    bits |= 1 << i
+        _set_div(A, bits)
+    return bits
 
 
 def _dilate_div(D: frozenset[int], r: int, M: int) -> frozenset[int]:
@@ -175,7 +179,8 @@ def verify_sands(A: TileSet, B: TileSet) -> bool:
     ctx = _same_context(A, B)
     if len(A) * len(B) != ctx.M:
         return False
-    return div_set(A) & div_set(B) <= {ctx.M}
+    # both hold M, the last divisor
+    return div_bits(A) & div_bits(B) == 1 << len(ctx.divisors) - 1
 
 def verify_cyclotomic(A: TileSet, B: TileSet) -> bool:
     """|A||B| = M plus: every Phi_s, s | M, s > 1, divides one of the masks."""
@@ -197,35 +202,30 @@ def tijdeman_orbit_check(t: Tiling) -> bool:
     g = gcd(r, M) is coprime to |A|, and the classes g met are the divisors
     g < M of M.  The differences rx, x in A - A, have (rx, M) = d gcd(g, M/d)
     for d = (x, M) (see _dilate_div), so hit, the OR of _orbit_reach over
-    the classes d < M that the difference mask of A meets, holds every
-    (rx, M) with x != 0 over every admissible r.  If hit holds M, some
-    admissible r sends two members of A together: a collapse, checked
-    literally below.  Otherwise no r collapses A, and if the difference
-    mask of B meets no class in hit, (rA - rA) meets (B - B) only in 0 for
-    every admissible r, so the M sums ra + b are distinct and rA + B tiles:
-    the elementary direction of Sands' criterion, not the theorem being
-    checked.  In every other case the literal loop below runs, and the
-    first failing r and its message are those it has always reported.
+    the classes d < M in Div(A), holds every (rx, M) with x != 0 over every
+    admissible r.  If hit holds M, some admissible r sends two members of A
+    together: a collapse, checked literally below.  Otherwise no r
+    collapses A, and if Div(B) meets no class in hit, (rA - rA) meets
+    (B - B) only in 0 for every admissible r, so the M sums ra + b are
+    distinct and rA + B tiles: the elementary direction of Sands'
+    criterion, not the theorem being checked.  In every other case the
+    literal loop below runs, and the first failing r and its message are
+    those it has always reported.
     """
     ctx = t.context
     M = ctx.M
     k = len(t.A)
     if k * len(t.B) == M:
-        # uncached kernels: the orbit check must not pin every tile it sees
-        masks = _class_bits(ctx)[1]
-        diff = _diff_mask(t.A)
+        reach = _orbit_reach(ctx, k)
+        top = len(reach) - 1              # the index of M, the last divisor
+        below = div_bits(t.A) & ~(1 << top)
         hit = 0
-        for reach, cls in zip(_orbit_reach(ctx, k), masks):
-            if diff & cls:
-                hit |= reach
-        if not hit >> (len(masks) - 1):   # M, the last divisor, is not hit
-            diff = _diff_mask(t.B)
-            for cls in masks:   # bit 0 of hit stands for cls
-                if hit & 1 and diff & cls:
-                    break
-                hit >>= 1
-            else:
-                return True
+        while below:
+            low = below & -below
+            hit |= reach[low.bit_length() - 1]
+            below ^= low
+        if not hit >> top and not hit & div_bits(t.B):
+            return True
     for r in range(1, M):
         if math.gcd(r, k) != 1:
             continue
@@ -283,10 +283,10 @@ def iter_complements(A: TileSet, normalize: bool = True,
     if k == 0 or M % k:
         return
     target = M // k
-    div_a = div_set(A)
+    div_a = div_bits(A)
     forb = 0
-    for d, cls in zip(ctx.divisors, _class_bits(ctx)[1]):
-        if d in div_a:          # the class of M is empty
+    for i, cls in enumerate(_class_bits(ctx)[1]):
+        if div_a >> i & 1:      # the class of M is empty
             forb |= cls
     Amask = A.mask
     fb = forb | 1               # bit 0 carries b itself into blocked
@@ -297,7 +297,7 @@ def iter_complements(A: TileSet, normalize: bool = True,
 
     def walk(covered: int, blocked: int, Bmask: int):
         if covered == full:
-            yield from_parts(ctx, Bmask, tuple(sorted(B)))
+            yield from_parts(ctx, Bmask, tuple(sorted(B)), None)
             return
         if len(B) == target:
             return
@@ -385,8 +385,10 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
     divisor indices (see _class_bits): bit i stands for ctx.divisors[i].  The
     classes of a new member v against a side W are the OR of cbit[v - w] over
     w in W, indexed without a reduction mod M: v - w lies in (-M, M), a
-    negative index reads cbit[M + v - w], and (M - x, M) = (x, M).  A leaf
-    builds its tiles from the masks and member lists it holds.
+    negative index reads cbit[M + v - w], and (M - x, M) = (x, M).  Both
+    start at the bit of M, which no class of two distinct members holds, so
+    at a leaf they are Div(A) and Div(B).  A leaf builds its tiles from the
+    masks, member lists and Div bits it holds.
 
     Rotations are written out: ctx.rotate(x, k) is
     ((x << k) | (x >> (M - k))) & full for k in [0, M], and a reflected
@@ -406,8 +408,8 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
         (Amask, Bmask, covered, divA, divB, forbA, forbB,
          blockedA, blockedB, blockedB_refl) = state
         if covered == full:
-            yield tiling(ctx, tile(ctx, Amask, tuple(sorted(A))),
-                         tile(ctx, Bmask, tuple(sorted(B))))
+            yield tiling(ctx, tile(ctx, Amask, tuple(sorted(A)), divA),
+                         tile(ctx, Bmask, tuple(sorted(B)), divB))
             return
         z = (~covered & (covered + 1)).bit_length() - 1
         na, nb = len(A), len(B)
@@ -508,7 +510,8 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
         return (Amask, Bmask, covered, divA, divB, forbA, forbB,
                 blockedA, blockedB, blockedB_refl)
 
-    yield from _run_search(walk((1, 1, 1, 0, 0, 0, 0, 1, 1, 1)))
+    m = cbit[0]     # the bit of M = (0, M)
+    yield from _run_search(walk((1, 1, 1, m, m, 0, 0, 1, 1, 1)))
 
 
 def enumerate_tilings(ctx: ZmContext) -> list[Tiling]:

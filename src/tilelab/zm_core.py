@@ -140,10 +140,12 @@ class TileSet:
     """An immutable set of residues of Z_M, with a bitmask mirror.
 
     Membership, subset and translation tests run on the mask; ordered
-    iteration uses the sorted member tuple.
+    iteration uses the sorted member tuple.  The slot div holds Div(T) as
+    divisor-index bits: from the pair search that built the tile, or from
+    the first tiling.div_bits call (None until then).
     """
 
-    __slots__ = ("context", "members", "mask")
+    __slots__ = ("context", "members", "mask", "div")
 
     def __init__(self, context: ZmContext, members: Iterable[int]):
         seen = 0
@@ -154,23 +156,26 @@ class TileSet:
         _set_context(self, context)
         _set_mask(self, seen)
         _set_members(self, _mask_members(seen))
+        _set_div(self, None)
 
     @classmethod
     def from_mask(cls, context: ZmContext, mask: int) -> "TileSet":
         if mask < 0 or mask > context.full_mask:
             raise InputError("mask outside the residue range")
-        return cls._from_parts(context, mask, _mask_members(mask))
+        return cls._from_parts(context, mask, _mask_members(mask), None)
 
     @classmethod
     def _from_parts(cls, context: ZmContext, mask: int,
-                    members: tuple[int, ...]) -> "TileSet":
+                    members: tuple[int, ...], div: int | None) -> "TileSet":
         """The tile whose bitmask is mask and whose ascending member tuple
         is members, unchecked: callers that already hold both (the searches
-        in tiling) pass them as they are."""
+        in tiling) pass them as they are.  div is the div slot: the pair
+        search's Div bits, or None."""
         ts = object.__new__(cls)
         _set_context(ts, context)
         _set_mask(ts, mask)
         _set_members(ts, members)
+        _set_div(ts, div)
         return ts
 
     def __setattr__(self, *_):
@@ -207,6 +212,7 @@ class TileSet:
 _set_context = TileSet.context.__set__
 _set_mask = TileSet.mask.__set__
 _set_members = TileSet.members.__set__
+_set_div = TileSet.div.__set__
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:

@@ -14,6 +14,13 @@ def crt_value(ctx, coords):
     return sum(x * (ctx.M // p**n) for x, (p, n) in zip(coords, ctx.primes)) % ctx.M
 
 
+def div_set(A) -> frozenset:
+    """Div(A) = {(a - a', M)} as a set of divisors, read off tl.div_bits."""
+    bits = tl.div_bits(A)
+    return frozenset(d for i, d in enumerate(A.context.divisors)
+                     if bits >> i & 1)
+
+
 def units(ctx) -> tuple:
     """The v in [0, M) with gcd(v, M) = 1; (0,) at M = 1."""
     return tuple(v for v in range(ctx.M) if ctx.gcd_table[v] == 1)

@@ -18,8 +18,8 @@ from tilelab import splitting as sp
 from tilelab.errors import (EquivalenceViolationError, InputError,
                             InvariantViolationError, TilelabError)
 
-from conftest import (corpus, crt_value, digit_tilings, oracle_tilings,
-                      unchecked_pairs, units)
+from conftest import (corpus, crt_value, digit_tilings, div_set,
+                      oracle_tilings, unchecked_pairs, units)
 
 
 def T(M, A, B, check=True):
@@ -666,6 +666,50 @@ class TestBlowbound:
                     applicable += app
                     assert verdict == app
         assert applicable > 0
+
+
+# Z_900 tilings on which M/5 = 180 lies in neither Div(A) nor Div(B) and
+# Phi_25 divides B only: the slab side used to default to A, fail its gate
+# and fall back to direct_check with an empty chain.  Found by a seeded
+# search over lifted digit tilings (each prime's two levels on opposite
+# tiles, every digit d < m lifted to d + m k_d).
+SLAB_ON_B_900 = (
+    ([4, 6, 40, 68, 82, 156, 190, 204, 206, 218, 240, 282, 354, 356,
+      390, 404, 418, 432, 554, 556, 568, 590, 618, 632, 706, 740, 754,
+      768, 782, 832],
+     [132, 189, 202, 212, 222, 242, 259, 269, 279, 299, 432, 489, 502,
+      512, 522, 542, 559, 569, 579, 599, 732, 789, 802, 812, 822, 842,
+      859, 869, 879, 899]),
+    ([30, 63, 66, 114, 180, 189, 255, 288, 291, 292, 330, 339, 367,
+      414, 489, 517, 555, 588, 591, 592, 663, 666, 667, 714, 813, 816,
+      855, 888, 891, 892],
+     [15, 25, 30, 40, 135, 140, 150, 155, 160, 260, 270, 275, 355,
+      370, 395, 465, 475, 480, 490, 585, 590, 600, 605, 610, 710, 720,
+      725, 805, 820, 845]),
+    ([26, 27, 30, 54, 78, 176, 177, 180, 204, 228, 326, 327, 330, 354,
+      378, 476, 477, 480, 504, 528, 626, 627, 630, 654, 678, 776, 777,
+      780, 804, 828],
+     [30, 60, 120, 140, 165, 195, 230, 250, 255, 275, 280, 340, 365,
+      385, 415, 450, 475, 540, 585, 620, 650, 670, 675, 710, 755, 760,
+      785, 805, 845, 895]),
+)
+
+
+class TestSlabOrientation:
+    @pytest.mark.parametrize("A, B", SLAB_ON_B_900)
+    def test_side_carries_phi_pn(self, A, B):
+        t = T(900, A, B)
+        assert 180 not in div_set(t.A) | div_set(t.B)
+        assert tl.divides_mask(25, t.B) and not tl.divides_mask(25, t.A)
+        cert = rd.prove_t2_largeprime(t)
+        kinds = [(type(s).__name__, s.p) for s in cert.steps]
+        assert kinds == [("SlabStep", 5), ("PrimeRemovalStep", 5)]
+        assert cert.steps[0].side == "B"
+        assert cert.base == rd.BaseCase(2, "two_primes")
+        bad_step = dataclasses.replace(cert.steps[0], side="A")
+        bad = dataclasses.replace(cert, steps=(bad_step,) + cert.steps[1:])
+        with pytest.raises(InputError, match="Phi_25 does not divide tile A"):
+            rd.replay_certificate(bad)
 
 
 class TestProver:

@@ -14,7 +14,7 @@ from tilelab.errors import (ContextMismatchError, InputError,
 from tilelab.tiling import (_class_bits, _dilate_div, _orbit_reach,
                             _run_search, tiling_to_json, tiling_from_json)
 
-from conftest import corpus, oracle_tilings, unchecked_pairs
+from conftest import corpus, div_set, oracle_tilings, unchecked_pairs
 
 
 def T(M, A, B, check=True):
@@ -40,6 +40,14 @@ def test_class_bits_match_the_gcd_classes():
                              for v in range(M))
 
 
+def literal_div(A):
+    """Div(A) by the pair loop; gcd(0, M) = M puts M in exactly when A is
+    nonempty."""
+    gcd = A.context.gcd_table
+    M = A.context.M
+    return {gcd[(a - a2) % M] for a in A for a2 in A}
+
+
 class TestVerifiers:
     def test_direct_examples(self):
         c4 = tl.factorize(4)
@@ -50,15 +58,11 @@ class TestVerifiers:
 
     def test_div_set_examples(self):
         ctx = tl.factorize(12)
-        assert tl.div_set(tl.TileSet(ctx, [0, 1, 5])) == frozenset({1, 4, 12})
-        assert tl.div_set(tl.TileSet(ctx, [0, 4, 8])) == frozenset({4, 12})
-        assert tl.div_set(tl.TileSet(ctx, [0])) == frozenset({12})
+        assert div_set(tl.TileSet(ctx, [0, 1, 5])) == frozenset({1, 4, 12})
+        assert div_set(tl.TileSet(ctx, [0, 4, 8])) == frozenset({4, 12})
+        assert div_set(tl.TileSet(ctx, [0])) == frozenset({12})
 
     def test_div_set_matches_literal_pair_loop(self):
-        def literal(A):
-            # gcd(0, M) = M puts M in exactly when A is nonempty
-            return {math.gcd(a - a2, A.context.M) for a in A for a2 in A}
-
         tiles = [tile for t in oracle_tilings() for tile in (t.A, t.B)]
         tiles += [tile for t in unchecked_pairs(300, seed=10, moduli=(1, 60))
                   for tile in (t.A, t.B)]
@@ -71,14 +75,14 @@ class TestVerifiers:
             tiles += [tl.TileSet(ctx, rng.sample(range(M), rng.randint(2, 60)))
                       for _ in range(20)]
         for A in tiles:
-            want = literal(A)
-            assert tilelab.tiling._div_set(A) == want, A
-            assert tl.div_set(A) == want, A
+            held = A.div      # the search's bits, or None before a first read
+            assert div_set(A) == literal_div(A), A
+            assert held in (None, A.div) and A.div == tl.div_bits(A), A
 
     def test_sands_examples(self):
         ctx = tl.factorize(12)
         A, B = tl.TileSet(ctx, [0, 1, 6, 7]), tl.TileSet(ctx, [0, 4, 8])
-        assert tl.div_set(A) == frozenset({1, 6, 12})
+        assert div_set(A) == frozenset({1, 6, 12})
         assert tl.verify_sands(A, B)
         c4 = tl.factorize(4)
         assert not tl.verify_sands(tl.TileSet(c4, [0, 2]), tl.TileSet(c4, [0, 2]))
@@ -317,10 +321,14 @@ def assert_checked_tiling(t):
 
 def assert_same_tilings(got, want):
     """Two tiling streams agree item by item: order, members and masks,
-    and each tiling got is a whole, checked Tiling."""
+    and each tiling got is a whole, checked Tiling whose tiles the search
+    handed the Div bits of the literal pair loop."""
     count = 0
     for g, w in itertools.zip_longest(got, want):
         assert g is not None and w is not None, count
+        for tile in (g.A, g.B):
+            assert tile.div is not None, (count, tile)
+            assert div_set(tile) == literal_div(tile), (count, tile)
         assert (g.A.members, g.B.members) == (w.A.members, w.B.members), count
         assert (g.A.mask, g.B.mask) == (w.A.mask, w.B.mask), count
         assert_checked_tiling(g)
@@ -347,6 +355,29 @@ class TestPairDfsOracle:
         want = tl.sample_tilings(ctx, cap)
         assert len(got) == cap
         assert assert_same_tilings(got, want) == cap
+
+
+class TestDivBits:
+    def test_orbit_check_reads_the_bits_the_search_handed_over(
+            self, monkeypatch):
+        def refuse(A):
+            raise AssertionError(f"_diff_mask called on {A!r}")
+
+        tilings = corpus(24)
+        monkeypatch.setattr(tilelab.tiling, "_diff_mask", refuse)
+        for t in tilings:
+            for tt in (t, t.swapped()):
+                assert tl.tijdeman_orbit_check(tt)
+        assert len(tilings) == 13250
+
+    def test_search_tiles_keep_their_identity(self):
+        ctx = tl.factorize(24)
+        for t in itertools.islice(tl.iter_tilings(ctx), 0, None, 97):
+            for tile in (t.A, t.B):
+                fresh = tl.TileSet(ctx, tile.members)
+                assert fresh.div is None and tile.div is not None
+                assert tile == fresh and hash(tile) == hash(fresh)
+                assert tl.div_bits(fresh) == tile.div
 
 
 class TestComplements:
@@ -400,7 +431,7 @@ def literal_complements(A, normalize):
     target = M // k
     class_masks = gcd_class_masks(ctx)
     forb = 0
-    for d in tl.div_set(A) - {M}:
+    for d in div_set(A) - {M}:
         forb |= class_masks[d]
     Amask = A.mask
     full = ctx.full_mask
@@ -569,11 +600,11 @@ class TestOrbitOracle:
             tiles[t.A] = tiles[t.B] = None
         for A in tiles:
             M = A.context.M
-            D = tl.div_set(A)
+            D = div_set(A)
             for r in range(1, M):
                 rA = A.dilate(r)
                 if len(rA) == len(A):
-                    assert _dilate_div(D, r, M) == tl.div_set(rA), (A, r)
+                    assert _dilate_div(D, r, M) == div_set(rA), (A, r)
                 else:
                     assert M in _dilate_div(D - {M}, r, M), (A, r)
 
