@@ -60,7 +60,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .zm_core import TileSet, ZmContext, prime_factorization
+from .zm_core import (TileSet, ZmContext, _packed_indicator,
+                      prime_factorization)
 
 
 def phi_at_one(s: int) -> int:
@@ -116,12 +117,9 @@ def cyclo_profile(A: TileSet) -> CycloProfile:
     if not len(A):
         raise InputError("cannot profile the empty tile")
     ctx = A.context
-    nbytes = (len(A).bit_length() + 7) // 8
+    nbytes, indicator = _packed_indicator(A)
     w = 8 * nbytes
-    packed = bytearray(ctx.M * nbytes)
-    for a in A.members:
-        packed[a * nbytes] = 1
-    folds = {ctx.M: int.from_bytes(packed, "little")}
+    folds = {ctx.M: indicator}
     plan = _fold_plan(ctx)
     hits = set()
     for s, p, steps, _ in plan:

@@ -28,10 +28,10 @@ from .errors import (
     PipelineStuckError,
     TheoremViolationError,
 )
-from .zm_core import TileSet, ZmContext, factorize, radical_quotient
+from .zm_core import (TileSet, ZmContext, _class_bits, factorize,
+                      radical_quotient)
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
-from .tiling import (Tiling, _class_bits, div_bits, tiling_to_json,
-                     verify_direct)
+from .tiling import Tiling, div_bits, tiling_to_json, verify_direct
 from .splitting import SplitReport, split_report
 
 
@@ -111,9 +111,7 @@ def slab_cond_i(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     p, n = ctx.check_direction(direction)
     M, q, low = ctx.M, p ** n, p ** (n - 1)
     step, R = M // p, M // q        # x R mod q is the c < q of coordinate x
-    b_mask = t.B.mask
-    for k in range(1, p):
-        b_mask |= ctx.rotate(t.B.mask, k * step)
+    b_mask = ctx.fiber_union(t.B.mask, direction)      # B + K
     size_b = b_mask.bit_count() // p
     coord = ctx.coord_tables[direction]
     by_coord = [[] for _ in range(q)]
@@ -269,7 +267,6 @@ def splittingslab_equiv_check(report: SplitReport) -> bool:
     ctx = t.context
     p, n = ctx.primes[direction]
     q = p ** n
-    M = ctx.M
 
     first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
 
@@ -281,15 +278,8 @@ def splittingslab_equiv_check(report: SplitReport) -> bool:
     for d, cls in zip(ctx.divisors, masks):
         if d % q and db & cbit[d]:      # d < M, as q | M
             e |= cls
-    doubled = e | e << M            # rotate(e, a) = doubled >> (M - a)
-    near = 0                        # bits above M are cut off below
-    for a in t.A.members:
-        near |= doubled >> (M - a)
-    fibers = t.A.mask
-    doubled = fibers | fibers << M
-    for k in range(1, p):
-        fibers |= doubled >> (k * M // p)
-    third = not (near & fibers & ctx.full_mask)
+    third = not (ctx.translates(e, t.A.members)
+                 & ctx.fiber_union(t.A.mask, direction))
 
     if not first == second == third:
         raise EquivalenceViolationError(
@@ -328,11 +318,7 @@ def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
     f = ctx.M // p
 
     # a + k f lies in A exactly when a lies in rotate(A, -k f)
-    doubled = t.A.mask | t.A.mask << ctx.M
-    others = 0
-    for k in range(1, p):
-        others |= doubled >> (k * f)
-    fibered = not t.A.mask & ~others
+    fibered = not t.A.mask & ~ctx.translates(t.A.mask, range(f, ctx.M, f))
 
     divisible = divides_mask(q, t.A)
     expected = len(t.B) // math.gcd(len(t.B), q)

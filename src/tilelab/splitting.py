@@ -15,9 +15,9 @@ decider, _ab_fibers, gives a whole direction's parities to split_report;
 the checks that read parities take that report, and SplitReport.swapped
 is the swapped tiling's report, with no second decision.  fiber_parity is
 the literal single-fiber rule and the one source of the both/neither
-error.  The full-fiber kernel _full_fibers (the fibers inside a bitmask)
-also serves the fibered-grid profile and the grid lemmas, which take a
-direction pair and check every grid L(z, M/p_i p_j) of it.
+error.  The fibered-grid profile and the grid lemmas (which take a direction
+pair and check every grid L(z, M/p_i p_j) of it) read the fibers inside A
+off ZmContext.full_fibers, as the decider reads its flat fibers.
 The second half of the module treats tilings whose A-part is a union of
 fibers on every grid of step D = M/rad(M): direction assignments, layer
 stratification of grids, and parity consistency along grid fibers.
@@ -49,18 +49,6 @@ def _sigmas(t: Tiling, z: int, step: int) -> tuple[set[int], set[int]]:
     a_of, b_of = t.decomp
     start = z % step
     return set(a_of[start::step]), set(b_of[start::step])
-
-
-def _full_fibers(ctx: ZmContext, mask: int, direction: int) -> int:
-    """Mask of the v in `mask` whose whole fiber v + k M/p (k < p) lies in
-    it: the AND of the mask with its p - 1 rotations by -k M/p."""
-    p, _ = ctx.primes[direction]
-    step = ctx.M // p
-    doubled = mask | mask << ctx.M     # low M bits of doubled >> s: rotate(mask, -s)
-    full = mask
-    for k in range(1, p):
-        full &= doubled >> (k * step)
-    return full
 
 
 def fiber_parity(t: Tiling, z: int, direction: int) -> Parity:
@@ -155,52 +143,32 @@ class SplitReport:
         }
 
 
-def _anchor_mask(mask: int, step: int) -> int:
-    """Bit k < step set when the mask meets the fiber of anchor k: the OR of
-    its slices of step bits."""
-    low = (1 << step) - 1
-    out = 0
-    while mask:
-        out |= mask & low
-        mask >>= step
-    return out
-
-
 def split_report(t: Tiling, direction: int) -> SplitReport:
     """The parity of every fiber of one direction, read off _ab_fibers."""
     ctx = t.context
     p, _ = ctx.check_direction(direction)
     step = ctx.M // p
-    ab = _ab_fibers(t, direction)
-    return SplitReport(t, direction, p, step, ab & ((1 << step) - 1),
-                       _anchor_mask(t.A.mask, step),
-                       _anchor_mask(t.B.mask, step))
+    low = (1 << step) - 1           # anchor k < step holds its fiber's bit
+    return SplitReport(t, direction, p, step, _ab_fibers(t, direction) & low,
+                       ctx.fiber_union(t.A.mask, direction) & low,
+                       ctx.fiber_union(t.B.mask, direction) & low)
 
 
 def _lane_fibers(ctx: ZmContext, mask: int, shifts,
                  direction: int) -> tuple[int, int]:
     """For the mask T: the union of the translates T + s over the shifts s,
     and the flat fibers, those lying inside the translates by the shifts
-    of one direction coordinate.
-
-    The lane T | T << M holds T twice, so bits [0, M) of lane >> (M - s)
-    are rotate(T, s); the full mask cuts off the bits above.  The
-    translates are OR-ed per coordinate of the shift, and the flat fibers
-    of a class are its full fibers.  On an exact cover the classes
-    partition Z_M by the coordinate of each point's shift.
-    """
-    M, full = ctx.M, ctx.full_mask
+    of one direction coordinate.  On an exact cover these classes
+    partition Z_M by the coordinate of each point's shift."""
     table = ctx.coord_tables[direction]
-    lane = mask | mask << M
-    classes: dict[int, int] = {}
+    classes: dict[int, list[int]] = {}
     for s in shifts:
-        c = table[s]
-        classes[c] = classes.get(c, 0) | lane >> (M - s)
+        classes.setdefault(table[s], []).append(s)
     union = flat = 0
-    for u in classes.values():
-        u &= full
+    for group in classes.values():
+        u = ctx.translates(mask, group)
         union |= u
-        flat |= _full_fibers(ctx, u, direction)
+        flat |= ctx.full_fibers(u, direction)
     return union, flat
 
 
@@ -336,7 +304,7 @@ def cross_direction_check(t: Tiling,
     ctx = t.context
     step = _grid_step(ctx, pair)
     a_of = t.decomp[0]              # raises on a failed cover
-    full = _full_fibers(ctx, t.A.mask, pair[0])
+    full = ctx.full_fibers(t.A.mask, pair[0])
     (pi, _), (pj, nj) = (ctx.primes[nu] for nu in pair)
     q = pj ** (nj - 1)
     applies = []
@@ -385,7 +353,7 @@ def fibered_grid_profile(t: Tiling) -> FiberedGridProfile:
         raise InputError("the full-order cyclotomic does not divide A")
     members = t.A.members
     dir_sets = [frozenset(a for a in members if full >> a & 1)
-                for full in (_full_fibers(ctx, t.A.mask, nu) for nu in range(3))]
+                for full in (ctx.full_fibers(t.A.mask, nu) for nu in range(3))]
     grid_dirs: dict[int, int] = {}
     kappa: dict[int, int] = {}
     for g in range(D):

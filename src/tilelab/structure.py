@@ -30,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .zm_core import TileSet, ZmContext, _same_context
+from .zm_core import TileSet, ZmContext, _packed_indicator, _same_context
 
 
 _FIELD = 8 * array("Q").itemsize     # bits per packed field, at least 64
@@ -70,12 +70,9 @@ def _count_rows(T: TileSet) -> list[tuple[int, ...]]:
     M to 2M of each block.
     """
     ctx = T.context
-    nbytes = max(1, (len(T).bit_length() + 7) // 8)    # 2^w > |T|
+    nbytes, indicator = _packed_indicator(T)       # 2^w > |T|
     size = ctx.M * nbytes
-    packed = bytearray(size)
-    for t in T.members:
-        packed[t * nbytes] = 1
-    product = int.from_bytes(packed, "little") * _class_polys(ctx, nbytes)
+    product = indicator * _class_polys(ctx, nbytes)
     data = product.to_bytes(3 * size * len(ctx.divisors), "little")
     cols = [data[start:start + size]
             for start in range(size, len(data), 3 * size)]

@@ -27,8 +27,8 @@ from typing import Iterator, Sequence
 from .cyclotomic import cyclo_profile
 from .errors import (InputError, InvariantViolationError, NotATilingError,
                      TheoremViolationError)
-from .zm_core import (TileSet, ZmContext, _same_context, _set_div,
-                      factorize)
+from .zm_core import (TileSet, ZmContext, _class_bits, _same_context,
+                      _set_div, factorize)
 
 
 class Tiling:
@@ -118,32 +118,21 @@ def verify_direct(A: TileSet, B: TileSet) -> bool:
     return covered == ctx.full_mask
 
 
-def _diff_mask(A: TileSet) -> int:
-    """The difference mask of A: the OR of rotate(A, -a) over a in A, whose
-    low M bits are the differences a' - a (the bits above M are stray and
-    meet no class mask of _class_bits)."""
-    M = A.context.M
-    doubled = A.mask | A.mask << M   # low M bits of doubled >> a: rotate(A, -a)
-    diff = 0
-    for a in A.members:
-        diff |= doubled >> a
-    return diff
-
-
 def div_bits(A: TileSet) -> int:
     """Div(A) as divisor-index bits (bit i for ctx.divisors[i], see
     _class_bits), with the bit of M whenever A is nonempty.
 
-    d < M is in Div(A) exactly when the difference mask of A meets the
-    class {v : (v, M) = d}.  Read once per tile object and kept in its div
-    slot; the pair search fills that slot at its leaves.
+    d < M is in Div(A) exactly when A's difference mask, the union of its
+    translates by -a, a in A, meets the class {v : (v, M) = d}.  Read once
+    per tile object and kept in its div slot; the pair search fills it.
     """
     bits = A.div
     if bits is None:
         bits = 0
         if len(A):
-            diff = _diff_mask(A)
-            cbit, masks = _class_bits(A.context)
+            ctx = A.context
+            diff = ctx.translates(A.mask, [ctx.M - a for a in A.members])
+            cbit, masks = _class_bits(ctx)
             bits = cbit[0]              # the bit of M = (0, M)
             for i, cls in enumerate(masks):
                 if diff & cls:
@@ -152,24 +141,19 @@ def div_bits(A: TileSet) -> int:
     return bits
 
 
-def _dilate_div(D: frozenset[int], r: int, M: int) -> frozenset[int]:
-    """{(r x, M) : (x, M) in D}, since (x, M) = d gives (r x, M) = d (r, M/d)."""
-    return frozenset(d * math.gcd(r, M // d) for d in D)
-
-
 @lru_cache(maxsize=None)
 def _orbit_reach(ctx: ZmContext, k: int) -> tuple[int, ...]:
     """Per divisor index i, the divisor-index bits j of the classes
     d_j = d_i gcd(g, M/d_i) that the divisors g < M coprime to k send d_i
-    to (d_i = ctx.divisors[i]): D ints of D bits, D = len(ctx.divisors)."""
-    index = {d: i for i, d in enumerate(ctx.divisors)}
+    to (d_i = ctx.divisors[i]): D ints of D bits, D = len(ctx.divisors).
+    d_j is read as cbit[d_j mod M], so d_j = M reads as the bit of M."""
+    cbit = _class_bits(ctx)[0]
     admissible = [g for g in ctx.divisors[:-1] if math.gcd(g, k) == 1]
     table = []
     for d in ctx.divisors:
         bits = 0
         for g in admissible:
-            (e,) = _dilate_div(frozenset([d]), g, ctx.M)
-            bits |= 1 << index[e]
+            bits |= cbit[d * math.gcd(g, ctx.M // d) % ctx.M]
         table.append(bits)
     return tuple(table)
 
@@ -200,8 +184,8 @@ def tijdeman_orbit_check(t: Tiling) -> bool:
 
     With |A||B| = M, |A| divides M, so r is admissible exactly when
     g = gcd(r, M) is coprime to |A|, and the classes g met are the divisors
-    g < M of M.  The differences rx, x in A - A, have (rx, M) = d gcd(g, M/d)
-    for d = (x, M) (see _dilate_div), so hit, the OR of _orbit_reach over
+    g < M of M.  The differences rx, x in A - A, have (rx, M) = d gcd(r, M/d)
+    = d gcd(g, M/d) for d = (x, M), so hit, the OR of _orbit_reach over
     the classes d < M in Div(A), holds every (rx, M) with x != 0 over every
     admissible r.  If hit holds M, some admissible r sends two members of A
     together: a collapse, checked literally below.  Otherwise no r
@@ -343,19 +327,6 @@ def _run_search(root) -> Iterator:
             yield item
         else:
             stack.pop()
-
-
-@lru_cache(maxsize=None)
-def _class_bits(ctx: ZmContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(cbit, masks) over divisor indices i (d = ctx.divisors[i]):
-    cbit[v] = 1 << i for (v, M) = d, v in [0, M), and masks[i] the bitmask
-    of {v in [1, M) : (v, M) = d} (empty for d = M).  One table per
-    context, shared by every caller."""
-    index = {d: i for i, d in enumerate(ctx.divisors)}
-    masks = [0] * len(index)
-    for v in range(1, ctx.M):
-        masks[index[ctx.gcd_table[v]]] |= 1 << v
-    return (tuple(1 << index[g] for g in ctx.gcd_table), tuple(masks))
 
 
 def iter_tilings(ctx: ZmContext) -> Iterator[Tiling]:

@@ -11,6 +11,9 @@ Geometry is arithmetic on residues: the plane Pi(x, p_j^alpha) is
 congruent to x's mod p_j^alpha, and the fiber of x in direction j is
 {x + k M/p_j}.  Sets of residues are TileSets, stored both as a sorted tuple
 and as a bitmask with one bit per residue.
+
+The context owns the mask geometry (rotate, translates, fiber_union,
+full_fibers), so the doubled mask and its stray bits above M stay here.
 """
 
 from __future__ import annotations
@@ -97,6 +100,35 @@ class ZmContext:
             return mask
         return ((mask << k) | (mask >> (self.M - k))) & self.full_mask
 
+    def translates(self, mask: int, shifts: Iterable[int]) -> int:
+        """The union of the translates mask + s over the shifts s in [0, M]:
+        the OR of rotate(mask, s).  The lane mask | mask << M holds the mask
+        twice, so bits [0, M) of lane >> (M - s) are rotate(mask, s); the
+        full mask cuts off the bits above."""
+        M = self.M
+        lane = mask | mask << M
+        out = 0
+        for s in shifts:
+            out |= lane >> (M - s)
+        return out & self.full_mask
+
+    def fiber_union(self, mask: int, direction: int) -> int:
+        """The union of the fibers v + k M/p (k < p) of the v in mask: its
+        translates by the multiples of M/p."""
+        step = self.M // self.primes[direction][0]
+        return self.translates(mask, range(0, self.M, step))
+
+    def full_fibers(self, mask: int, direction: int) -> int:
+        """Mask of the v in mask whose whole fiber v + k M/p (k < p) lies in
+        it: the AND of the mask with its p - 1 rotations by -k M/p."""
+        p, _ = self.primes[direction]
+        step = self.M // p
+        lane = mask | mask << self.M    # lane >> s: rotate(mask, -s) below M
+        full = mask
+        for k in range(1, p):
+            full &= lane >> (k * step)
+        return full
+
 
 # Largest supported modulus.  A context holds several M-length tables and
 # tiles are M-bit masks, so the bound is checked before anything is built.
@@ -127,6 +159,19 @@ def factorize(M: int) -> ZmContext:
         coord_tables=tuple(coord_tables),
         full_mask=(1 << M) - 1,
     )
+
+
+@lru_cache(maxsize=None)
+def _class_bits(ctx: ZmContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(cbit, masks) over divisor indices i (d = ctx.divisors[i]):
+    cbit[v] = 1 << i for (v, M) = d, v in [0, M), and masks[i] the bitmask
+    of {v in [1, M) : (v, M) = d} (empty for d = M).  One table per
+    context, shared by every caller."""
+    index = {d: i for i, d in enumerate(ctx.divisors)}
+    masks = [0] * len(index)
+    for v in range(1, ctx.M):
+        masks[index[ctx.gcd_table[v]]] |= 1 << v
+    return (tuple(1 << index[g] for g in ctx.gcd_table), tuple(masks))
 
 
 def _same_context(a, b) -> ZmContext:
@@ -213,6 +258,16 @@ _set_context = TileSet.context.__set__
 _set_mask = TileSet.mask.__set__
 _set_members = TileSet.members.__set__
 _set_div = TileSet.div.__set__
+
+
+def _packed_indicator(T: TileSet) -> tuple[int, int]:
+    """(nbytes, sum of X^t over T at X = 2^w): w = 8 nbytes, the least
+    multiple of 8 with 2^w > |T|, so a count up to |T| fits one field."""
+    nbytes = max(1, (len(T).bit_length() + 7) // 8)
+    packed = bytearray(T.context.M * nbytes)
+    for t in T.members:
+        packed[t * nbytes] = 1
+    return nbytes, int.from_bytes(packed, "little")
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:

@@ -21,6 +21,16 @@ def div_set(A) -> frozenset:
                      if bits >> i & 1)
 
 
+def literal_full_fibers(T, direction):
+    """The members of T whose whole direction fiber lies in T, as a mask."""
+    ctx = T.context
+    p = ctx.primes[direction][0]
+    members = set(T.members)
+    return sum(1 << a for a in members
+               if all((a + k * ctx.M // p) % ctx.M in members
+                      for k in range(p)))
+
+
 def units(ctx) -> tuple:
     """The v in [0, M) with gcd(v, M) = 1; (0,) at M = 1."""
     return tuple(v for v in range(ctx.M) if ctx.gcd_table[v] == 1)

@@ -15,7 +15,8 @@ from tilelab.errors import (InputError, InvariantViolationError,
                             NotFiberedError, TilelabError)
 from tilelab.splitting import Parity
 
-from conftest import corpus, digit_tilings, oracle_tilings, unchecked_pairs
+from conftest import (corpus, digit_tilings, literal_full_fibers,
+                      oracle_tilings, unchecked_pairs)
 
 
 def T(M, A, B, check=True):
@@ -72,16 +73,6 @@ def parity_outcome(t, anchor, direction):
         return sp.fiber_parity(t, anchor, direction)
     except NeitherParityError as exc:
         return "both parities" if "both parities" in str(exc) else "neither parity"
-
-
-def literal_full_fibers(T, direction):
-    """The members of T whose whole direction fiber lies in T, as a mask."""
-    ctx = T.context
-    p = ctx.primes[direction][0]
-    members = set(T.members)
-    return sum(1 << a for a in members
-               if all((a + k * ctx.M // p) % ctx.M in members
-                      for k in range(p)))
 
 
 class FakeDecomp:
@@ -336,7 +327,7 @@ class TestDeciderDisagreement:
 
     @pytest.fixture(autouse=True)
     def no_full_fibers(self, monkeypatch):
-        monkeypatch.setattr(sp, "_full_fibers", lambda *args: 0)
+        monkeypatch.setattr(tl.ZmContext, "full_fibers", lambda *args: 0)
 
     def test_split_report_raises(self):
         with pytest.raises(InvariantViolationError, match=r"fiber 0\*F") as got:
@@ -558,7 +549,7 @@ def literal_cross_direction(t, z, pair):
         raise InputError("cross-direction check needs two distinct directions")
     step = ctx.M // (pi * pj)
     sa = set(t.decomp[0][z % step::step])
-    full = sp._full_fibers(ctx, t.A.mask, i)
+    full = ctx.full_fibers(t.A.mask, i)
     anchors = [a for a in sa if full >> a & 1]
     if not anchors:
         return None
@@ -691,7 +682,7 @@ class TestFullFibers:
         for t in oracle_tilings():
             for T in (t.A, t.B):
                 for d in range(len(T.context.primes)):
-                    assert (sp._full_fibers(T.context, T.mask, d)
+                    assert (T.context.full_fibers(T.mask, d)
                             == literal_full_fibers(T, d))
 
 

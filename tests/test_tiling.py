@@ -11,8 +11,9 @@ import tilelab as tl
 import tilelab.tiling
 from tilelab.errors import (ContextMismatchError, InputError,
                              TheoremViolationError)
-from tilelab.tiling import (_class_bits, _dilate_div, _orbit_reach,
-                            _run_search, tiling_to_json, tiling_from_json)
+from tilelab.tiling import (_orbit_reach, _run_search, tiling_to_json,
+                            tiling_from_json)
+from tilelab.zm_core import ZmContext, _class_bits
 
 from conftest import corpus, div_set, oracle_tilings, unchecked_pairs
 
@@ -360,11 +361,11 @@ class TestPairDfsOracle:
 class TestDivBits:
     def test_orbit_check_reads_the_bits_the_search_handed_over(
             self, monkeypatch):
-        def refuse(A):
-            raise AssertionError(f"_diff_mask called on {A!r}")
+        def refuse(ctx, mask, shifts):
+            raise AssertionError(f"translates called on mask {mask:#x}")
 
         tilings = corpus(24)
-        monkeypatch.setattr(tilelab.tiling, "_diff_mask", refuse)
+        monkeypatch.setattr(ZmContext, "translates", refuse)
         for t in tilings:
             for tt in (t, t.swapped()):
                 assert tl.tijdeman_orbit_check(tt)
@@ -595,6 +596,11 @@ class TestOrbitOracle:
                     == orbit_outcome(literal_orbit_check, t))
 
     def test_dilated_divisor_identity(self):
+        def dilate_div(D, r, M):
+            """{(r x, M) : (x, M) in D}, as (x, M) = d gives
+            (r x, M) = d (r, M/d)."""
+            return {d * math.gcd(r, M // d) for d in D}
+
         tiles = {}
         for t in oracle_tilings():
             tiles[t.A] = tiles[t.B] = None
@@ -604,9 +610,9 @@ class TestOrbitOracle:
             for r in range(1, M):
                 rA = A.dilate(r)
                 if len(rA) == len(A):
-                    assert _dilate_div(D, r, M) == div_set(rA), (A, r)
+                    assert dilate_div(D, r, M) == div_set(rA), (A, r)
                 else:
-                    assert M in _dilate_div(D - {M}, r, M), (A, r)
+                    assert M in dilate_div(D - {M}, r, M), (A, r)
 
     def test_real_tilings_never_fall_back(self, monkeypatch):
         calls = []

@@ -9,7 +9,7 @@ import tilelab as tl
 from tilelab.errors import InputError
 from tilelab.zm_core import MAX_M, _mask_members
 
-from conftest import crt_value
+from conftest import crt_value, literal_full_fibers
 
 
 def coords_of(ctx, x):
@@ -123,6 +123,77 @@ class TestGeometry:
                             assert (((y - x) % q == 0)
                                     == ((coords[y][nu] - coords[x][nu]) % q
                                         == 0))
+
+
+def literal_translates(ctx, members, shifts):
+    """The union of the translates members + s on sets, as a mask."""
+    return sum(1 << v for v in {(a + s) % ctx.M
+                                for a in members for s in shifts})
+
+
+def literal_fiber_union(ctx, members, direction):
+    """The union of the direction fibers of the members, as a mask."""
+    p = ctx.primes[direction][0]
+    return literal_translates(ctx, members,
+                              [k * ctx.M // p for k in range(p)])
+
+
+class TestMaskGeometry:
+    """translates, fiber_union and full_fibers against set oracles: no bit
+    that a shift carries past M survives, at either end of [0, M]."""
+
+    def assert_geometry(self, ctx, mask, shifts):
+        T = tl.TileSet.from_mask(ctx, mask)
+        assert (ctx.translates(mask, shifts)
+                == literal_translates(ctx, T.members, shifts)), (
+            ctx.M, mask, shifts)
+        for d in range(len(ctx.primes)):
+            assert (ctx.fiber_union(mask, d)
+                    == literal_fiber_union(ctx, T.members, d)), (ctx.M, mask, d)
+            assert ctx.full_fibers(mask, d) == literal_full_fibers(T, d), (
+                ctx.M, mask, d)
+
+    def test_random_masks(self):
+        rng = random.Random(7)
+        for M in range(1, 61):
+            ctx = tl.factorize(M)
+            for _ in range(20):
+                mask = rng.getrandbits(M)
+                shifts = rng.sample(range(M + 1), rng.randint(0, M + 1))
+                self.assert_geometry(ctx, mask, shifts)
+
+    def test_shift_ends_and_extreme_masks(self):
+        """Shifts 0 and M are the identity; the empty and full masks are
+        fixed by every translate and every fiber operation."""
+        rng = random.Random(8)
+        for M in range(1, 61):
+            ctx = tl.factorize(M)
+            mask = rng.getrandbits(M)
+            assert ctx.translates(mask, [0]) == mask
+            assert ctx.translates(mask, [M]) == mask
+            assert ctx.translates(mask, []) == 0
+            for m in (0, ctx.full_mask):
+                self.assert_geometry(ctx, m, [0, M] + rng.sample(range(M), 1))
+                assert ctx.translates(m, range(M + 1)) == m
+                for d in range(len(ctx.primes)):
+                    assert ctx.fiber_union(m, d) == ctx.full_fibers(m, d) == m
+
+    def test_sparse_masks_at_a_large_modulus(self):
+        """M = 65520 = 2^4 3^2 5 7 13: sparse masks, some holding whole
+        fibers, for every direction."""
+        ctx = tl.factorize(65520)
+        M = ctx.M
+        rng = random.Random(9)
+        for direction in range(len(ctx.primes)):
+            p = ctx.primes[direction][0]
+            for _ in range(3):
+                points = rng.sample(range(M), 12)
+                mask = sum(1 << v for v in points)
+                for v in points[:3]:
+                    mask |= sum(1 << ((v + k * M // p) % M) for k in range(p))
+                shifts = [0, M] + rng.sample(range(M), 5)
+                self.assert_geometry(ctx, mask, shifts)
+                assert ctx.full_fibers(mask, direction)
 
 
 class TestTileSet:
