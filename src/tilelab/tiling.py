@@ -334,12 +334,21 @@ def iter_tilings(ctx: ZmContext) -> Iterator[Tiling]:
 
     Deterministic DFS, each tiling exactly once: the branch taken at the
     lowest uncovered residue z pins which pair (a, b) represents z, so two
-    branches can never converge to the same pair.  Order is by size split
-    (|A| ascending) then search order, not globally lexicographic; use
-    enumerate_tilings for the canonical ordering.
+    branches can never converge to the same pair.  B + A = Z_M exactly
+    when A + B = Z_M, so only the splits |A| <= |B| are searched.  Order:
+    split pairs {(d, M/d), (M/d, d)} by the smaller size d, ascending;
+    within a pair, search order of (d, M/d), each tiling followed by its
+    swap; a square split in plain search order.  Not globally
+    lexicographic; use enumerate_tilings for the canonical ordering.
     """
     for d in ctx.divisors:
-        yield from _pair_dfs(ctx, d, ctx.M // d)
+        e = ctx.M // d
+        if d == e:
+            yield from _pair_dfs(ctx, d, e)
+        elif d < e:
+            for t in _pair_dfs(ctx, d, e):
+                yield t
+                yield t.swapped()
 
 
 def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
@@ -498,7 +507,10 @@ def enumerate_tilings(ctx: ZmContext) -> list[Tiling]:
 
 def sample_tilings(ctx: ZmContext, cap: int) -> list[Tiling]:
     """Deterministic stratified prefix of the tilings with 0 in both tiles:
-    round-robin over size splits up to cap."""
+    round-robin over size splits up to cap.  Unlike iter_tilings it also
+    searches (M/d, d) for d < M/d: the swaps of the first tilings of
+    (d, M/d) are not the first tilings of (M/d, d), and these prefixes fix
+    the output of `sweep --limit`."""
     streams = [_pair_dfs(ctx, d, ctx.M // d) for d in ctx.divisors]
     out: list[Tiling] = []
     while streams and len(out) < cap:

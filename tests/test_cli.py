@@ -256,6 +256,28 @@ class TestSweep:
             "tiling": {"M": 12, "A": [0, 1, 6, 7], "B": [0, 4, 8]},
             "detail": "injected"}]
 
+    def test_report_does_not_depend_on_corpus_order(self, capsys,
+                                                    monkeypatch):
+        """The sweep sums counts and sorts violations and reports, so its
+        bytes do not depend on the order iter_tilings yields tilings in."""
+        real = tilelab.cli.tijdeman_orbit_check
+
+        def failing_on_worked(t):
+            # the worked tiling and its swap: two violations to sort
+            if {t.A.members, t.B.members} == {(0, 1, 6, 7), (0, 4, 8)}:
+                raise TheoremViolationError("injected")
+            return real(t)
+
+        monkeypatch.setattr(tilelab.cli, "tijdeman_orbit_check",
+                            failing_on_worked)
+        code, out, err = run(capsys, "sweep", "12", "--check", "all")
+        assert code == 1
+        assert len(json.loads(out)["violations"]) == 2
+        forward = tilelab.cli.iter_tilings
+        monkeypatch.setattr(tilelab.cli, "iter_tilings",
+                            lambda ctx: reversed(list(forward(ctx))))
+        assert run(capsys, "sweep", "12", "--check", "all") == (code, out, err)
+
     def test_failed_t2_pipeline_is_recorded(self, capsys, monkeypatch):
         real = tilelab.cli.prove_t2_largeprime
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import importlib.util
 import itertools
@@ -356,6 +357,30 @@ class TestPairDfsOracle:
         want = tl.sample_tilings(ctx, cap)
         assert len(got) == cap
         assert assert_same_tilings(got, want) == cap
+
+    def test_stream_is_every_split_once(self):
+        """iter_tilings searches only the splits |A| <= |B| and yields each
+        tiling of a non-square split with its swap: as a multiset it is
+        still every split's search, each tiling once, and every tile it
+        yields carries the Div bits of the literal pair loop.  M = 1..32
+        covers the squares 4, 9, 16 and 25."""
+        for M in range(1, 33):
+            ctx = tl.factorize(M)
+            want = collections.Counter(
+                (t.A.mask, t.B.mask) for d in ctx.divisors
+                for t in tilelab.tiling._pair_dfs(ctx, d, M // d))
+            got = collections.Counter()
+            div_of = {}
+            for t in tl.iter_tilings(ctx):
+                got[t.A.mask, t.B.mask] += 1
+                for tile in (t.A, t.B):
+                    if tile.mask not in div_of:
+                        div_of[tile.mask] = sum(
+                            1 << ctx.divisors.index(d)
+                            for d in literal_div(tile))
+                    assert tile.div == div_of[tile.mask], (M, tile)
+            assert got == want, M
+            assert set(got.values()) == {1}, M
 
 
 class TestDivBits:
