@@ -528,7 +528,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (2) or the --help text (0);
+        # return the code so callers of main see it as for any other input
+        return exc.code
     try:
         if args.subcommand == "verify":
             return cmd_verify(args.tiling, args.format)

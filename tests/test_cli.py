@@ -737,3 +737,12 @@ class TestHostileInput:
     def test_exit_code_contract(self, text, argv):
         code = main([argv[0], text, *argv[1:]])
         assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv", [["verify", "-:"], ["analyze"],
+                                      ["complements", "{}", "--limit", "x"]])
+    def test_usage_error_returns_two(self, capsys, argv):
+        """argparse rejects these (an argument that looks like an option,
+        a missing one, a bad int); main returns 2 instead of raising."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "usage: tilelab" in err
