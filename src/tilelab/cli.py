@@ -137,26 +137,64 @@ _SCALARS = {     # by exact type, so that a bool is never written as an int
 }
 
 
+def _heads(shape: tuple, rows: dict) -> list:
+    """The keys of shape sorted, each with its text '"key": ', memoized in
+    rows, so that like dicts sort and encode their keys once per report."""
+    row = rows.get(shape)
+    if row is None:
+        row = rows[shape] = [(key, _encode_str(key) + ": ")
+                             for key in sorted(shape)]
+    return row
+
+
+def _one_type(items):
+    """The exact type of every item, or None if they have several."""
+    kinds = set(map(type, items))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _table_text(dicts, pad: str, rows: dict):
+    """The items of a list of dicts at indentation pad, as _json_text joins
+    them, written column by column: when the dicts share one non-empty key
+    tuple and each column holds one exact _SCALARS type, each column is
+    encoded by one map and all rows by one join.  None otherwise."""
+    shapes = set(map(tuple, dicts))
+    shape = shapes.pop() if len(shapes) == 1 else None
+    if not shape:
+        return None
+    inner = pad + "  "
+    sep = ",\n" + pad         # opens every row; cut off the first one below
+    glue = sep + "{\n" + inner
+    parts = []
+    for key, head in _heads(shape, rows):
+        column = [d[key] for d in dicts]
+        enc = _SCALARS.get(_one_type(column))
+        if enc is None:
+            return None
+        parts += (itertools.repeat(glue + head), map(enc, column))
+        glue = ",\n" + inner
+    parts.append(itertools.repeat("\n" + pad + "}"))
+    return "".join(itertools.chain.from_iterable(zip(*parts)))[len(sep):]
+
+
 def _json_text(value, pad: str, rows: dict) -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2) for a value
     nested at indentation pad, with the C string encoder and no generators:
-    on Python 3.11, indent always selects the pure-Python encoder.  The
-    loops write items of the types in _SCALARS in place; only containers and
-    floats recurse.  rows, one per report, maps the key tuple of each dict
-    met so far to its keys sorted, each with its text '"key": ', so that
-    like dicts (a split report's fibers) sort and encode their keys once."""
+    on Python 3.11, indent always selects the pure-Python encoder.  Items
+    of the types in _SCALARS are written in place, by exact type.  A list
+    takes one of three paths: items of one _SCALARS type are encoded by one
+    map and one join; dicts of one key tuple whose columns each hold one
+    _SCALARS type (a split report's fibers) are written column by column
+    by _table_text; any other list is written item by item.  Only other
+    containers and floats recurse.  rows, one per report, is _heads'
+    memo."""
     kind = type(value)
     inner = pad + "  "
     if kind is dict:
         if not value:
             return "{}"
-        shape = tuple(value)
-        row = rows.get(shape)
-        if row is None:
-            row = rows[shape] = [(key, _encode_str(key) + ": ")
-                                 for key in sorted(shape)]
         items = []
-        for key, head in row:
+        for key, head in _heads(tuple(value), rows):
             item = value[key]
             enc = _SCALARS.get(type(item))
             items.append(head + (enc(item) if enc
@@ -165,11 +203,23 @@ def _json_text(value, pad: str, rows: dict) -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        items = []
-        for item in value:
-            enc = _SCALARS.get(type(item))
-            items.append(enc(item) if enc else _json_text(item, inner, rows))
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        sep = ",\n" + inner
+        item_kind = _one_type(value)
+        enc = _SCALARS.get(item_kind)
+        if enc is not None:
+            body = sep.join(map(enc, value))
+        elif item_kind is dict:
+            body = _table_text(value, inner, rows)
+        else:
+            body = None
+        if body is None:
+            items = []
+            for item in value:
+                enc = _SCALARS.get(type(item))
+                items.append(enc(item) if enc
+                             else _json_text(item, inner, rows))
+            body = sep.join(items)
+        return "[\n" + inner + body + "\n" + pad + "]"
     return json.dumps(value)
 
 

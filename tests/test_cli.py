@@ -34,6 +34,12 @@ def run_json(capsys, *argv):
 GOOD = '{"M":4,"A":[0,1],"B":[0,2]}'
 BAD = '{"M":4,"A":[0,2],"B":[0,2]}'
 WORKED = '{"M":12,"A":[0,1,6,7],"B":[0,4,8]}'
+SPLIT_720 = json.dumps({   # 744 fibers over three directions
+    "M": 720,
+    "A": sorted(a + 4 * b + 24 * c for a in range(2)
+                for b in range(3) for c in range(5)),
+    "B": sorted(2 * a + 12 * b + 120 * c for a in range(2)
+                for b in range(2) for c in range(6))})
 
 
 class TestVerify:
@@ -530,6 +536,44 @@ _values = st.recursive(
                             st.dictionaries(_strings, inner, max_size=4)),
     max_leaves=24)
 
+# Homogeneous lists, which the writer joins in one step: lists of one
+# scalar type, and tables (lists of dicts of one key tuple).  Column kinds
+# that must fall back to the item loop ride along: bool mixed with int,
+# floats and containers; so do rows of another key set or key order.
+_keys = st.text(alphabet=st.sampled_from(
+    list('%"\\ ak') + ["\n", "é", "\U0001f600"]), max_size=4)
+_scalar_kinds = [_strings, st.integers(), st.integers(-(2**200), 2**200),
+                 st.sampled_from([2**200, -(2**200)]), st.booleans(),
+                 st.none()]
+_column_kinds = _scalar_kinds + [
+    st.one_of(st.booleans(), st.integers(0, 1)),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(), max_size=2),
+    st.tuples(st.booleans(), st.none()),
+    st.dictionaries(_keys, st.none(), max_size=2),
+]
+
+
+@st.composite
+def _homogeneous_lists(draw):
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(_scalar_kinds))
+        items = draw(st.lists(kind, min_size=1, max_size=8))
+    else:
+        keys = draw(st.lists(_keys, unique=True, max_size=4))
+        n = draw(st.sampled_from([1, 2, 7]))
+        columns = [draw(st.lists(draw(st.sampled_from(_column_kinds)),
+                                 min_size=n, max_size=n)) for _ in keys]
+        items = [dict(zip(keys, row)) for row in zip(*columns)] or [{}] * n
+        if keys and draw(st.booleans()):   # one row of another key set
+            row = items[draw(st.integers(0, n - 1))]
+            other = draw(_keys.filter(lambda k: k not in keys))
+            row[other] = row.pop(keys[0])
+        if len(keys) > 1 and draw(st.booleans()):   # or another key order
+            i = draw(st.integers(0, n - 1))
+            items[i] = dict(reversed(items[i].items()))
+    return tuple(items) if draw(st.booleans()) else items
+
 
 class TestJsonWriter:
     """_emit's JSON is byte for byte json.dumps(sort_keys=True, indent=2)."""
@@ -541,6 +585,55 @@ class TestJsonWriter:
         with contextlib.redirect_stdout(out):
             tilelab.cli._emit(report, "json")
         assert out.getvalue() == indented(report)
+
+    @settings(max_examples=400, deadline=None)
+    @given(report=st.dictionaries(_keys, _homogeneous_lists(), min_size=1,
+                                  max_size=3))
+    def test_homogeneous_lists_equal_json_dumps(self, report):
+        report = {"nested": [report], **report}   # at two indentations
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            tilelab.cli._emit(report, "json")
+        assert out.getvalue() == indented(report)
+
+    @pytest.mark.parametrize("items", [
+        ["", "%", '"', "\\", "é\U0001f600", "\x00\n"],
+        [0, -1, 2**200, -(2**200)],
+        [True, False, True],
+        [None, None],
+        [{"%k\"é": -(2**200), "b": "☃", "c": None, "d": False}],
+        [{"k": k, "s": "a\"%" * k} for k in range(50)],
+        [{"x": 1}, {"x": True}],                # a bool next to an int
+        [{"x": 1}, {"y": 1}],                   # equal length, other keys
+        [{"x": 1, "y": 2}, {"y": 2, "x": 1}],   # same keys, other order
+        [{"x": 1.5}, {"x": 2.5}],
+        [{"x": [1]}, {"x": (2,)}, {"x": {"y": None}}],
+        [{}, {}],
+        [1, True, None, "1"],
+    ], ids=["str", "int", "bool", "none", "one_row", "many_rows",
+            "bool_and_int", "other_keys", "other_order", "floats",
+            "containers", "empty_dicts", "mixed"])
+    def test_homogeneous_list_cases(self, items):
+        for report in ({"l": items}, {"t": tuple(items)}):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                tilelab.cli._emit(report, "json")
+            assert out.getvalue() == indented(report)
+
+    def test_split_fibers_are_one_join(self, capsys, monkeypatch):
+        """744 fibers take a few dozen writer calls, not one per fiber."""
+        calls = []
+        write = tilelab.cli._json_text
+
+        def counted(*args):
+            calls.append(args)
+            return write(*args)
+
+        monkeypatch.setattr(tilelab.cli, "_json_text", counted)
+        _, out, _ = run(capsys, "analyze", SPLIT_720, "--split")
+        assert sum(len(d["fibers"]) for d in json.loads(out)["split"]) == 744
+        assert out == indented(json.loads(out))
+        assert len(calls) <= 40
 
     @pytest.mark.parametrize("report", [
         {"fibers": [{"anchor": k, "parity": "AB" if k % 3 else "BA"}
@@ -565,13 +658,7 @@ class TestJsonWriter:
         ["analyze", '{"M":72,"A":[0,1,2,3,4,5,6,7],"B":[0,8,16,24,32,40,48,56,64]}',
          "--split", "--slab", "--boxgrid"],
         ["analyze", BAD, "--split"],
-        ["analyze", json.dumps({   # 744 fibers over three directions
-            "M": 720,
-            "A": sorted(a + 4 * b + 24 * c for a in range(2)
-                        for b in range(3) for c in range(5)),
-            "B": sorted(2 * a + 12 * b + 120 * c for a in range(2)
-                        for b in range(2) for c in range(6))}),
-         "--split"],
+        ["analyze", SPLIT_720, "--split"],
         ["prove", '{"M":84,"A":[0,12,24,36,48,60,72],'
                   '"B":[0,1,2,3,4,5,6,7,8,9,10,11]}'],
         ["sweep", "84", "--check", "t2", "--limit", "5"],
