@@ -17,7 +17,7 @@ from .splitting import (Parity, SplitReport, FiberedGridProfile,
                         fibered_grid_profile, check_fiber_basic,
                         grid_stratification, consistency3_check,
                         consistent_splitting_check)
-from .reduction import (SlabVerdict, SlabStep, PrimeRemovalStep, BaseCase,
+from .reduction import (SlabVerdict, SlabStep, PrimeRemovalStep,
                         T2Certificate, project_tile,
                         slab_cond_i, slab_cond_ii, slab_cond_iii,
                         slab_equivalence_check, splittingslab_equiv_check,

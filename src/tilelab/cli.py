@@ -106,6 +106,20 @@ def _sha256(obj) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+_SCALARS = {     # by exact type, so that a bool is never written as an int
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _scalar_text(value) -> str:
+    """json.dumps(value), through _SCALARS for the types it holds."""
+    enc = _SCALARS.get(type(value))
+    return enc(value) if enc else json.dumps(value)
+
+
 def _render_text(obj, indent: int = 0, out=None) -> list[str]:
     lines = out if out is not None else []
     pad = "  " * indent
@@ -116,35 +130,17 @@ def _render_text(obj, indent: int = 0, out=None) -> list[str]:
                 lines.append(f"{pad}{key}:")
                 _render_text(value, indent + 1, lines)
             else:
-                lines.append(f"{pad}{key}: {json.dumps(value)}")
+                lines.append(f"{pad}{key}: {_scalar_text(value)}")
     elif isinstance(obj, list):
         for item in obj:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 _render_text(item, indent + 1, lines)
             else:
-                lines.append(f"{pad}- {json.dumps(item)}")
+                lines.append(f"{pad}- {_scalar_text(item)}")
     else:
-        lines.append(f"{pad}{json.dumps(obj)}")
+        lines.append(f"{pad}{_scalar_text(obj)}")
     return lines
-
-
-_SCALARS = {     # by exact type, so that a bool is never written as an int
-    str: _encode_str,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _heads(shape: tuple, rows: dict) -> list:
-    """The keys of shape sorted, each with its text '"key": ', memoized in
-    rows, so that like dicts sort and encode their keys once per report."""
-    row = rows.get(shape)
-    if row is None:
-        row = rows[shape] = [(key, _encode_str(key) + ": ")
-                             for key in sorted(shape)]
-    return row
 
 
 def _one_type(items):
@@ -153,7 +149,7 @@ def _one_type(items):
     return kinds.pop() if len(kinds) == 1 else None
 
 
-def _table_text(dicts, pad: str, rows: dict):
+def _table_text(dicts, pad: str):
     """The items of a list of dicts at indentation pad, as _json_text joins
     them, written column by column: when the dicts share one non-empty key
     tuple and each column holds one exact _SCALARS type, each column is
@@ -166,18 +162,19 @@ def _table_text(dicts, pad: str, rows: dict):
     sep = ",\n" + pad         # opens every row; cut off the first one below
     glue = sep + "{\n" + inner
     parts = []
-    for key, head in _heads(shape, rows):
+    for key in sorted(shape):
         column = [d[key] for d in dicts]
         enc = _SCALARS.get(_one_type(column))
         if enc is None:
             return None
-        parts += (itertools.repeat(glue + head), map(enc, column))
+        parts += (itertools.repeat(glue + _encode_str(key) + ": "),
+                  map(enc, column))
         glue = ",\n" + inner
     parts.append(itertools.repeat("\n" + pad + "}"))
     return "".join(itertools.chain.from_iterable(zip(*parts)))[len(sep):]
 
 
-def _json_text(value, pad: str, rows: dict) -> str:
+def _json_text(value, pad: str) -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2) for a value
     nested at indentation pad, with the C string encoder and no generators:
     on Python 3.11, indent always selects the pure-Python encoder.  Items
@@ -186,19 +183,18 @@ def _json_text(value, pad: str, rows: dict) -> str:
     map and one join; dicts of one key tuple whose columns each hold one
     _SCALARS type (a split report's fibers) are written column by column
     by _table_text; any other list is written item by item.  Only other
-    containers and floats recurse.  rows, one per report, is _heads'
-    memo."""
+    containers and floats recurse."""
     kind = type(value)
     inner = pad + "  "
     if kind is dict:
         if not value:
             return "{}"
         items = []
-        for key, head in _heads(tuple(value), rows):
+        for key in sorted(value):
             item = value[key]
             enc = _SCALARS.get(type(item))
-            items.append(head + (enc(item) if enc
-                                 else _json_text(item, inner, rows)))
+            items.append(_encode_str(key) + ": " + (
+                enc(item) if enc else _json_text(item, inner)))
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if kind is list or kind is tuple:
         if not value:
@@ -209,15 +205,14 @@ def _json_text(value, pad: str, rows: dict) -> str:
         if enc is not None:
             body = sep.join(map(enc, value))
         elif item_kind is dict:
-            body = _table_text(value, inner, rows)
+            body = _table_text(value, inner)
         else:
             body = None
         if body is None:
             items = []
             for item in value:
                 enc = _SCALARS.get(type(item))
-                items.append(enc(item) if enc
-                             else _json_text(item, inner, rows))
+                items.append(enc(item) if enc else _json_text(item, inner))
             body = sep.join(items)
         return "[\n" + inner + body + "\n" + pad + "]"
     return json.dumps(value)
@@ -228,7 +223,7 @@ def _emit(report: dict, fmt: str) -> None:
     print(json.dumps(report, sort_keys=True, indent=2)), for the str-keyed
     reports of this module; as text, _render_text's lines."""
     if fmt == "json":
-        print(_json_text(report, "", {}))
+        print(_json_text(report, ""))
     else:
         print("\n".join(_render_text(report)))
 
@@ -522,7 +517,7 @@ def cmd_prove(arg: str, fmt: str) -> int:
     report["replayed"] = True
     report["large_prime_hypothesis"] = cert.large_prime_hypothesis
     _emit(report, fmt)
-    return 0      # replay_certificate raised unless cert.success
+    return 0      # prove_t2_largeprime replayed cert: (T2) holds
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .zm_core import (TileSet, ZmContext, _class_bits, factorize,
                       radical_quotient)
 from .cyclotomic import check_T2, cyclo_profile, divides_mask
 from .tiling import Tiling, div_bits, tiling_to_json, verify_direct
-from .splitting import SplitReport, split_report
+from .splitting import SplitReport
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ def blowbound_check(report: SplitReport) -> tuple[bool, bool]:
 # prime removal (dilation) step
 
 
-def _prime_removal_branches(t: Tiling, p: int) -> tuple[str, list[Tiling]]:
+def _prime_removal_branches(t: Tiling, p: int) -> list[Tiling]:
     """Split A + B = Z_M into p tilings of Z_{M/p}.
 
     The tile whose cardinality p does not divide is dilated by p (injective
@@ -398,7 +398,7 @@ def _prime_removal_branches(t: Tiling, p: int) -> tuple[str, list[Tiling]]:
         part = TileSet(child, [((b - j) % ctx.M) // p for b in split if b % p == j])
         pair = (kept, part) if dilated == "A" else (part, kept)
         branches.append(Tiling(pair[0], pair[1], check=False))
-    return dilated, branches
+    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +415,8 @@ class SlabStep:
 @dataclass(frozen=True)
 class PrimeRemovalStep:
     p: int
-    dilated: str       # which tile was dilated, "A" or "B"
     result: Tiling     # residue-class-0 branch; others carry certificates
     side_certificates: tuple["T2Certificate", ...]
-
-
-@dataclass(frozen=True)
-class BaseCase:
-    primes: int
-    kind: str          # "two_primes" | "direct_check"
 
 
 Step = Union[SlabStep, PrimeRemovalStep]
@@ -431,18 +424,27 @@ Step = Union[SlabStep, PrimeRemovalStep]
 
 @dataclass(frozen=True)
 class T2Certificate:
-    """A replayable chain of reductions ending in a checkable base case."""
+    """A replayable chain of reductions; its base case is the chain's end."""
 
     input: Tiling
     steps: tuple[Step, ...]
-    base: BaseCase
-    t2_a: bool
-    t2_b: bool
-    large_prime_hypothesis: bool
 
     @property
-    def success(self) -> bool:
-        return self.t2_a and self.t2_b
+    def base_primes(self) -> int:
+        """The number of primes of the chain's end: a two-prime base when
+        at most 2, one checked directly for (T2) otherwise."""
+        end = self.steps[-1].result if self.steps else self.input
+        return len(end.context.primes)
+
+    @property
+    def large_prime_hypothesis(self) -> bool:
+        """The paper's hypothesis on M: its largest prime p exceeds the
+        radical of M/p^n (vacuous below two primes)."""
+        ctx = self.input.context
+        if len(ctx.primes) < 2:
+            return True
+        p, n = ctx.primes[-1]
+        return p > radical_quotient(ctx.M // p ** n)
 
 
 def certificate_to_json(cert: T2Certificate) -> dict:
@@ -452,11 +454,11 @@ def certificate_to_json(cert: T2Certificate) -> dict:
             steps.append({"kind": "slab", "p": step.p})
         else:
             steps.append({"kind": "prime_removal", "p": step.p})
-    steps.append({"kind": "base", "primes": cert.base.primes})
+    steps.append({"kind": "base", "primes": cert.base_primes})
     return {
         "input": tiling_to_json(cert.input),
         "steps": steps,
-        "t2": {"A": cert.t2_a, "B": cert.t2_b},
+        "t2": {"A": check_T2(cert.input.A), "B": check_T2(cert.input.B)},
     }
 
 
@@ -525,30 +527,23 @@ def prove_t2_largeprime(t: Tiling) -> T2Certificate:
 
 def _derive_certificate(t: Tiling) -> T2Certificate:
     """The certificate of prove_t2_largeprime, not replayed.  It checks only
-    what choosing needs: the slab gate, and (T2) to pick direct_check over
-    stuck, after verifying a stuck node so that a bug never reads as stuck."""
+    what choosing needs: the slab gate, and (T2) to end the chain with a
+    direct check rather than stuck, after verifying a stuck node so that a
+    bug never reads as stuck."""
     steps: list[Step] = []
     cur = t
-    while True:
+    while len(cur.context.primes) > 2:
         ctx = cur.context
-        k = len(ctx.primes)
-        if k <= 2:
-            base = BaseCase(k, "two_primes")
-            break
-
         p = _removal_prime(cur)
         if p is not None:
-            dilated, branches = _prime_removal_branches(cur, p)
+            branches = _prime_removal_branches(cur, p)
             side = tuple(_derive_certificate(br) for br in branches[1:])
-            steps.append(PrimeRemovalStep(p, dilated, branches[0], side))
+            steps.append(PrimeRemovalStep(p, branches[0], side))
             cur = branches[0]
             continue
 
         side_name = _slab_orientation(cur)
         if side_name is not None:
-            missing = cur.swapped() if side_name == "A" else cur
-            # advisory; raises only on disproof
-            blowbound_check(split_report(missing, len(ctx.primes) - 1))
             try:
                 cur = _slab_child(cur, side_name)
             except InputError:
@@ -558,7 +553,6 @@ def _derive_certificate(t: Tiling) -> T2Certificate:
                 continue
 
         if check_T2(cur.A) and check_T2(cur.B):
-            base = BaseCase(k, "direct_check")
             break
         if not verify_direct(cur.A, cur.B):
             raise InvariantViolationError(f"stuck on a non-tiling: {cur!r}")
@@ -567,15 +561,7 @@ def _derive_certificate(t: Tiling) -> T2Certificate:
             f"A={cur.A.members} B={cur.B.members} |A|={len(cur.A)} "
             f"|B|={len(cur.B)} orientation={side_name!r}")
 
-    return T2Certificate(t, tuple(steps), base, check_T2(t.A), check_T2(t.B),
-                         _large_prime_hypothesis(t.context))
-
-
-def _large_prime_hypothesis(ctx: ZmContext) -> bool:
-    if len(ctx.primes) < 2:
-        return True
-    p, n = ctx.primes[-1]
-    return p > radical_quotient(ctx.M // p ** n)
+    return T2Certificate(t, tuple(steps))
 
 
 def replay_certificate(cert: T2Certificate) -> bool:
@@ -585,7 +571,7 @@ def replay_certificate(cert: T2Certificate) -> bool:
     or a side.  It verifies each tiling of the chain once: its input, each
     main-chain pair it derives, and (in their own replay, after comparing
     them with the derived branches) the side certificates' inputs.  Then
-    the base case must hold, and the recorded (T2) of the input must too.
+    (T2) must hold at the chain's end and at its input.
     """
     cur = cert.input
     if not verify_direct(cur.A, cur.B):
@@ -593,13 +579,13 @@ def replay_certificate(cert: T2Certificate) -> bool:
             f"certificate input is not a tiling: {cur!r}")
     for step in cert.steps:
         if isinstance(step, PrimeRemovalStep):
-            dilated, branches = _prime_removal_branches(cur, step.p)
-            recorded = (step.dilated, step.result,
-                        *(side.input for side in step.side_certificates))
-            if (dilated, *branches) != recorded:
+            branches = _prime_removal_branches(cur, step.p)
+            recorded = [step.result,
+                        *(side.input for side in step.side_certificates)]
+            if branches != recorded:
                 raise InvariantViolationError(
                     f"prime removal step does not replay: p={step.p} "
-                    f"recorded {recorded!r}, derived {(dilated, *branches)!r}")
+                    f"recorded {recorded!r}, derived {branches!r}")
             if not verify_direct(branches[0].A, branches[0].B):
                 raise TheoremViolationError(
                     f"dilation by {step.p} breaks the tiling {cur!r}: "
@@ -619,15 +605,9 @@ def replay_certificate(cert: T2Certificate) -> bool:
                     f"tiling: A={cur.A.members} B={cur.B.members} "
                     f"M={cur.context.M} side={step.side} p={step.p}")
             cur = child
-    k = len(cur.context.primes)
-    if (cert.base.primes, cert.base.kind == "two_primes") != (k, k <= 2):
-        raise InvariantViolationError(
-            f"base case {cert.base!r} but the chain ends with {k} primes")
     if not (check_T2(cur.A) and check_T2(cur.B)):
         raise InvariantViolationError(f"base case tiles fail (T2): {cur!r}")
-    if not (cert.t2_a and cert.t2_b
-            and check_T2(cert.input.A) and check_T2(cert.input.B)):
+    if not (check_T2(cert.input.A) and check_T2(cert.input.B)):
         raise InvariantViolationError(
-            f"(T2) of the input is not recorded as holding, or fails: "
-            f"t2_a={cert.t2_a} t2_b={cert.t2_b} for {cert.input!r}")
+            f"(T2) of the input fails: {cert.input!r}")
     return True

@@ -329,14 +329,17 @@ def cross_direction_check(t: Tiling,
 
 @dataclass(frozen=True)
 class FiberedGridProfile:
-    """Direction structure of a tile that is fibered on every D-grid."""
+    """Direction structure of a tile that is fibered on every D-grid.
+
+    grid_dirs maps each grid g < D that meets A to the least direction nu
+    whose full fibers hold all of A's part of it; a member a of A lies on
+    the fiber of direction grid_dirs[a % D] through a, which stays in its
+    grid as D divides M/p_nu."""
 
     tiling: Tiling
     radical_step: int
     dir_sets: tuple[frozenset[int], ...]
-    kappa: dict[int, int]
     grid_dirs: dict[int, int]
-    fibers: dict[int, tuple[int, ...]]
 
 
 def fibered_grid_profile(t: Tiling) -> FiberedGridProfile:
@@ -351,47 +354,35 @@ def fibered_grid_profile(t: Tiling) -> FiberedGridProfile:
             "D(M)=1 degenerate: every grid of step D(M) is the full group")
     if not divides_mask(ctx.M, t.A):
         raise InputError("the full-order cyclotomic does not divide A")
-    members = t.A.members
-    dir_sets = [frozenset(a for a in members if full >> a & 1)
+    dir_sets = [frozenset(a for a in t.A.members if full >> a & 1)
                 for full in (ctx.full_fibers(t.A.mask, nu) for nu in range(3))]
+    parts: dict[int, list[int]] = {}
+    for a in t.A.members:
+        parts.setdefault(a % D, []).append(a)
     grid_dirs: dict[int, int] = {}
-    kappa: dict[int, int] = {}
-    for g in range(D):
-        part = [a for a in members if a % D == g]
-        if not part:
-            continue
-        dirs = [nu for nu in range(3)
-                if all(a in dir_sets[nu] for a in part)]
-        if not dirs:
+    for g in sorted(parts):
+        part = parts[g]
+        nu = next((nu for nu in range(3) if dir_sets[nu].issuperset(part)),
+                  None)
+        if nu is None:
             raise NotFiberedError(
                 f"grid {g} (step {D}): A-part {part} is not a disjoint "
                 f"union of fibers in any single direction")
-        grid_dirs[g] = dirs[0]
-        for a in part:
-            kappa[a] = dirs[0]
-    fibers: dict[int, tuple[int, ...]] = {}
-    owner: dict[int, tuple[int, ...]] = {}
-    for a in members:
-        if a not in dir_sets[kappa[a]]:
-            raise InvariantViolationError(
-                f"{a} assigned direction {kappa[a]} without a full fiber")
-        step = ctx.M // ctx.primes[kappa[a]][0]
-        fib = tuple(sorted((a + k * step) % ctx.M
-                           for k in range(ctx.primes[kappa[a]][0])))
-        fibers[a] = fib
-        for w in fib:
-            if owner.setdefault(w, fib) != fib:
-                raise InvariantViolationError(
-                    f"fibers {owner[w]} and {fib} overlap at {w}")
-    return FiberedGridProfile(t, D, tuple(dir_sets), kappa, grid_dirs, fibers)
+        grid_dirs[g] = nu
+    return FiberedGridProfile(t, D, tuple(dir_sets), grid_dirs)
 
 
 def check_fiber_basic(profile: FiberedGridProfile) -> bool:
     """Translated fibers b*F(a) never overlap unless they coincide."""
     t = profile.tiling
-    M = t.context.M
+    ctx = t.context
+    M, D = ctx.M, profile.radical_step
+    fibers = set()
+    for a in t.A.members:
+        p = ctx.primes[profile.grid_dirs[a % D]][0]
+        fibers.add(tuple(sorted((a + k * (M // p)) % M for k in range(p))))
     placed: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for fib in sorted(set(profile.fibers.values())):
+    for fib in sorted(fibers):
         for b in t.B.members:
             key = (b, fib)
             moved = [(w + b) % M for w in fib]
@@ -419,19 +410,19 @@ def grid_stratification(profile: FiberedGridProfile,
     ctx = t.context
     D = profile.radical_step
     a_of, _ = t.decomp
-    sigma = _sigmas(t, z0, D)[0]
-    dirs = frozenset(profile.kappa[a] for a in sigma)
-    triple = [a for a in sigma
+    kappa = {a: profile.grid_dirs[a % D] for a in _sigmas(t, z0, D)[0]}
+    dirs = frozenset(kappa.values())
+    triple = [a for a in kappa
               if all(a in profile.dir_sets[nu] for nu in range(3))]
     for a in triple:
-        if dirs != {profile.kappa[a]}:
+        if dirs != {kappa[a]}:
             raise LemmaViolationError(
                 f"grid {z0 % D}: {a} sits in every direction set with "
-                f"kappa={profile.kappa[a]}, yet directions {sorted(dirs)} occur")
+                f"kappa={kappa[a]}, yet directions {sorted(dirs)} occur")
     if len(dirs) > 2:
         raise LemmaViolationError(
             f"grid {z0 % D} uses three fiber directions: "
-            f"{ {a: profile.kappa[a] for a in sorted(sigma)} }")
+            f"{ {a: kappa[a] for a in sorted(kappa)} }")
     axis = max(set(range(3)) - dirs)
     p_axis = ctx.primes[axis][0]
     others = sorted(set(range(3)) - {axis})
@@ -442,7 +433,7 @@ def grid_stratification(profile: FiberedGridProfile,
         layer = {(base + alpha * steps[0] + beta * steps[1]) % ctx.M
                  for alpha in range(ctx.primes[others[0]][0])
                  for beta in range(ctx.primes[others[1]][0])}
-        found = {profile.kappa[a_of[w]] for w in layer}
+        found = {profile.grid_dirs[a_of[w] % D] for w in layer}
         if len(found) != 1:
             raise LemmaViolationError(
                 f"layer {nu} of grid {z0 % D} mixes directions {sorted(found)}")
@@ -452,12 +443,12 @@ def grid_stratification(profile: FiberedGridProfile,
 
 def consistency3_check(profile: FiberedGridProfile) -> Optional[bool]:
     """Grid through 0 (when 0 is in both tiles): Sigma_A lies in a
-    p_l^{n_l - 1}-plane for some direction l other than kappa(0)."""
+    p_l^{n_l - 1}-plane for some direction l other than the grid's own."""
     t = profile.tiling
     ctx = t.context
     if not (t.A.mask & 1 and t.B.mask & 1):
         return None
-    i = profile.kappa[0]
+    i = profile.grid_dirs[0]
     others = sorted(set(range(3)) - {i})
     sigma = _sigmas(t, 0, profile.radical_step)[0]
     candidates = []

@@ -166,6 +166,7 @@ def verify_sands(A: TileSet, B: TileSet) -> bool:
     # both hold M, the last divisor
     return div_bits(A) & div_bits(B) == 1 << len(ctx.divisors) - 1
 
+
 def verify_cyclotomic(A: TileSet, B: TileSet) -> bool:
     """|A||B| = M plus: every Phi_s, s | M, s > 1, divides one of the masks."""
     ctx = _same_context(A, B)

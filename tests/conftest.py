@@ -1,5 +1,6 @@
 """Shared fixtures: cached tiling corpora so exhaustive suites enumerate once."""
 
+import itertools
 import random
 
 import pytest
@@ -75,6 +76,30 @@ def unchecked_pairs(count, seed, moduli):
         A = tl.TileSet(ctx, [0] + rng.sample(range(1, M), ka - 1))
         B = tl.TileSet(ctx, [0] + rng.sample(range(1, M), kb - 1))
         yield tl.Tiling(A, B, check=False)
+
+
+def szabo_tiling(p1, p2, p3):
+    """Szabó's tiling of Z_M, M = (p1 p2 p3)^2, where neither tile is
+    periodic.  In the coordinates x of sum x_i g_i, g_i = M/p_i^2:
+    A = {a : a_i < p_i} and B = {p_i b_i : b_i < p_i}, with the disjoint
+    lines L1 = {(p1 b, 0, 0)}, L2 = {(p1, p2 b, p3)}, L3 = {(0, p2, p3 b)}
+    of B moved to L_i + g_i (Szabó, Discrete Math. 54, 1985)."""
+    ps = (p1, p2, p3)
+    ctx = tl.factorize((p1 * p2 * p3) ** 2)
+    g = [ctx.M // p ** 2 for p in ps]
+
+    def point(x):
+        return sum(c * gi for c, gi in zip(x, g)) % ctx.M
+
+    lines = [[(p1 * b, 0, 0) for b in range(p1)],
+             [(p1, p2 * b, p3) for b in range(p2)],
+             [(0, p2, p3 * b) for b in range(p3)]]
+    moved = {x: tuple(c + (j == i) for j, c in enumerate(x))
+             for i, line in enumerate(lines) for x in line}
+    A = [point(a) for a in itertools.product(*map(range, ps))]
+    B = [point(moved.get(x, x)) for x in itertools.product(
+        *(range(0, p * p, p) for p in ps))]
+    return tl.Tiling(tl.TileSet(ctx, A), tl.TileSet(ctx, B))
 
 
 def digit_tilings(M, count, seed):

@@ -684,6 +684,49 @@ class TestJsonWriter:
         assert out == indented(json.loads(out))
 
 
+def literal_render_text(obj, indent=0, out=None):
+    """--format text as it was written before it shared _SCALARS, one
+    json.dumps per scalar: the oracle of _render_text."""
+    lines = out if out is not None else []
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            value = obj[key]
+            if isinstance(value, (dict, list)) and value:
+                lines.append(f"{pad}{key}:")
+                literal_render_text(value, indent + 1, lines)
+            else:
+                lines.append(f"{pad}{key}: {json.dumps(value)}")
+    elif isinstance(obj, list):
+        for item in obj:
+            if isinstance(item, (dict, list)):
+                lines.append(f"{pad}-")
+                literal_render_text(item, indent + 1, lines)
+            else:
+                lines.append(f"{pad}- {json.dumps(item)}")
+    else:
+        lines.append(f"{pad}{json.dumps(obj)}")
+    return lines
+
+
+class TestTextWriter:
+    """--format text writes the lines of literal_render_text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(report=st.dictionaries(_strings, _values, max_size=5))
+    def test_lines_equal_the_literal_renderer(self, report):
+        for obj in (report, list(report.values()), report.get("", 0)):
+            assert (tilelab.cli._render_text(obj)
+                    == literal_render_text(obj)), obj
+
+    def test_split_report_text(self, capsys):
+        _, report, _ = run_json(capsys, "analyze", SPLIT_720, "--split")
+        _, text, _ = run(capsys, "analyze", SPLIT_720, "--split",
+                         "--format", "text")
+        assert text == "\n".join(literal_render_text(report)) + "\n"
+        assert text.count("parity: ") == 744
+
+
 class TestParserReuse:
     def test_flags_do_not_carry_over(self, capsys):
         tile = '{"M":12,"A":[0,1,6,7]}'

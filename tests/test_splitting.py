@@ -1,6 +1,7 @@
 """Splitting parities, uniformity verdicts, and fibered-grid machinery."""
 
 import collections
+import dataclasses
 import itertools
 import random
 import re
@@ -806,6 +807,13 @@ def t60_fibered():
     return T(60, [0, 12, 24, 36, 48], range(12))
 
 
+def fiber_of(prof, a):
+    """The fiber through a in the direction of a's grid, sorted."""
+    ctx = prof.tiling.context
+    p = ctx.primes[prof.grid_dirs[a % prof.radical_step]][0]
+    return tuple(sorted((a + k * (ctx.M // p)) % ctx.M for k in range(p)))
+
+
 class TestFiberedGridProfile:
     def test_radical_one_rejected(self):
         with pytest.raises(NotFiberedError, match="D\\(M\\)=1"):
@@ -824,10 +832,9 @@ class TestFiberedGridProfile:
         prof = sp.fibered_grid_profile(t60_fibered())
         assert prof.radical_step == 2
         assert prof.grid_dirs == {0: 2}
-        assert set(prof.kappa.values()) == {2}
         assert [sorted(s) for s in prof.dir_sets] == \
             [[], [], [0, 12, 24, 36, 48]]
-        assert prof.fibers[0] == (0, 12, 24, 36, 48)
+        assert fiber_of(prof, 0) == (0, 12, 24, 36, 48)
 
     def test_two_direction_instance(self):
         t = crt_tiling_180((0, 0, 1, 1, 1))
@@ -836,8 +843,8 @@ class TestFiberedGridProfile:
         prof = sp.fibered_grid_profile(t)
         assert prof.radical_step == 6
         assert prof.grid_dirs == {0: 0, 1: 1, 3: 1}
-        assert prof.fibers[25] == (25, 85, 145)
-        assert prof.fibers[0] == (0, 90)
+        assert fiber_of(prof, 25) == (25, 85, 145)
+        assert fiber_of(prof, 0) == (0, 90)
 
     def test_fiber_ownership(self):
         # distinct translated fibers b*F(a) never partially overlap
@@ -847,9 +854,63 @@ class TestFiberedGridProfile:
             placed = {}
             for a in t.A:
                 for b in t.B:
-                    cell = frozenset((b + v) % M for v in prof.fibers[a])
+                    cell = frozenset((b + v) % M for v in fiber_of(prof, a))
                     for z in cell:
                         assert placed.setdefault(z, cell) == cell
+
+    def test_members_lie_on_whole_fibers_of_their_grid(self):
+        """What the profile leaves unchecked: the fiber of each member lies
+        in A and in the member's grid, and two members' fibers either
+        coincide or are disjoint."""
+        profiles = 0
+        for t in [*corpus(60, 400), *corpus(180, 200), *corpus(900, 60)]:
+            try:
+                prof = sp.fibered_grid_profile(t)
+            except (InputError, NotFiberedError):
+                continue
+            profiles += 1
+            D, owner = prof.radical_step, {}
+            for a in t.A:
+                fib = fiber_of(prof, a)
+                assert a in prof.dir_sets[prof.grid_dirs[a % D]]
+                assert set(fib) <= set(t.A)
+                assert {w % D for w in fib} == {a % D}
+                for w in fib:
+                    assert owner.setdefault(w, fib) == fib
+        assert profiles >= 600
+
+    def test_fiber_basic_reads_the_fibers_of_the_grids(self):
+        """check_fiber_basic against the same overlap test on the fibers
+        fiber_of names, with A fibered on every grid and B drawn at random
+        (not a tiling), so that some translates b*F(a) overlap."""
+        rng = random.Random(7)
+        raised = 0
+        for shapes in itertools.product((0, 1), repeat=5):
+            prof0 = sp.fibered_grid_profile(crt_tiling_180(shapes))
+            A = prof0.tiling.A
+            M = A.context.M
+            for _ in range(8):
+                B = tl.TileSet(A.context,
+                               rng.sample(range(M), rng.randint(2, 5)))
+                prof = dataclasses.replace(
+                    prof0, tiling=tl.Tiling(A, B, check=False))
+                want, placed = True, {}
+                for fib in sorted({fiber_of(prof, a) for a in A}):
+                    for b in B:
+                        for w in ((v + b) % M for v in fib):
+                            if (placed.setdefault(w, (b, fib)) != (b, fib)
+                                    and want is True):
+                                want = (w, placed[w], (b, fib))
+                got = outcome_with_message(sp.check_fiber_basic, prof)
+                if want is True:
+                    assert got is True, (A, B)
+                else:
+                    raised += 1
+                    w, (b0, f0), (b, fib) = want
+                    assert got == (LemmaViolationError,
+                                   f"translated fibers overlap at {w}: "
+                                   f"b={b0} F={f0} vs b={b} F={fib}"), (A, B)
+        assert 0 < raised < 256
 
 
 class TestGridStratification:
