@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 from .errors import (
@@ -475,6 +474,9 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
             reports.extend(part_reports)
 
     if jobs > 1:
+        # imported here, not at the top: it loads multiprocessing, which
+        # would slow the start of every command that does not fan out
+        from concurrent.futures import ProcessPoolExecutor
         work = ((M, t.A.mask, t.B.mask, check) for t in corpus)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # Executor.map submits its whole input at once: feed it batches

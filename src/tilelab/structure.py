@@ -27,10 +27,13 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .zm_core import TileSet, ZmContext, _packed_indicator, _same_context
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 _FIELD = 8 * array("Q").itemsize     # bits per packed field, at least 64
@@ -86,6 +89,7 @@ def box_product(A: TileSet, B: TileSet, x: int, y: int) -> Fraction:
     """<A[x], B[y]> as an exact rational, base points read mod M; equals 1
     on tilings.  Each member a of A adds w[m] row_B[m] for its class
     m = (x - a, M), which sums to sum_m w[m] row_A[m] row_B[m]."""
+    from fractions import Fraction  # here: no CLI command needs it
     ctx = _same_context(A, B)
     M, gcds, phi = ctx.M, ctx.gcd_table, ctx.phi_table
     x, y = x % M, y % M

@@ -1,10 +1,14 @@
 """Command line behavior: exit codes, report shapes, determinism."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -499,7 +503,8 @@ class TestSweep:
                 return map(fn, items)
 
         _, serial, _ = run(capsys, "sweep", "12", "--check", "lemmas")
-        monkeypatch.setattr(tilelab.cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         code, capped, _ = run(capsys, "sweep", "12", "--check", "lemmas",
                               "--jobs", "1000000")
@@ -801,6 +806,35 @@ class TestProve:
         t = tl.tiling_from_json(json.loads(arg), check=False)
         code, _, _ = run(capsys, "prove", arg)
         assert calls.count((t.A.mask, t.B.mask)) == (2 if code == 0 else 1)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args):
+    """Run a new interpreter that imports tilelab from the source tree."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=120, check=False)
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_process_pool(self):
+        proc = fresh_python("-c", "import sys, tilelab, tilelab.cli; "
+                            "print(' '.join(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.decode().split())
+        assert "tilelab.cli" in loaded
+        # only sweep --jobs N > 1 needs the pool, only box_product Fraction
+        for module in ("concurrent.futures", "multiprocessing", "fractions"):
+            assert module not in loaded
+
+    def test_module_entry_point_matches_in_process(self, capsys):
+        proc = fresh_python("-m", "tilelab.cli", "verify", WORKED)
+        _, out, _ = run(capsys, "verify", WORKED)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert proc.stdout == out.encode()
 
 
 class TestNoCyclotomicCache:
