@@ -56,8 +56,8 @@ divide the mask.  Profiles are memoized per TileSet, in a bounded cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError
 from .zm_core import (TileSet, ZmContext, _packed_indicator,
@@ -82,8 +82,7 @@ def divides_mask(s: int, A: TileSet) -> bool:
     return s in cyclo_profile(A).divisors_of_mask
 
 
-@dataclass(frozen=True)
-class CycloProfile:
+class CycloProfile(NamedTuple):
     """Which cyclotomics divide a tile's mask."""
 
     divisors_of_mask: frozenset[int]   # {s | M, s > 1 : Phi_s | A(X)}

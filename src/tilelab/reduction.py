@@ -15,9 +15,8 @@ Derivation proposes the chain with every pair unchecked; the one checker,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     EquivalenceViolationError,
@@ -181,8 +180,7 @@ def slab_cond_iii(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
     return True, None
 
 
-@dataclass(frozen=True)
-class SlabVerdict:
+class SlabVerdict(NamedTuple):
     """Three independently evaluated slab conditions for one direction."""
 
     direction: int
@@ -405,15 +403,13 @@ def _prime_removal_branches(t: Tiling, p: int) -> list[Tiling]:
 # the certificate pipeline
 
 
-@dataclass(frozen=True)
-class SlabStep:
+class SlabStep(NamedTuple):
     p: int
     side: str          # which tile was slabbed, "A" or "B"
     result: Tiling
 
 
-@dataclass(frozen=True)
-class PrimeRemovalStep:
+class PrimeRemovalStep(NamedTuple):
     p: int
     result: Tiling     # residue-class-0 branch; others carry certificates
     side_certificates: tuple["T2Certificate", ...]
@@ -422,8 +418,7 @@ class PrimeRemovalStep:
 Step = Union[SlabStep, PrimeRemovalStep]
 
 
-@dataclass(frozen=True)
-class T2Certificate:
+class T2Certificate(NamedTuple):
     """A replayable chain of reductions; its base case is the chain's end."""
 
     input: Tiling
@@ -438,8 +433,10 @@ class T2Certificate:
 
     @property
     def large_prime_hypothesis(self) -> bool:
-        """The paper's hypothesis on M: its largest prime p exceeds the
-        radical of M/p^n (vacuous below two primes)."""
+        """The paper's hypothesis on M, p_1 > p_2^{n_2-1} p_3^{n_3-1}, read
+        at the largest prime only: p = p_1 exceeds (M/p^n)/rad(M/p^n), the
+        product of q^{m-1} over the other prime powers q^m of M (vacuous
+        below two primes)."""
         ctx = self.input.context
         if len(ctx.primes) < 2:
             return True

@@ -25,9 +25,8 @@ stratification of grids, and parity consistency along grid fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (InputError, InvariantViolationError, LemmaViolationError,
                      NeitherParityError, NotFiberedError)
@@ -77,8 +76,7 @@ def fiber_parity(t: Tiling, z: int, direction: int) -> Parity:
     return Parity.AB if flat_a else Parity.BA
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     """One direction's fiber parities of a tiling, with uniformity verdicts.
 
     Fibers are named by their anchors k < M/p (the fiber k*F holds the
@@ -327,8 +325,7 @@ def cross_direction_check(t: Tiling,
 # Grids of step D = M / rad(M) with fully fibered A-parts.
 
 
-@dataclass(frozen=True)
-class FiberedGridProfile:
+class FiberedGridProfile(NamedTuple):
     """Direction structure of a tile that is fibered on every D-grid.
 
     grid_dirs maps each grid g < D that meets A to the least direction nu
@@ -395,8 +392,7 @@ def check_fiber_basic(profile: FiberedGridProfile) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GridStratification:
+class GridStratification(NamedTuple):
     """Directions used by one D-grid, stratified into layers."""
 
     axis: int

@@ -19,7 +19,6 @@ full_fibers), so the doubled mask and its stray bits above M stay here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -67,9 +66,12 @@ def _divisors_of(factorization: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@dataclass(frozen=True, eq=False)
 class ZmContext:
-    """Immutable bundle of everything precomputable about Z_M."""
+    """Immutable bundle of everything precomputable about Z_M.  Equality,
+    hash and repr use M alone, so the kernels' lru_cache keys stay cheap."""
+
+    __slots__ = ("M", "primes", "divisors", "phi_table", "gcd_table",
+                 "coord_tables", "full_mask")
 
     M: int
     primes: tuple[tuple[int, int], ...]      # ((p, n), ...) ascending
@@ -78,6 +80,18 @@ class ZmContext:
     gcd_table: tuple[int, ...]               # v -> gcd(v, M), v in [0, M)
     coord_tables: tuple[tuple[int, ...], ...]  # per direction: v -> pi_j(v)
     full_mask: int
+
+    def __init__(self, M, primes, divisors, phi_table, gcd_table,
+                 coord_tables, full_mask):
+        fields = (M, primes, divisors, phi_table, gcd_table, coord_tables,
+                  full_mask)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("ZmContext is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return isinstance(other, ZmContext) and other.M == self.M
@@ -150,15 +164,8 @@ def factorize(M: int) -> ZmContext:
     for q in (p**n for p, n in primes):
         inv = pow(M // q, -1, q)
         coord_tables.append(tuple((v % q) * inv % q for v in range(M)))
-    return ZmContext(
-        M=M,
-        primes=primes,
-        divisors=divisors,
-        phi_table=phi_table,
-        gcd_table=gcd_table,
-        coord_tables=tuple(coord_tables),
-        full_mask=(1 << M) - 1,
-    )
+    return ZmContext(M, primes, divisors, phi_table, gcd_table,
+                     tuple(coord_tables), (1 << M) - 1)
 
 
 @lru_cache(maxsize=None)

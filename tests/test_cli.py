@@ -825,8 +825,10 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.decode().split())
         assert "tilelab.cli" in loaded
-        # only sweep --jobs N > 1 needs the pool, only box_product Fraction
-        for module in ("concurrent.futures", "multiprocessing", "fractions"):
+        # only sweep --jobs N > 1 needs the pool, only box_product Fraction;
+        # the records are NamedTuples and slot classes, not dataclasses
+        for module in ("concurrent.futures", "multiprocessing", "fractions",
+                       "dataclasses", "inspect"):
             assert module not in loaded
 
     def test_module_entry_point_matches_in_process(self, capsys):
