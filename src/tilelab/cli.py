@@ -52,6 +52,7 @@ from .splitting import (
     cross_direction_check,
     fibered_grid_profile,
     plane_consistency,
+    SplitReport,
     split_report,
 )
 from .reduction import (
@@ -142,46 +143,30 @@ def _render_text(obj, indent: int = 0, out=None) -> list[str]:
     return lines
 
 
-def _one_type(items):
-    """The exact type of every item, or None if they have several."""
-    kinds = set(map(type, items))
-    return kinds.pop() if len(kinds) == 1 else None
-
-
-def _table_text(dicts, pad: str):
-    """The items of a list of dicts at indentation pad, as _json_text joins
-    them, written column by column: when the dicts share one non-empty key
-    tuple and each column holds one exact _SCALARS type, each column is
-    encoded by one map and all rows by one join.  None otherwise."""
-    shapes = set(map(tuple, dicts))
-    shape = shapes.pop() if len(shapes) == 1 else None
-    if not shape:
-        return None
-    inner = pad + "  "
-    sep = ",\n" + pad         # opens every row; cut off the first one below
-    glue = sep + "{\n" + inner
-    parts = []
-    for key in sorted(shape):
-        column = [d[key] for d in dicts]
-        enc = _SCALARS.get(_one_type(column))
-        if enc is None:
-            return None
-        parts += (itertools.repeat(glue + _encode_str(key) + ": "),
-                  map(enc, column))
-        glue = ",\n" + inner
-    parts.append(itertools.repeat("\n" + pad + "}"))
-    return "".join(itertools.chain.from_iterable(zip(*parts)))[len(sep):]
+def _split_text(r: SplitReport, pad: str) -> str:
+    """The text of r.to_json() as _json_text writes it at indentation pad,
+    with its keys in their sorted order, straight from r's parity bits:
+    each fiber fills the AB or the BA row template with its anchor, and
+    one join writes them all.  No fiber dict is built."""
+    inner, row_pad, key_pad = pad + "  ", pad + "    ", pad + "      "
+    row = (",\n" + row_pad + "{\n" + key_pad + '"anchor": %%d,\n' + key_pad
+           + '"parity": "%s"\n' + row_pad + "}")
+    rows = {"1": row % "AB", "0": row % "BA"}
+    fibers = "".join([rows[bit] % k for k, bit in enumerate(r.parities)])
+    return ("{\n" + inner + '"direction": %d,\n' % r.prime
+            + inner + '"direction_index": %d,\n' % r.direction
+            + inner + '"fibers": [' + fibers[1:] + "\n" + inner + "],\n"
+            + inner + '"verdicts": ' + _json_text(r.verdicts, inner)
+            + "\n" + pad + "}")
 
 
 def _json_text(value, pad: str) -> str:
     """The text of json.dumps(value, sort_keys=True, indent=2) for a value
     nested at indentation pad, with the C string encoder and no generators:
     on Python 3.11, indent always selects the pure-Python encoder.  Items
-    of the types in _SCALARS are written in place, by exact type.  A list
-    takes one of three paths: items of one _SCALARS type are encoded by one
-    map and one join; dicts of one key tuple whose columns each hold one
-    _SCALARS type (a split report's fibers) are written column by column
-    by _table_text; any other list is written item by item.  Only other
+    of the types in _SCALARS are written in place, by exact type; a list
+    of items of one _SCALARS type is encoded by one map and one join.  A
+    SplitReport is written as its to_json() by _split_text.  Only other
     containers and floats recurse."""
     kind = type(value)
     inner = pad + "  "
@@ -198,29 +183,26 @@ def _json_text(value, pad: str) -> str:
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        sep = ",\n" + inner
-        item_kind = _one_type(value)
-        enc = _SCALARS.get(item_kind)
+        kinds = set(map(type, value))
+        enc = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
         if enc is not None:
-            body = sep.join(map(enc, value))
-        elif item_kind is dict:
-            body = _table_text(value, inner)
+            body = map(enc, value)
         else:
-            body = None
-        if body is None:
-            items = []
+            body = []
             for item in value:
                 enc = _SCALARS.get(type(item))
-                items.append(enc(item) if enc else _json_text(item, inner))
-            body = sep.join(items)
-        return "[\n" + inner + body + "\n" + pad + "]"
+                body.append(enc(item) if enc else _json_text(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    if kind is SplitReport:
+        return _split_text(value, pad)
     return json.dumps(value)
 
 
 def _emit(report: dict, fmt: str) -> None:
     """Print a report.  As JSON its bytes equal those of
     print(json.dumps(report, sort_keys=True, indent=2)), for the str-keyed
-    reports of this module; as text, _render_text's lines."""
+    reports of this module, with each SplitReport given by its to_json();
+    as text, _render_text's lines."""
     if fmt == "json":
         print(_json_text(report, ""))
     else:
@@ -282,8 +264,10 @@ def cmd_analyze(arg: str, fmt: str, split: bool, slab: bool,
     report["tiles"] = {"A": _tile_section(t.A), "B": _tile_section(t.B)}
     code = 0
     if split:
-        report["split"] = [split_report(t, i).to_json()
-                           for i in range(len(t.context.primes))]
+        reports = [split_report(t, i) for i in range(len(t.context.primes))]
+        # the JSON writer writes a SplitReport itself, without to_json()
+        report["split"] = (reports if fmt == "json"
+                           else [r.to_json() for r in reports])
     if slab:
         section = []
         for i, (p, n) in enumerate(t.context.primes):

@@ -123,21 +123,32 @@ class SplitReport(NamedTuple):
                            self.step, self.ab_mask ^ ((1 << self.step) - 1),
                            self.b_mask, self.a_mask)
 
+    @property
+    def parities(self) -> str:
+        """The parity of every fiber by anchor: character k is "1" when
+        fiber k splits AB, "0" when it splits BA."""
+        return format(self.ab_mask, f"0{self.step}b")[::-1]
+
+    @property
+    def verdicts(self) -> dict:
+        return {
+            "uniform_AB": self.uniform_ab,
+            "uniform_BA": self.uniform_ba,
+            "A_uniform_AB": self.a_uniform_ab,
+            "A_uniform_BA": self.a_uniform_ba,
+            "B_uniform_AB": self.b_uniform_ab,
+            "B_uniform_BA": self.b_uniform_ba,
+        }
+
     def to_json(self) -> dict:
-        bits = format(self.ab_mask, f"0{self.step}b")[::-1]   # bit k at [k]
+        """The literal form of the report; the CLI's JSON writer prints the
+        same text straight from the fields (cli._split_text)."""
         return {
             "direction": self.prime,
             "direction_index": self.direction,
             "fibers": [{"anchor": k, "parity": "AB" if bit == "1" else "BA"}
-                       for k, bit in enumerate(bits)],
-            "verdicts": {
-                "uniform_AB": self.uniform_ab,
-                "uniform_BA": self.uniform_ba,
-                "A_uniform_AB": self.a_uniform_ab,
-                "A_uniform_BA": self.a_uniform_ba,
-                "B_uniform_AB": self.b_uniform_ab,
-                "B_uniform_BA": self.b_uniform_ba,
-            },
+                       for k, bit in enumerate(self.parities)],
+            "verdicts": self.verdicts,
         }
 
 

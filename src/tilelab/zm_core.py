@@ -19,6 +19,7 @@ full_fibers), so the doubled mask and its stray bits above M stay here.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -200,14 +201,18 @@ class TileSet:
     __slots__ = ("context", "members", "mask", "div")
 
     def __init__(self, context: ZmContext, members: Iterable[int]):
+        raw = list(members)
+        ordered = tuple(sorted(set(map(operator.index, raw))))
+        M = context.M
+        if ordered and (ordered[0] < 0 or ordered[-1] >= M):
+            bad = next(v for v in raw if not 0 <= v < M)   # first in input
+            raise InputError(f"residue {bad} outside [0, {M})")
         seen = 0
-        for v in members:
-            if not 0 <= v < context.M:
-                raise InputError(f"residue {v} outside [0, {context.M})")
+        for v in ordered:
             seen |= 1 << v
         _set_context(self, context)
         _set_mask(self, seen)
-        _set_members(self, _mask_members(seen))
+        _set_members(self, ordered)
         _set_div(self, None)
 
     @classmethod

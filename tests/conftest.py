@@ -1,13 +1,27 @@
 """Shared fixtures: cached tiling corpora so exhaustive suites enumerate once."""
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 import tilelab as tl
 
 _corpora: dict[tuple[int, int | None], list] = {}
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, the benchmark's inputs and checks, loaded
+    from its file (perfbench is not a package)."""
+    path = PERFBENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def crt_value(ctx, coords):

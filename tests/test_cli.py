@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ from tilelab.errors import (EquivalenceViolationError, LemmaViolationError,
                             NeitherParityError, PipelineStuckError,
                             TheoremViolationError)
 from tilelab.zm_core import MAX_M
+
+from conftest import PERFBENCH, oracle_tilings, perfbench_workloads
 
 
 def run(capsys, *argv):
@@ -541,10 +544,10 @@ _values = st.recursive(
                             st.dictionaries(_strings, inner, max_size=4)),
     max_leaves=24)
 
-# Homogeneous lists, which the writer joins in one step: lists of one
-# scalar type, and tables (lists of dicts of one key tuple).  Column kinds
-# that must fall back to the item loop ride along: bool mixed with int,
-# floats and containers; so do rows of another key set or key order.
+# Homogeneous lists: lists of one scalar type, which the writer joins in
+# one step, and tables (lists of dicts of one key tuple), which it writes
+# item by item.  Column kinds of every sort ride along: bool mixed with
+# int, floats and containers; so do rows of another key set or key order.
 _keys = st.text(alphabet=st.sampled_from(
     list('%"\\ ak') + ["\n", "é", "\U0001f600"]), max_size=4)
 _scalar_kinds = [_strings, st.integers(), st.integers(-(2**200), 2**200),
@@ -687,6 +690,90 @@ class TestJsonWriter:
         code, out, _ = run(capsys, "sweep", "12")
         assert code == 1 and json.loads(out)["violations"]
         assert out == indented(json.loads(out))
+
+
+def emitted(report: dict) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        tilelab.cli._emit(report, "json")
+    return out.getvalue()
+
+
+def split_reports(t) -> list:
+    return [tilelab.splitting.split_report(t, i)
+            for i in range(len(t.context.primes))]
+
+
+class ToJsonCalled(Exception):
+    pass
+
+
+class TestSplitWriter:
+    """A SplitReport in a JSON report is written, straight from its parity
+    bits, as the text of json.dumps of its to_json()."""
+
+    def assert_literal(self, r):
+        assert emitted({"split": [r]}) == indented({"split": [r.to_json()]})
+
+    def test_every_direction_of_the_oracle_corpus(self):
+        rng = random.Random(30)
+        reports = [r for t in oracle_tilings() for r in split_reports(t)]
+        reports += split_reports(tl.tiling_from_json(json.loads(SPLIT_720)))
+        for r in reports:
+            self.assert_literal(r)
+        # the corpus reports are uniform: mixed parities ride on new bits
+        for r in reports[::10] + reports[-3:]:
+            self.assert_literal(r._replace(ab_mask=rng.getrandbits(r.step)))
+
+    @pytest.mark.parametrize("tiling", [
+        '{"M":7,"A":[0],"B":[0,1,2,3,4,5,6]}',
+        '{"M":7,"A":[0,1,2,3,4,5,6],"B":[0]}',
+        '{"M":2,"A":[0,1],"B":[0]}',
+        WORKED,
+    ], ids=["prime_a_point", "prime_b_point", "z2", "worked"])
+    def test_edge_reports(self, tiling):
+        """Step 1 (M prime) and reports all AB or all BA, also nested
+        deeper and next to other values."""
+        reports = split_reports(tl.tiling_from_json(json.loads(tiling)))
+        assert all(r.uniform_ab or r.uniform_ba for r in reports)
+        for r in reports:
+            self.assert_literal(r)
+            whole = {"a": [{"split": [r, r], "n": None}], "z": [r]}
+            literal = {"a": [{"split": [r.to_json()] * 2, "n": None}],
+                       "z": [r.to_json()]}
+            assert emitted(whole) == indented(literal)
+
+    def test_json_analyze_builds_no_fiber_dict(self, capsys, monkeypatch):
+        argv = ["analyze", SPLIT_720, "--split", "--slab", "--boxgrid"]
+        _, want, _ = run(capsys, *argv)
+
+        def refuse(self):
+            raise ToJsonCalled
+
+        monkeypatch.setattr(tilelab.splitting.SplitReport, "to_json", refuse)
+        _, got, _ = run(capsys, *argv)
+        assert got == want
+        with pytest.raises(ToJsonCalled):   # text still renders to_json()
+            run(capsys, *argv, "--format", "text")
+
+
+class TestRequestPoolReplay:
+    """Every request of the benchmark's pool prints the bytes pinned for it
+    in perfbench/pinned.json, so a change to a report fails here too."""
+
+    def test_pinned_outputs(self):
+        workloads = perfbench_workloads()
+        pinned = json.loads((PERFBENCH / "pinned.json").read_text())
+        pinned = pinned["requests"]
+        pool = workloads.request_pool(pinned["pool_seed"])
+        assert workloads.pool_digest(pool) == pinned["pool_sha256"]
+        kinds = set()
+        for key, want in pinned["outputs"].items():
+            kind, M, index = key.split("/")
+            seen = workloads.request_call(tl, kind, pool[int(M)][int(index)])
+            assert workloads.request_ok(seen, want), (key, seen)
+            kinds.add(kind)
+        assert {"verify", "analyze", "prove"} <= kinds
 
 
 def literal_render_text(obj, indent=0, out=None):

@@ -1,10 +1,8 @@
 import collections
 import functools
-import importlib.util
 import itertools
 import math
 import random
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +14,8 @@ from tilelab.tiling import (_orbit_reach, _run_search, tiling_to_json,
                             tiling_from_json)
 from tilelab.zm_core import ZmContext, _class_bits
 
-from conftest import corpus, div_set, oracle_tilings, unchecked_pairs
+from conftest import (corpus, div_set, oracle_tilings, perfbench_workloads,
+                      unchecked_pairs)
 
 
 def T(M, A, B, check=True):
@@ -492,10 +491,7 @@ def literal_complements(A, normalize):
 def request_pool_tiles():
     """The A tiles of the benchmark's complement requests (perfbench's
     pinned pool at Z_72, Z_84, Z_120)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = perfbench_workloads()
     pool = workloads.request_pool()
     return [tl.TileSet(tl.factorize(M), t["A"])
             for M in workloads.COMPLEMENT_MODULI for t in pool[M]]

@@ -209,6 +209,69 @@ class TestTileSet:
         with pytest.raises(InputError):
             tl.TileSet(ctx, [0, 12])
 
+    def assert_literal(self, ctx, items):
+        """TileSet(ctx, items) against literal_tileset: mask and members,
+        or the InputError message.  items is a list, passed as it is and
+        as a generator."""
+        try:
+            want = literal_tileset(ctx, iter(items))
+        except InputError as exc:
+            for given in (items, iter(items)):
+                with pytest.raises(InputError) as got:
+                    tl.TileSet(ctx, given)
+                assert str(got.value) == str(exc), items
+            return
+        for given in (items, iter(items)):
+            T = tl.TileSet(ctx, given)
+            assert (T.mask, T.members) == want, items
+            assert type(T.members) is tuple
+            assert all(type(v) is int for v in T.members), items
+
+    def test_matches_the_literal_constructor(self):
+        """Duplicates, any order, bools and out-of-range residues, at
+        every position, on small and large moduli."""
+        rng = random.Random(29)
+        for M in (1, 2, 3, 12, 24, 30, 360, 720, 4099):
+            ctx = tl.factorize(M)
+            for _ in range(60):
+                items = [rng.randrange(M) for _ in range(rng.randint(0, 12))]
+                items += rng.sample(items, min(len(items), rng.randint(0, 3)))
+                if rng.random() < 0.3:
+                    items += [True, False][:rng.randint(1, 2)]
+                if rng.random() < 0.3:
+                    bad = rng.choice([-1, -M, M, M + 1, 2 * M, -(2**70), 2**70])
+                    items.insert(rng.randint(0, len(items)), bad)
+                    if rng.random() < 0.5:   # a second one, later or earlier
+                        items.insert(rng.randint(0, len(items)), -1 - bad)
+                rng.shuffle(items)
+                self.assert_literal(ctx, items)
+            self.assert_literal(ctx, [])
+            self.assert_literal(ctx, [M - 1, 0, M - 1])
+            self.assert_literal(ctx, [M, -1])
+            self.assert_literal(ctx, [-1, M])
+        self.assert_literal(tl.factorize(1), [True])
+
+    def test_dense_tiles_match_the_literal_constructor(self):
+        ctx = tl.factorize(MAX_M)
+        rng = random.Random(65536)
+        self.assert_literal(ctx, list(range(0, MAX_M, 2)))
+        dense = [v for v in range(MAX_M) if rng.random() < 0.9]
+        rng.shuffle(dense)
+        self.assert_literal(ctx, dense + dense[:100])
+        self.assert_literal(ctx, dense + [MAX_M])
+
+
+def literal_tileset(ctx, members) -> tuple[int, tuple[int, ...]]:
+    """(mask, members) of TileSet(ctx, members) as its constructor built
+    them before it sorted the members: a range check and a mask bit per
+    item in input order, then the members read off the mask."""
+    seen = 0
+    for v in members:
+        if not 0 <= v < ctx.M:
+            raise InputError(f"residue {v} outside [0, {ctx.M})")
+        seen |= 1 << v
+    return seen, _mask_members(seen)
+
 
 def shift_loop_members(mask):
     """The set bits of mask, one shift per bit."""
@@ -237,10 +300,13 @@ class TestMaskMembers:
 
     def test_dense_tile_is_linear(self):
         """A dense tile of the largest modulus: the members are read off
-        the mask in O(M), not with one whole-mask shift per member."""
+        the mask in O(M), not with one whole-mask shift per member, and
+        the constructor sorts them without a bit walk."""
         ctx = tl.factorize(MAX_M)
         members = range(0, MAX_M, 2)
-        best = min(timeit.repeat(lambda: tl.TileSet(ctx, members),
-                                 number=1, repeat=3))
-        assert tl.TileSet(ctx, members).members == tuple(members)
-        assert best < 0.1, best
+        mask = tl.TileSet(ctx, members).mask
+        for build in (lambda: tl.TileSet(ctx, members),
+                      lambda: tl.TileSet.from_mask(ctx, mask)):
+            best = min(timeit.repeat(build, number=1, repeat=3))
+            assert build().members == tuple(members)
+            assert best < 0.1, best
