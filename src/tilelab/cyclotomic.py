@@ -24,7 +24,10 @@ a field of w bits per residue; w is the least multiple of 8 with
 the sum of the p slices of w*s bits of the counts mod s*p, and no field
 carries, since a count is at most |A|.  Each operator 1 - X^d is
 P - (P << w*d), and reducing mod X^s - 1 becomes reducing mod
-N = 2^(w*s) - 1, by adding the bits above w*s to the bits below.
+N = 2^(w*s) - 1, by adding the bits above w*s to the bits below.  None of
+the masks N, slice offsets, fold sources or cuboid shifts depends on the
+tile beyond w, so they come from one plan per (M, w), built on first use
+and shared by every tile of that modulus and field width.
 
 The test is exact because every coefficient of the cyclic result R is at
 most |A| in absolute value.  The coefficient of X^x in R is the signed sum
@@ -50,7 +53,11 @@ s | M whose Phi_s divides the mask:
 Both are decided once per profile, T2 on the divisor lattice: every s > 1
 dividing M whose prime-power parts p^{v_p(s)} all lie in S_A has Phi_s | A.
 Those s are exactly the products above, or single members of S_A, which
-divide the mask.  Profiles are memoized per TileSet, in a bounded cache.
+divide the mask.  The plan lists Phi_s(1) for every prime power s | M and
+the prime-power parts of every s | M with two or more primes, so S_A is the
+hits among the prime powers, T1 compares |A| with the product of their
+Phi_s(1), and T2 asks that every listed s whose parts all lie in S_A be a
+hit.  Profiles are memoized per TileSet, in a bounded cache.
 """
 
 from __future__ import annotations
@@ -68,8 +75,8 @@ def phi_at_one(s: int) -> int:
     """Phi_s(1): p for prime powers p^alpha, 1 for s with >= 2 prime factors."""
     if s <= 1:
         raise InputError(f"index must be > 1, got {s}")
-    steps = _cuboid_steps(s)
-    return s // steps[0] if len(steps) == 1 else 1
+    primes = prime_factorization(s)
+    return primes[0][0] if len(primes) == 1 else 1
 
 
 def divides_mask(s: int, A: TileSet) -> bool:
@@ -92,22 +99,33 @@ class CycloProfile(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _cuboid_steps(s: int) -> tuple[int, ...]:
-    """s/p for every prime p | s: the edge lengths of an s-cuboid."""
-    return tuple(s // p for p, _ in prime_factorization(s))
+def _cuboid_plan(ctx: ZmContext, w: int) -> tuple:
+    """Everything cyclo_profile needs that depends on (M, w) alone:
 
-
-@lru_cache(maxsize=None)
-def _fold_plan(ctx: ZmContext) -> tuple[tuple, ...]:
-    """(s, p, _cuboid_steps(s), the prime-power parts of s) per divisor s > 1
-    of M, descending; p is the least prime with s*p | M, or 1 at s = M."""
+      folds:  per divisor s > 1 of M, descending, (s, src, cuts, N, w*s,
+              shifts): the counts mod s are cut from the fold at plan index
+              src (-1, the packed indicator, at s = M) at the bit offsets
+              cuts = w*s*j, 1 <= j < p, for the least prime p with s*p | M;
+              N = 2^(w*s) - 1; shifts = w*s/q for every prime q | s;
+      powers: {prime power s: Phi_s(1)};
+      mixed:  (s, prime-power parts of s) for every s with >= 2 primes."""
     M = ctx.M
-    plan = []
-    for s in reversed(ctx.divisors[1:]):
+    order = ctx.divisors[:0:-1]
+    index = {s: i for i, s in enumerate(order)}
+    folds, powers, mixed = [], {}, []
+    for s in order:
+        width = w * s
         p = next((p for p, _ in ctx.primes if M % (s * p) == 0), 1)
-        parts = tuple(q ** e for q, e in prime_factorization(s))
-        plan.append((s, p, _cuboid_steps(s), parts))
-    return tuple(plan)
+        src = index[s * p] if s < M else -1
+        primes = prime_factorization(s)
+        folds.append((s, src, tuple(width * j for j in range(1, p)),
+                      (1 << width) - 1, width,
+                      tuple(width // q for q, _ in primes)))
+        if len(primes) == 1:
+            powers[s] = phi_at_one(s)
+        else:
+            mixed.append((s, tuple(q ** e for q, e in primes)))
+    return tuple(folds), powers, tuple(mixed)
 
 
 @lru_cache(maxsize=4096)
@@ -115,30 +133,27 @@ def cyclo_profile(A: TileSet) -> CycloProfile:
     """Every s | M, s > 1, with Phi_s | A(X): the packed cuboid test above."""
     if not len(A):
         raise InputError("cannot profile the empty tile")
-    ctx = A.context
     nbytes, indicator = _packed_indicator(A)
-    w = 8 * nbytes
-    folds = {ctx.M: indicator}
-    plan = _fold_plan(ctx)
-    hits = set()
-    for s, p, steps, _ in plan:
-        width = w * s
-        low = (1 << width) - 1          # N = 2^(w*s) - 1, and the low mask
-        above = folds[s * p]
-        fold = above & low
-        for j in range(1, p):
-            fold += above >> (width * j) & low
-        folds[s] = fold
-        for step in steps:
-            fold -= fold << (w * step)
+    plan, powers, mixed = _cuboid_plan(A.context, 8 * nbytes)
+    folds = [0] * len(plan) + [indicator]   # folds[-1]: the indicator
+    hits = []
+    for i, (s, src, cuts, low, width, shifts) in enumerate(plan):
+        above = folds[src]
+        fold = above & low              # low = N, and the low w*s bits
+        for cut in cuts:
+            fold += above >> cut & low
+        folds[i] = fold
+        for shift in shifts:
+            fold -= fold << shift
         while fold >> width:            # fold mod N, ending in [0, N]
             fold = (fold >> width) + (fold & low)
         if fold == 0 or fold == low:
-            hits.add(s)
-    s_set = frozenset(s for s in hits if len(_cuboid_steps(s)) == 1)
-    t1 = len(A) == math.prod(phi_at_one(s) for s in s_set)
-    t2 = all(s in hits for s, _, _, parts in plan if s_set.issuperset(parts))
-    return CycloProfile(frozenset(hits), s_set, t1, t2)
+            hits.append(s)
+    hits = frozenset(hits)
+    s_set = hits.intersection(powers)
+    t1 = len(A) == math.prod(powers[s] for s in s_set)
+    t2 = all(s in hits for s, parts in mixed if s_set.issuperset(parts))
+    return CycloProfile(hits, s_set, t1, t2)
 
 
 def check_T1(A: TileSet) -> bool:

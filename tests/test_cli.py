@@ -905,6 +905,9 @@ def fresh_python(*args):
                           timeout=120, check=False)
 
 
+DEV_MODE = ("-X", "dev", "-W", "error", "-m", "tilelab.cli")
+
+
 class TestColdStart:
     def test_cli_import_loads_no_process_pool(self):
         proc = fresh_python("-c", "import sys, tilelab, tilelab.cli; "
@@ -919,8 +922,20 @@ class TestColdStart:
             assert module not in loaded
 
     def test_module_entry_point_matches_in_process(self, capsys):
-        proc = fresh_python("-m", "tilelab.cli", "verify", WORKED)
-        _, out, _ = run(capsys, "verify", WORKED)
+        """Under -X dev -W error, so an unclosed file or any warning fails."""
+        for argv in (["verify", WORKED],
+                     ["analyze", WORKED, "--split", "--slab", "--boxgrid"],
+                     ["prove", WORKED], ["complements", WORKED]):
+            proc = fresh_python(*DEV_MODE, *argv)
+            _, out, _ = run(capsys, *argv)
+            assert proc.returncode == 0, argv
+            assert proc.stderr == b"", argv
+            assert proc.stdout == out.encode(), argv
+
+    def test_process_pool_sweep_matches_serial(self, capsys):
+        proc = fresh_python(*DEV_MODE, "sweep", "12", "--check", "all",
+                            "--jobs", "2")
+        _, out, _ = run(capsys, "sweep", "12", "--check", "all", "--jobs", "1")
         assert proc.returncode == 0
         assert proc.stderr == b""
         assert proc.stdout == out.encode()

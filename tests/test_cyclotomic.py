@@ -155,6 +155,47 @@ def structured_sets(ctx, size, rng):
     return [tl.TileSet(ctx, sub), tl.TileSet(ctx, union)]
 
 
+# 255 is the largest size with one-byte fields (2^8 > |A|) and 256 the least
+# with two; 127 and 128 were that edge for the older 2^w > 2|A|.
+EDGE_SIZES = (127, 128, 255, 256)
+MAX_M_MODULI = (65536, 30030, 65520)
+
+
+def one_class_tiles(ctx, size):
+    """(s, A) for each s | M with at least two primes and size * s <= M:
+    A is size members of one class mod s, which fold to the single count
+    |A| mod s."""
+    return [(s, tl.TileSet(ctx, range(s - 1, size * s, s)))
+            for s in ctx.divisors
+            if len(tl.prime_factorization(s)) >= 2 and size * s <= ctx.M]
+
+
+def width_edge_tiles(M):
+    """Tiles of each EDGE_SIZES size: one class mod each s with two primes
+    and room for the tile, and structured and random tiles of the size."""
+    ctx = tl.factorize(M)
+    rng = random.Random(M)
+    tiles = []
+    for size in EDGE_SIZES:
+        tiles += [A for _, A in one_class_tiles(ctx, size)]
+        tiles += structured_sets(ctx, size, rng)
+        tiles.append(tl.TileSet(ctx, rng.sample(range(M), size)))
+    return tiles
+
+
+def max_m_tiles(M):
+    """Half of Z_M, four even residues, and structured tiles of sizes up to
+    32,768, on a modulus near MAX_M."""
+    ctx = tl.factorize(M)
+    rng = random.Random(M)
+    tiles = [tl.TileSet(ctx, range(0, M, 2)),
+             tl.TileSet(ctx, rng.sample(range(0, M, 2), 4))]
+    for size in (4, 1023, 1024, 16383, 16384, 30030, 32768):
+        if size <= M:
+            tiles += structured_sets(ctx, size, rng)
+    return tiles
+
+
 class TestPackedKernel:
     """The packed profile equals the literal cuboid oracle, on complete
     corpora, at the sizes where the field width changes, and at MAX_M scale."""
@@ -174,16 +215,9 @@ class TestPackedKernel:
             for A in structured_sets(ctx, size, rng) + sample_sets(M, 1, size):
                 assert cyclo_profile(A).divisors_of_mask == cuboid_profile(A), A
 
-    @pytest.mark.parametrize("M", [65536, 30030, 65520])
+    @pytest.mark.parametrize("M", MAX_M_MODULI)
     def test_max_m_scale(self, M):
-        ctx = tl.factorize(M)
-        rng = random.Random(M)
-        tiles = [tl.TileSet(ctx, range(0, M, 2)),
-                 tl.TileSet(ctx, rng.sample(range(0, M, 2), 4))]
-        for size in (4, 1023, 1024, 16383, 16384, 30030, 32768):
-            if size <= M:
-                tiles += structured_sets(ctx, size, rng)
-        for A in tiles:
+        for A in max_m_tiles(M):
             assert cyclo_profile(A).divisors_of_mask == cuboid_profile(A), A
 
     @pytest.mark.parametrize("M, count", [(3840, 22), (7680, 34), (30030, 100),
@@ -192,20 +226,13 @@ class TestPackedKernel:
     def test_one_class_tiles_at_the_width_edge(self, M, count):
         """Tiles inside one class mod s fold to a single count |A|, and the
         cuboid operators spread it to coefficients +-|A|, the most the width
-        proof allows.  255 is the largest size with one-byte fields
-        (2^8 > |A|) and 256 the least with two, where a coefficient reaches
-        +-(2^w - 1); 127 and 128 were that edge for the older 2^w > 2|A|.
+        proof allows: at 255 members a coefficient reaches +-(2^w - 1).
         Each s with at least two primes, and each u > 1 dividing it, against
         the oracle."""
         ctx = tl.factorize(M)
         tiles = 0
-        for s in ctx.divisors:
-            if len(tl.prime_factorization(s)) < 2:
-                continue
-            for size in (127, 128, 255, 256):
-                if size * s > M:
-                    continue
-                A = tl.TileSet(ctx, range(s - 1, size * s, s))
+        for size in EDGE_SIZES:
+            for s, A in one_class_tiles(ctx, size):
                 got = cyclo_profile(A).divisors_of_mask
                 for u in ctx.divisors:
                     if u > 1 and s % u == 0:
@@ -220,16 +247,8 @@ class TestPackedKernel:
         one-byte field width before and after its narrowing to 2^w > |A|:
         one class mod each s with two primes and room for the tile, and
         structured and random tiles of the size, against exact division."""
-        ctx = tl.factorize(M)
-        rng = random.Random(M)
-        tiles = []
-        for size in (127, 128, 255, 256):
-            tiles += [tl.TileSet(ctx, range(s - 1, size * s, s))
-                      for s in ctx.divisors
-                      if len(tl.prime_factorization(s)) >= 2 and size * s <= M]
-            tiles += structured_sets(ctx, size, rng)
-            tiles.append(tl.TileSet(ctx, rng.sample(range(M), size)))
-        assert {len(A) for A in tiles} == {127, 128, 255, 256}
+        tiles = width_edge_tiles(M)
+        assert {len(A) for A in tiles} == set(EDGE_SIZES)
         for A in tiles:
             assert cyclo_profile(A).divisors_of_mask == division_profile(A), A
 
@@ -356,6 +375,25 @@ def progression_sum(ctx, rng):
                             for i in range(p) for j in range(q)})
 
 
+def assert_t1_t2_oracles(A):
+    """S_A against the prime-power filter of the profile's divisors, and
+    check_T1 and check_T2 against the literal forms."""
+    profile = cyclo_profile(A)
+    assert profile.s_set == frozenset(
+        s for s in profile.divisors_of_mask
+        if len(tl.prime_factorization(s)) == 1), A
+    assert check_T1(A) == literal_t1(A), A
+    assert check_T2(A) == literal_t2(A), A
+
+
+def t1_t2_counts(tiles):
+    """(tiles, with T1, with S_A over two primes or more, without T2)."""
+    return (len(tiles), sum(check_T1(A) for A in tiles),
+            sum(len({tl.prime_factorization(s)[0][0]
+                     for s in cyclo_profile(A).s_set}) >= 2 for A in tiles),
+            sum(not check_T2(A) for A in tiles))
+
+
 class TestT1T2Oracles:
     """check_T1 and check_T2 read verdicts decided when the profile is built;
     the literal forms above decide them again from the profile's sets."""
@@ -365,8 +403,27 @@ class TestT1T2Oracles:
             ctx = tl.factorize(M)
             tiles = {tile for t in tl.iter_tilings(ctx) for tile in (t.A, t.B)}
             for A in tiles:
-                assert check_T1(A) == literal_t1(A), A
-                assert check_T2(A) == literal_t2(A), A
+                assert_t1_t2_oracles(A)
+
+    @pytest.mark.parametrize("M,counts", [
+        (1536, (18, 5, 0, 0)), (1920, (22, 2, 0, 0)), (3840, (34, 8, 0, 0)),
+        (7680, (46, 13, 0, 0)), (30030, (112, 0, 5, 0)),
+        (46410, (117, 5, 17, 0)), (60060, (196, 0, 11, 0)),
+        (65520, (238, 0, 21, 0))])
+    def test_width_edge_tiles(self, M, counts):
+        tiles = width_edge_tiles(M)
+        for A in tiles:
+            assert_t1_t2_oracles(A)
+        assert t1_t2_counts(tiles) == counts
+
+    @pytest.mark.parametrize("M,counts", [(65536, (16, 7, 0, 0)),
+                                          (30030, (14, 3, 3, 0)),
+                                          (65520, (16, 2, 1, 0))])
+    def test_max_m_scale(self, M, counts):
+        tiles = max_m_tiles(M)
+        for A in tiles:
+            assert_t1_t2_oracles(A)
+        assert t1_t2_counts(tiles) == counts
 
     @pytest.mark.parametrize("M,count,t2_false", [(900, 60, 24),
                                                   (2310, 60, 17),
@@ -379,8 +436,7 @@ class TestT1T2Oracles:
             tiles += [coset_union(ctx, rng), progression_sum(ctx, rng)]
         tiles += structured_sets(ctx, rng.choice(width_sizes(M)), rng)
         for A in tiles:
-            assert check_T1(A) == literal_t1(A), A
-            assert check_T2(A) == literal_t2(A), A
+            assert_t1_t2_oracles(A)
         assert sum(not check_T2(A) for A in tiles) == t2_false
 
 

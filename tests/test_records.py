@@ -83,4 +83,7 @@ class TestZmContextIdentity:
         ctx = tl.factorize(36)
         twin = twin_of(ctx)
         assert _class_bits(twin) is _class_bits(ctx)
-        assert cyclotomic._fold_plan(twin) is cyclotomic._fold_plan(ctx)
+        plan = cyclotomic._cuboid_plan
+        for w in (8, 16):
+            assert plan(twin, w) is plan(ctx, w)
+        assert plan(ctx, 8) != plan(ctx, 16)     # the widths do not share

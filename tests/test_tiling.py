@@ -528,6 +528,56 @@ class TestComplementsOracle:
         assert found == 257
 
 
+def two_prime_sizes(M):
+    """The sizes 1 < k < M, k | M, with at most two distinct primes."""
+    return [k for k in tl.factorize(M).divisors[1:-1]
+            if len(tl.prime_factorization(k)) <= 2]
+
+
+def coven_meyerowitz_sample():
+    """Subsets A of Z_M with 0 in A and |A| in two_prime_sizes(M): every one
+    for 2 <= M <= 16, in combinations order, then 1,500 seeded draws at
+    Z_24 and then at Z_36."""
+    for M in range(2, 17):
+        ctx = tl.factorize(M)
+        for k in two_prime_sizes(M):
+            for rest in itertools.combinations(range(1, M), k - 1):
+                yield tl.TileSet(ctx, (0,) + rest)
+    rng = random.Random(19)
+    for M in (24, 36):
+        ctx, sizes = tl.factorize(M), two_prime_sizes(M)
+        for _ in range(1500):
+            k = rng.choice(sizes)
+            yield tl.TileSet(ctx, [0] + rng.sample(range(1, M), k - 1))
+
+
+class TestCovenMeyerowitz:
+    """A has a complement in Z_M exactly when (T1) and (T2) hold, for |A|
+    with at most two distinct prime factors.  Coven and Meyerowitz, "Tiling
+    the integers with translates of one finite set", J. Algebra 212 (1999):
+    by Theorem A, (T1) and (T2) give a complement of period lcm(S_A), which
+    divides M; by Theorem B1 a tile satisfies (T1), and by Theorem B2 it
+    satisfies (T2) when |A| has at most two prime factors.  This checks the
+    complement search's "no" answers, and (T1) and (T2) on sets that do not
+    tile."""
+
+    def test_complement_exists_iff_t1_and_t2(self):
+        counts = collections.Counter()
+        for A in coven_meyerowitz_sample():
+            t1, t2 = tl.check_T1(A), tl.check_T2(A)
+            tiles = bool(tl.find_complements(A, limit=1))
+            assert tiles == (t1 and t2), A
+            part = "exhaustive" if A.context.M <= 16 else "seeded"
+            counts[part, "sets"] += 1
+            counts[part, "tiles"] += tiles
+            counts[part, "t1 not t2"] += t1 and not t2
+        assert counts == {
+            ("exhaustive", "sets"): 10642, ("exhaustive", "tiles"): 573,
+            ("exhaustive", "t1 not t2"): 24,
+            ("seeded", "sets"): 3000, ("seeded", "tiles"): 565,
+            ("seeded", "t1 not t2"): 14}
+
+
 class TestDilation:
     def test_dilate_examples(self):
         c4 = tl.factorize(4)
