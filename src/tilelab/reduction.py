@@ -15,7 +15,6 @@ Derivation proposes the chain with every pair unchecked; the one checker,
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .errors import (
@@ -38,7 +37,6 @@ from .splitting import SplitReport
 # slabs and coordinate projection
 
 
-@lru_cache(maxsize=None)
 def _projection(ctx: ZmContext, direction: int) -> tuple[ZmContext, int]:
     """The map Z_M -> Z_{M/p} that reduces coordinate `direction` mod
     p^{n-1} (drops it when n = 1) and carries the others over, as
@@ -405,7 +403,6 @@ def _prime_removal_branches(t: Tiling, p: int) -> list[Tiling]:
 
 class SlabStep(NamedTuple):
     p: int
-    side: str          # which tile was slabbed, "A" or "B"
     result: Tiling
 
 
@@ -445,12 +442,8 @@ class T2Certificate(NamedTuple):
 
 
 def certificate_to_json(cert: T2Certificate) -> dict:
-    steps: list[dict] = []
-    for step in cert.steps:
-        if isinstance(step, SlabStep):
-            steps.append({"kind": "slab", "p": step.p})
-        else:
-            steps.append({"kind": "prime_removal", "p": step.p})
+    steps = [{"kind": "slab" if isinstance(step, SlabStep) else
+              "prime_removal", "p": step.p} for step in cert.steps]
     steps.append({"kind": "base", "primes": cert.base_primes})
     return {
         "input": tiling_to_json(cert.input),
@@ -468,35 +461,26 @@ def _removal_prime(t: Tiling) -> Optional[int]:
     return best
 
 
-def _slab_orientation(t: Tiling) -> Optional[str]:
-    """Side to slab for the largest prime p, or None if no orientation exists.
+def _slab_child(t: Tiling) -> Tiling:
+    """Apply the slab reduction for the largest prime p, p^n || M, to the
+    tile whose mask Phi_{p^n} divides.
 
-    In a genuine tiling exactly one mask carries Phi_{p^n}: by (T1), the
-    prime powers p^k | M split between S_A and S_B.  That tile is the side,
-    unless M/p lies in the other tile's Div (slab_cond_ii fails at m = M).
-    _slab_child still gates the side it is given.
-    """
-    ctx = t.context
-    p, n = ctx.primes[-1]
-    side, other = ("A", t.B) if divides_mask(p ** n, t.A) else ("B", t.A)
-    if div_bits(other) & _class_bits(ctx)[0][ctx.M // p]:
-        return None
-    return side
+    In a tiling exactly one tile qualifies, so the side is no choice.  Each
+    Phi_s, 1 < s | M, divides A or B, as A(X) B(X) = (X^M - 1)/(X - 1) mod
+    X^M - 1; and both tiles satisfy (T1) (Coven-Meyerowitz, J. Algebra 212,
+    1999), so |A| |B| = M = prod Phi_s(1) over the prime powers s | M
+    leaves no prime power in both S_A and S_B.
 
-
-def _slab_child(t: Tiling, side: str) -> Tiling:
-    """Apply the slab reduction for the largest prime to the named side.
-
-    Gates on the directly checked hypotheses (Phi_{p^n} divides the slabbed
-    tile; divisor exclusion cond_ii) and raises InputError when the gate
-    fails.  The projected pair is built unchecked: replay verifies it.
+    Gates on the directly checked hypotheses (Phi_{p^n} divides a tile;
+    divisor exclusion cond_ii) and raises InputError when the gate fails.
+    The projected pair is built unchecked: replay verifies it.
     """
     ctx = t.context
     direction = len(ctx.primes) - 1
     p, n = ctx.primes[-1]
-    oriented = t if side == "A" else t.swapped()
+    oriented = t if divides_mask(p ** n, t.A) else t.swapped()
     if not divides_mask(p ** n, oriented.A):
-        raise InputError(f"Phi_{p ** n} does not divide tile {side}")
+        raise InputError(f"Phi_{p ** n} divides neither tile")
     ok, witness = slab_cond_ii(oriented, direction)
     if not ok:
         raise InputError(f"divisor exclusion fails at m={witness}")
@@ -539,24 +523,20 @@ def _derive_certificate(t: Tiling) -> T2Certificate:
             cur = branches[0]
             continue
 
-        side_name = _slab_orientation(cur)
-        if side_name is not None:
-            try:
-                cur = _slab_child(cur, side_name)
-            except InputError:
-                pass                # the gate fails: fall back to (T2)
-            else:
-                steps.append(SlabStep(ctx.primes[-1][0], side_name, cur))
-                continue
-
-        if check_T2(cur.A) and check_T2(cur.B):
-            break
-        if not verify_direct(cur.A, cur.B):
-            raise InvariantViolationError(f"stuck on a non-tiling: {cur!r}")
-        raise PipelineStuckError(
-            f"no reduction applies and direct check fails: M={ctx.M} "
-            f"A={cur.A.members} B={cur.B.members} |A|={len(cur.A)} "
-            f"|B|={len(cur.B)} orientation={side_name!r}")
+        try:
+            child = _slab_child(cur)
+        except InputError as gate:      # fall back to (T2)
+            if check_T2(cur.A) and check_T2(cur.B):
+                break
+            if not verify_direct(cur.A, cur.B):
+                raise InvariantViolationError(
+                    f"stuck on a non-tiling: {cur!r}")
+            raise PipelineStuckError(
+                f"no reduction applies and direct check fails: M={ctx.M} "
+                f"A={cur.A.members} B={cur.B.members} |A|={len(cur.A)} "
+                f"|B|={len(cur.B)} slab gate: {gate}")
+        steps.append(SlabStep(ctx.primes[-1][0], child))
+        cur = child
 
     return T2Certificate(t, tuple(steps))
 
@@ -565,7 +545,7 @@ def replay_certificate(cert: T2Certificate) -> bool:
     """Mechanically re-derive every step; any divergence raises.
 
     The one checker of a certificate; it never asks the prover for a prime
-    or a side.  It verifies each tiling of the chain once: its input, each
+    or a tile.  It verifies each tiling of the chain once: its input, each
     main-chain pair it derives, and (in their own replay, after comparing
     them with the derived branches) the side certificates' inputs.  Then
     (T2) must hold at the chain's end and at its input.
@@ -591,7 +571,7 @@ def replay_certificate(cert: T2Certificate) -> bool:
                 replay_certificate(side_cert)
             cur = branches[0]
         else:
-            p, child = cur.context.primes[-1][0], _slab_child(cur, step.side)
+            p, child = cur.context.primes[-1][0], _slab_child(cur)
             if (p, child) != (step.p, step.result):
                 raise InvariantViolationError(
                     f"slab step does not replay: recorded p={step.p} "
@@ -600,7 +580,7 @@ def replay_certificate(cert: T2Certificate) -> bool:
                 raise EquivalenceViolationError(
                     f"slab hypotheses hold but projected pair is not a "
                     f"tiling: A={cur.A.members} B={cur.B.members} "
-                    f"M={cur.context.M} side={step.side} p={step.p}")
+                    f"M={cur.context.M} p={step.p}")
             cur = child
     if not (check_T2(cur.A) and check_T2(cur.B)):
         raise InvariantViolationError(f"base case tiles fail (T2): {cur!r}")

@@ -1,5 +1,6 @@
 """Shared fixtures: cached tiling corpora so exhaustive suites enumerate once."""
 
+import collections
 import importlib.util
 import itertools
 import random
@@ -146,4 +147,29 @@ def digit_tilings(M, count, seed):
                 for side, r in ((True, rng.choice(unit)),
                                 (False, rng.choice(unit))))
         out.append(tl.Tiling(A, B))
+    return out
+
+
+def lifted_tilings(M, count, rng):
+    """Lifted digit tilings of Z_M, drawn from rng: the prime factors of M
+    with multiplicity, shuffled, are the radices of the levels, and the
+    j-th level of each prime goes to A when j is even, to B when j is odd.
+    The level of radix m and place P (the product of the radices before
+    it) contributes {(d + m k_d) P mod M : d < m}, k_d = rng.randrange(M):
+    each digit stays in its class mod m, so A + B still tiles by mixed
+    radix, but the tiles are no longer products of progressions."""
+    ctx = tl.factorize(M)
+    factors = [p for p, n in ctx.primes for _ in range(n)]
+    out = []
+    for _ in range(count):
+        rng.shuffle(factors)
+        tiles, levels, place = ([0], [0]), collections.Counter(), 1
+        for m in factors:
+            tile = tiles[levels[m] % 2]
+            levels[m] += 1
+            digits = [(d + m * rng.randrange(M)) * place for d in range(m)]
+            tile[:] = [(v + x) % M for v in tile for x in digits]
+            place *= m
+        out.append(tl.Tiling(tl.TileSet(ctx, tiles[0]),
+                             tl.TileSet(ctx, tiles[1])))
     return out

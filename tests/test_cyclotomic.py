@@ -375,6 +375,26 @@ def progression_sum(ctx, rng):
                             for i in range(p) for j in range(q)})
 
 
+def mixed_failures_36():
+    """The six-member A with 0 in A, S_A = {4, 9} and Phi_36 not dividing
+    A: 36 = 4 * 9 is the only mixed index of Z_36 with its prime-power parts
+    in S_A, so (T2) fails at s = M alone.  Phi_9 | A is tested first, on
+    the counts mod 9 (equal along each class mod 3), to skip the profile."""
+    ctx = tl.factorize(36)
+    tiles = []
+    for rest in itertools.combinations(range(1, 36), 5):
+        counts = [0] * 9
+        for v in (0,) + rest:
+            counts[v % 9] += 1
+        if not counts[:3] == counts[3:6] == counts[6:]:
+            continue
+        A = tl.TileSet(ctx, (0,) + rest)
+        profile = cyclo_profile(A)
+        if profile.s_set == {4, 9} and 36 not in profile.divisors_of_mask:
+            tiles.append(A)
+    return tiles
+
+
 def assert_t1_t2_oracles(A):
     """S_A against the prime-power filter of the profile's divisors, and
     check_T1 and check_T2 against the literal forms."""
@@ -424,6 +444,24 @@ class TestT1T2Oracles:
         for A in tiles:
             assert_t1_t2_oracles(A)
         assert t1_t2_counts(tiles) == counts
+
+    def test_failures_at_s_equal_m(self):
+        tiles = mixed_failures_36()
+        for A in tiles:
+            assert_t1_t2_oracles(A)
+        assert t1_t2_counts(tiles) == (210, 210, 210, 210)
+
+    def test_failure_at_two_byte_width(self):
+        # the CRT product of a Z_36 failure with Z_43: 258 members, so
+        # two-byte fields, S_A = {4, 9, 43} and (T2) failing at s = 36 only
+        base = (0, 1, 3, 4, 6, 34)
+        A = tl.TileSet(tl.factorize(1548), [x for x in range(1548)
+                                            if x % 36 in base])
+        profile = cyclo_profile(A)
+        assert (len(A), profile.s_set) == (258, {4, 9, 43})
+        assert 36 not in profile.divisors_of_mask
+        assert_t1_t2_oracles(A)
+        assert t1_t2_counts([A]) == (1, 1, 1, 1)
 
     @pytest.mark.parametrize("M,count,t2_false", [(900, 60, 24),
                                                   (2310, 60, 17),

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import types
 
 import pytest
@@ -15,10 +16,12 @@ import tilelab.cli
 from tilelab import reduction as rd
 from tilelab import splitting as sp
 from tilelab.errors import (EquivalenceViolationError, InputError,
-                            InvariantViolationError, TilelabError)
+                            InvariantViolationError, PipelineStuckError,
+                            TilelabError)
 
 from conftest import (corpus, crt_value, digit_tilings, div_set,
-                      oracle_tilings, szabo_tiling, unchecked_pairs, units)
+                      lifted_tilings, oracle_tilings, szabo_tiling,
+                      unchecked_pairs, units)
 
 
 def T(M, A, B, check=True):
@@ -96,6 +99,18 @@ def _replace_step(cert, kind, **changes):
     return cert._replace(steps=tuple(steps))
 
 
+def _slab_other_tile(cert):
+    """cert with its slab step, its first, recording the child of the tile
+    that Phi_{p^n} does not divide."""
+    t = cert.input
+    d = len(t.context.primes) - 1
+    p, n = t.context.primes[d]
+    wrong = t if tl.divides_mask(p ** n, t.B) else t.swapped()
+    child = tl.Tiling(rd._projected_slab(wrong.A, d),
+                      rd.project_tile(wrong.B, d), check=False)
+    return _replace_step(cert, rd.SlabStep, result=child)
+
+
 def _swap_sides(cert):
     step = next(s for s in cert.steps if isinstance(s, rd.PrimeRemovalStep))
     first, second, *rest = step.side_certificates
@@ -105,12 +120,11 @@ def _swap_sides(cert):
 
 
 # Each tampering of a certificate shaped (slab, prime removal, base), and the
-# error its replay raises.  A slab recorded on the wrong side does not apply
-# at all, so re-deriving it fails the slab gate itself.
+# error its replay raises.  Replay slabs the tile that Phi_{p^n} divides, so
+# a slab step recording the other tile's child does not match it.
 TAMPERINGS = {
     "sides_swapped": (_swap_sides, InvariantViolationError),
-    "slab_side": (lambda c: _replace_step(c, rd.SlabStep, side="B"),
-                  InputError),
+    "slab_side": (_slab_other_tile, InvariantViolationError),
 }
 
 
@@ -711,12 +725,11 @@ class TestSlabOrientation:
         cert = rd.prove_t2_largeprime(t)
         kinds = [(type(s).__name__, s.p) for s in cert.steps]
         assert kinds == [("SlabStep", 5), ("PrimeRemovalStep", 5)]
-        assert cert.steps[0].side == "B"
+        assert cert.steps[0].result.A == rd._projected_slab(t.B, 2)
         assert cert.base_primes == 2
-        bad_step = cert.steps[0]._replace(side="A")
-        bad = cert._replace(steps=(bad_step,) + cert.steps[1:])
-        with pytest.raises(InputError, match="Phi_25 does not divide tile A"):
-            rd.replay_certificate(bad)
+        with pytest.raises(InvariantViolationError,
+                           match="slab step does not replay"):
+            rd.replay_certificate(_slab_other_tile(cert))
 
 
 class TestProver:
@@ -739,7 +752,7 @@ class TestProver:
         cert = rd.prove_t2_largeprime(product_tiling_900())
         kinds = [(type(s).__name__, s.p) for s in cert.steps]
         assert kinds == [("SlabStep", 5), ("PrimeRemovalStep", 5)]
-        assert cert.steps[0].side == "A"
+        assert cert.steps[0].result.A == rd._projected_slab(cert.input.A, 2)
         assert dilated_side(cert.steps[0].result, cert.steps[1]) == "A"
         assert cert.base_primes == 2
         # 5 is not larger than D(36), so the headline hypothesis is absent,
@@ -841,13 +854,26 @@ class TestProver:
         cert = rd.prove_t2_largeprime(product_tiling_900())
         broken = _drop_first_member(rd._projected_slab)
         step = cert.steps[0]
-        oriented = cert.input if step.side == "A" else cert.input.swapped()
+        oriented = (cert.input if tl.divides_mask(25, cert.input.A)
+                    else cert.input.swapped())
         child = tl.Tiling(broken(oriented.A, 2), step.result.B, check=False)
         bad = _replace_step(cert, rd.SlabStep, result=child)
         monkeypatch.setattr(rd, "_projected_slab", broken)
         with pytest.raises(EquivalenceViolationError,
                            match="projected pair is not a tiling"):
             rd.replay_certificate(bad)
+
+    def test_stuck_names_the_slab_gate(self, monkeypatch, capsys):
+        monkeypatch.setattr(rd, "slab_cond_ii", lambda t, d: (False, 900))
+        monkeypatch.setattr(rd, "check_T2", lambda A: False)
+        t = product_tiling_900()
+        gate = "slab gate: divisor exclusion fails at m=900"
+        with pytest.raises(PipelineStuckError) as stuck:
+            rd.prove_t2_largeprime(t)
+        assert str(stuck.value).endswith(gate)
+        code = tilelab.cli.main(["prove", json.dumps(tl.tiling_to_json(t))])
+        out, _ = capsys.readouterr()
+        assert code == 1 and json.loads(out)["stuck"].endswith(gate)
 
     def test_stuck_non_tiling_is_a_bug(self):
         # no prime divides exactly one of |A| = |B| = 6, neither slab gate
@@ -891,8 +917,7 @@ class TestProver:
         def forbidden(*args):
             raise AssertionError("replay re-ran a prover choice")
 
-        for name in ("_derive_certificate", "_removal_prime",
-                     "_slab_orientation"):
+        for name in ("_derive_certificate", "_removal_prime"):
             monkeypatch.setattr(rd, name, forbidden)
         assert rd.replay_certificate(cert)
 
@@ -951,3 +976,45 @@ class TestSzabo:
                                          sort_keys=True).encode())
         assert digest.hexdigest() == (
             "f7a2e92d0154dd62969aafc6560dfa8676a7e47751e0d382b72e6ce82b5401e8")
+
+
+def certificate_structure(cert):
+    """Every step of a certificate, nested side certificates included: its
+    kind, p and result pair, as JSON-ready lists."""
+    return [[type(step).__name__, step.p, step.result.context.M,
+             step.result.A.mask, step.result.B.mask,
+             [certificate_structure(side)
+              for side in getattr(step, "side_certificates", ())]]
+            for step in cert.steps]
+
+
+class TestLiftedDigits:
+    """Lifted digit tilings of three-prime moduli take the slab step: both
+    orientations of each prove by a slab step and a prime removal."""
+
+    def test_certificates_are_pinned(self):
+        rng = random.Random(1)
+        digest = hashlib.sha256()
+        shapes = collections.Counter()
+        bases = 0
+
+        def count_bases(cert):
+            return (cert.base_primes <= 2) + sum(
+                count_bases(side) for step in cert.steps
+                for side in getattr(step, "side_certificates", ()))
+
+        for M, count in ((900, 150), (1764, 100), (4356, 40), (4900, 40)):
+            for t in lifted_tilings(M, count, rng):
+                for tt in (t, t.swapped()):
+                    cert = rd.prove_t2_largeprime(tt)
+                    shapes[tuple(type(s).__name__ for s in cert.steps)] += 1
+                    bases += count_bases(cert)
+                    digest.update(json.dumps(rd.certificate_to_json(cert),
+                                             sort_keys=True).encode())
+                    digest.update(json.dumps(
+                        certificate_structure(cert)).encode())
+        assert shapes == {("SlabStep", "PrimeRemovalStep"): 660}
+        assert bases == 4340
+        # pinned while each SlabStep still recorded its side
+        assert digest.hexdigest() == (
+            "ecd7354ce8d11bfbb3870ee7496541f7e0883a20611b5468b033d0625a81f039")
