@@ -247,8 +247,8 @@ def _tile_section(T: TileSet) -> dict:
         "size": len(T),
         "S": sorted(profile.s_set),
         "mask_divisors": sorted(profile.divisors_of_mask),
-        "T1": check_T1(T),
-        "T2": check_T2(T),
+        "T1": profile.t1,
+        "T2": profile.t2,
     }
 
 

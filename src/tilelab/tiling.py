@@ -105,17 +105,12 @@ _set_decomp = Tiling._decomp.__set__
 
 
 def verify_direct(A: TileSet, B: TileSet) -> bool:
-    """Exact-cover check on bitmasks."""
+    """Exact cover: |A||B| = M and the translates B + a (a in A) cover Z_M.
+    With the sizes right they hold M points counted with multiplicity, so
+    to hit every residue is to hit each exactly once: one union decides."""
     ctx = _same_context(A, B)
-    if len(A) * len(B) != ctx.M:
-        return False
-    covered = 0
-    for a in A:
-        shifted = ctx.rotate(B.mask, a)
-        if shifted & covered:
-            return False
-        covered |= shifted
-    return covered == ctx.full_mask
+    return (len(A) * len(B) == ctx.M
+            and ctx.translates(B.mask, A.members) == ctx.full_mask)
 
 
 def div_bits(A: TileSet) -> int:
@@ -371,11 +366,11 @@ def _pair_dfs(ctx: ZmContext, dA: int, dB: int):
     at a leaf they are Div(A) and Div(B).  A leaf builds its tiles from the
     masks, member lists and Div bits it holds.
 
-    Rotations are written out: ctx.rotate(x, k) is
-    ((x << k) | (x >> (M - k))) & full for k in [0, M], and a reflected
-    shift by -k is the shift by M - k.  Neither k = 0 nor k = M needs a
-    branch, because every mask here holds only M bits: then x >> M is 0
-    and x << M is cut off by full, so both ends give x itself.
+    Rotations are written out: the cyclic shift of x by k in [0, M] is
+    ((x << k) | (x >> (M - k))) & full, and a reflected shift by -k is the
+    shift by M - k.  Neither k = 0 nor k = M needs a branch, because every
+    mask here holds only M bits: then x >> M is 0 and x << M is cut off by
+    full, so both ends give x itself.
     """
     M = ctx.M
     full = ctx.full_mask
@@ -557,14 +552,14 @@ def _tiles_from_json(obj: dict, names: Sequence[str]) -> list[TileSet]:
         raw = obj[name]
         if not isinstance(raw, list):
             raise InputError(f"{name} must be a list")
-        seen = set()
+        mask = 0
         for idx, v in enumerate(raw):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InputError(f"{name}[{idx}] = {v!r} is not an integer")
             if not 0 <= v < M:
                 raise InputError(f"{name}[{idx}] = {v} outside [0, {M})")
-            if v in seen:
+            if mask >> v & 1:
                 raise InputError(f"{name}[{idx}] = {v} is a duplicate")
-            seen.add(v)
-        tiles.append(TileSet(ctx, raw))
+            mask |= 1 << v
+        tiles.append(TileSet._from_parts(ctx, mask, tuple(sorted(raw)), None))
     return tiles

@@ -12,8 +12,8 @@ congruent to x's mod p_j^alpha, and the fiber of x in direction j is
 {x + k M/p_j}.  Sets of residues are TileSets, stored both as a sorted tuple
 and as a bitmask with one bit per residue.
 
-The context owns the mask geometry (rotate, translates, fiber_union,
-full_fibers), so the doubled mask and its stray bits above M stay here.
+The context owns the mask geometry (translates, fiber_union, full_fibers),
+so the doubled mask and its stray bits above M stay here.
 """
 
 from __future__ import annotations
@@ -108,18 +108,11 @@ class ZmContext:
             raise InputError(f"direction {i} out of range for M={self.M}")
         return self.primes[i]
 
-    def rotate(self, mask: int, k: int) -> int:
-        """Cyclic shift of an M-bit mask: bit v -> bit (v + k) mod M."""
-        k %= self.M
-        if k == 0:
-            return mask
-        return ((mask << k) | (mask >> (self.M - k))) & self.full_mask
-
     def translates(self, mask: int, shifts: Iterable[int]) -> int:
         """The union of the translates mask + s over the shifts s in [0, M]:
-        the OR of rotate(mask, s).  The lane mask | mask << M holds the mask
-        twice, so bits [0, M) of lane >> (M - s) are rotate(mask, s); the
-        full mask cuts off the bits above."""
+        the OR of rotate(mask, s), the cyclic shift of bit v to (v + s) mod
+        M.  The lane mask | mask << M holds the mask twice, so bits [0, M)
+        of lane >> (M - s) are rotate(mask, s); full_mask cuts off the rest."""
         M = self.M
         lane = mask | mask << M
         out = 0
@@ -225,9 +218,9 @@ class TileSet:
     def _from_parts(cls, context: ZmContext, mask: int,
                     members: tuple[int, ...], div: int | None) -> "TileSet":
         """The tile whose bitmask is mask and whose ascending member tuple
-        is members, unchecked: callers that already hold both (the searches
-        in tiling) pass them as they are.  div is the div slot: the pair
-        search's Div bits, or None."""
+        is members, unchecked: callers that hold both (the searches in
+        tiling, and its JSON parser once each member is validated) pass
+        them as they are.  div is the div slot: Div bits or None."""
         ts = object.__new__(cls)
         _set_context(ts, context)
         _set_mask(ts, mask)

@@ -4,7 +4,8 @@ Every name that tilelab/__init__.py exports must have a caller: a reference
 in src/tilelab outside its own definition, or a `tl.<name>` use in the
 release gate.  Every private module-level function and class must be read
 in src/tilelab outside its own definition; tests alone do not keep one.
-And no module may import a name it never uses.
+No module may import a name it never uses.  And only the context's
+translates, the slab walk and the two searches shift a mask by M - k.
 
 Below the module level, the readers are src/tilelab, the gate and
 perfbench/.  Every annotated field and non-dunder method or property of a
@@ -224,3 +225,39 @@ def test_every_parameter_is_read():
         unread += [f"{label}({a.arg})" for a in params[bound:]
                    if not a.arg.startswith("_") and a.arg not in loads]
     assert not unread, unread
+
+
+def _shifts_by_m_minus(tree: ast.AST) -> bool:
+    """Whether tree writes x >> (M - k) or x << (M - k), with M a name or a
+    .M attribute: a shift that reads a doubled or rotated mask of Z_M."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp)
+                and isinstance(node.op, (ast.LShift, ast.RShift))
+                and isinstance(node.right, ast.BinOp)
+                and isinstance(node.right.op, ast.Sub)):
+            m = node.right.left
+            if (isinstance(m, ast.Name) and m.id == "M"
+                    or isinstance(m, ast.Attribute) and m.attr == "M"):
+                return True
+    return False
+
+
+def test_mask_geometry_stays_in_the_context():
+    """Outside the context's translates, only the slab walk and the two
+    searches, which inline their rotations, shift a mask by M - k."""
+    shifting = set()
+    for module, tree in _modules().items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                owners = [(f"{module}.{stmt.name}", stmt)]
+            elif isinstance(stmt, ast.ClassDef):
+                owners = [(f"{module}.{stmt.name}.{fn.name}", fn)
+                          for fn in stmt.body
+                          if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            shifting.update(label for label, fn in owners
+                            if _shifts_by_m_minus(fn))
+    assert shifting == {"zm_core.ZmContext.translates",
+                        "reduction.slab_cond_i", "tiling.iter_complements",
+                        "tiling._pair_dfs"}

@@ -978,6 +978,49 @@ class TestSzabo:
             "f7a2e92d0154dd62969aafc6560dfa8676a7e47751e0d382b72e6ce82b5401e8")
 
 
+def is_periodic(tile):
+    """Whether T + g = T for some g in [1, M), by the literal shift."""
+    M = tile.context.M
+    return any({(v + g) % M for v in tile} == set(tile) for g in range(1, M))
+
+
+class TestAperiodicZ72:
+    """A tiling of Z_72 = Z_{2^3 3^2} in which neither tile is periodic, so
+    Z_72 is not good; Szabó's move reaches it (ROADMAP item 16)."""
+
+    A = [0, 1, 7, 20, 24, 31, 37, 43, 44, 48, 67, 68]
+    B = [0, 14, 22, 32, 40, 54]
+
+    def tiles(self):
+        ctx = tl.factorize(72)
+        return tl.TileSet(ctx, self.A), tl.TileSet(ctx, self.B)
+
+    def test_tiles_and_no_tile_is_periodic(self):
+        A, B = self.tiles()
+        assert tl.verify_direct(A, B)
+        assert tl.verify_sands(A, B)
+        assert tl.verify_cyclotomic(A, B)
+        assert not is_periodic(A) and not is_periodic(B)
+
+    def test_sweep_and_prover_in_both_orientations(self):
+        t = tl.Tiling(*self.tiles())
+        for tt in (t, t.swapped()):
+            counts, violations, reports = tilelab.cli._sweep_one(tt, "all")
+            assert counts == {"tilings": 1, "fibers": 60, "grids": 0}
+            assert violations == [] and reports == []
+            cert = rd.prove_t2_largeprime(tt)
+            assert cert.steps == () and cert.base_primes == 2
+
+    def test_complements(self):
+        A, B = self.tiles()
+        of_a = tl.find_complements(A)
+        assert len(of_a) == 18 and B in of_a
+        assert not any(map(is_periodic, of_a))
+        of_b = tl.find_complements(B)
+        assert len(of_b) == 216 and A in of_b
+        assert sum(not is_periodic(c) for c in of_b) == 72
+
+
 def certificate_structure(cert):
     """Every step of a certificate, nested side certificates included: its
     kind, p and result pair, as JSON-ready lists."""

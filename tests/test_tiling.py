@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -14,8 +15,8 @@ from tilelab.tiling import (_orbit_reach, _run_search, tiling_to_json,
                             tiling_from_json)
 from tilelab.zm_core import ZmContext, _class_bits
 
-from conftest import (corpus, div_set, oracle_tilings, perfbench_workloads,
-                      unchecked_pairs)
+from conftest import (corpus, digit_tilings, div_set, oracle_tilings,
+                      perfbench_workloads, unchecked_pairs)
 
 
 def T(M, A, B, check=True):
@@ -56,6 +57,36 @@ class TestVerifiers:
         assert not tl.verify_direct(tl.TileSet(c4, [0, 2]), tl.TileSet(c4, [0, 2]))
         c9 = tl.factorize(9)
         assert tl.verify_direct(tl.TileSet(c9, [0, 1, 2]), tl.TileSet(c9, [0, 3, 6]))
+
+    def test_direct_matches_literal_cover(self):
+        """verify_direct against its definition: the sums a + b mod M are
+        exactly 0..M-1, once each.  Digit tilings up to Z_65520 and each
+        with one member of A moved off A (same sizes, an overlap or a new
+        tiling); pairs that cover Z_M but are too large; an empty A."""
+        pairs = [(t.A, t.B)
+                 for t in unchecked_pairs(600, seed=12, moduli=(1, 120))]
+        rng = random.Random(33)
+        for M, count in ((720, 6), (5040, 4), (65520, 2)):
+            ctx = tl.factorize(M)
+            for t in digit_tilings(M, count, seed=M):
+                gone = rng.choice(t.A.members)
+                new = rng.choice([v for v in range(M) if v not in t.A])
+                moved = tl.TileSet(ctx, {*t.A, new} - {gone})
+                pairs += [(t.A, t.B), (t.B, t.A), (moved, t.B)]
+            spare = next(v for v in range(M) if v not in t.B)
+            pairs += [(tl.TileSet(ctx, range(M)), tl.TileSet(ctx, [0, 1])),
+                      (t.A, tl.TileSet(ctx, [*t.B, spare])),
+                      (tl.TileSet(ctx, []), t.B)]
+        pairs.append((tl.TileSet(tl.factorize(1), []),
+                      tl.TileSet(tl.factorize(1), [0])))
+        verdicts = collections.Counter()
+        for A, B in pairs:
+            M = A.context.M
+            sums = sorted((a + b) % M for a in A for b in B)
+            literal = sums == list(range(M))
+            assert tl.verify_direct(A, B) == literal, (A, B)
+            verdicts[literal] += 1
+        assert verdicts == {True: 260, False: 386}
 
     def test_div_set_examples(self):
         ctx = tl.factorize(12)
@@ -201,10 +232,20 @@ class TestEnumeration:
 # checked TileSet constructor.
 
 
+def literal_rotate(ctx):
+    """The cyclic shift of an M-bit mask by k: bit v -> bit (v + k) mod M."""
+    M, full = ctx.M, ctx.full_mask
+
+    def rotate(x, k):
+        k %= M
+        return ((x << k) | (x >> (M - k))) & full
+    return rotate
+
+
 def literal_pair_dfs(ctx, dA, dB):
     M = ctx.M
     full = ctx.full_mask
-    rotate = ctx.rotate
+    rotate = literal_rotate(ctx)
     gcds = ctx.gcd_table
     class_masks = gcd_class_masks(ctx)
     A = [0]
@@ -460,7 +501,7 @@ def literal_complements(A, normalize):
         forb |= class_masks[d]
     Amask = A.mask
     full = ctx.full_mask
-    rotate = ctx.rotate
+    rotate = literal_rotate(ctx)
     members = A.members
     B = []
 
@@ -788,6 +829,16 @@ class TestJson:
             tiling_from_json({"M": 12, "A": [0, 1]})
         with pytest.raises(InputError):
             tiling_from_json({"M": 12, "A": [0, 1], "B": [0, 12]})
+        # the first fault in input order, and A before B
+        for A, B, message in (
+                ([0, 3, 3, True], [0], "A[2] = 3 is a duplicate"),
+                ([0, True, 12], [0, 0], "A[1] = True is not an integer"),
+                ([0, 12, 3, 3], [0, 0], "A[1] = 12 outside [0, 12)"),
+                ([0, 1.0], [0, 12], "A[1] = 1.0 is not an integer"),
+                ([0, 1], [0, 0], "B[1] = 0 is a duplicate"),
+                ([0, -1], [0, 0], "A[1] = -1 outside [0, 12)")):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                tiling_from_json({"M": 12, "A": A, "B": B})
 
     def test_non_tiling_rejected_unless_unchecked(self):
         obj = {"M": 4, "A": [0, 2], "B": [0, 2]}
