@@ -56,6 +56,7 @@ from .splitting import (
     split_report,
 )
 from .reduction import (
+    _plane_counts,
     blowbound_check,
     certificate_to_json,
     plane_bound_check,
@@ -345,20 +346,22 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
     swapped = [report and report.swapped() for report in reports]
     for side, tt, side_reports in (("A", t, reports),
                                    ("B", t.swapped(), swapped)):
+        divisors_of_a = cyclo_profile(tt.A).divisors_of_mask
         for i, (p, n) in enumerate(ctx.primes):
-            if not plane_bound_check(tt.B, i):
+            planes = _plane_counts(tt.B, i)
+            if not plane_bound_check(tt.B, i, planes):
                 _record(violations, t, "plane_bound",
                         f"side {side} direction p={p}")
             report = side_reports[i]
             try:
                 if report is not None:
                     blowbound_check(report)
-                # slabcor_check runs the slab equivalence when its premise holds
-                applicable, _ = slabcor_check(tt, i)
-                if not applicable and divides_mask(p ** n, tt.A):
-                    slab_equivalence_check(tt, i)
+                # None when Phi_{p^n} does not divide the side
+                verdict = (slab_equivalence_check(tt, i)
+                           if p ** n in divisors_of_a else None)
+                slabcor_check(tt, i, verdict, planes)
                 if report is not None:
-                    splittingslab_equiv_check(report)
+                    splittingslab_equiv_check(report, verdict)
             except InvariantViolationError as exc:
                 _record(violations, t, "slab_suite",
                         f"side {side} direction p={p}: {exc}")

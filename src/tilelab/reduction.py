@@ -179,7 +179,9 @@ def slab_cond_iii(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
 
 
 class SlabVerdict(NamedTuple):
-    """Three independently evaluated slab conditions for one direction."""
+    """Three independently evaluated slab conditions for one direction, the
+    record that the checks reading them take, as the parity checks take a
+    SplitReport: slabcor_check reads `holds`, and statement (I) `cond_ii`."""
 
     direction: int
     prime: int
@@ -229,7 +231,8 @@ def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
 # the splitting form of the slab conditions
 
 
-def splittingslab_equiv_check(report: SplitReport) -> bool:
+def splittingslab_equiv_check(report: SplitReport,
+                              verdict: Optional[SlabVerdict]) -> bool:
     """Three equivalent statements about splitting along one direction.
 
     (I)   Phi_{p^n} | A together with the divisor exclusion slab_cond_ii;
@@ -257,6 +260,9 @@ def splittingslab_equiv_check(report: SplitReport) -> bool:
     (III) fails exactly when the union of A's fibers meets A + E, the OR of
     rotate(E, a) over a in A.
 
+    (I) reads `verdict`, the SlabVerdict of the same tiling and direction
+    or None when Phi_{p^n} does not divide A, and its cond_ii.
+
     Returns the common truth value; raises if the three ever disagree.
     """
     t, direction = report.tiling, report.direction
@@ -264,7 +270,7 @@ def splittingslab_equiv_check(report: SplitReport) -> bool:
     p, n = ctx.primes[direction]
     q = p ** n
 
-    first = divides_mask(q, t.A) and slab_cond_ii(t, direction)[0]
+    first = verdict is not None and verdict.cond_ii
 
     second = report.uniform_ba
 
@@ -299,14 +305,16 @@ def _plane_counts(B: TileSet, direction: int) -> dict[int, int]:
     return counts
 
 
-def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
+def slabcor_check(t: Tiling, direction: int, verdict: Optional[SlabVerdict],
+                  planes: dict[int, int]) -> tuple[bool, bool]:
     """Sufficient conditions under which A must satisfy the slab conditions.
 
     Applicable when (i) every a in A has another A-member at difference class
     exactly M/p, or (ii) Phi_{p^n} | A and every plane through a B-member
     meets B in exactly |B| / gcd(|B|, p^n) points.  Returns
-    (applicable, implied); when applicable, the slab conditions are verified
-    and any failure raises.
+    (applicable, implied); when applicable, a missing or failing verdict
+    raises.  `verdict` is slab_equivalence_check(t, direction), None if
+    Phi_{p^n} does not divide A; `planes` is _plane_counts(t.B, direction).
     """
     ctx = t.context
     p, n = ctx.check_direction(direction)
@@ -316,18 +324,16 @@ def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
     # a + k f lies in A exactly when a lies in rotate(A, -k f)
     fibered = not t.A.mask & ~ctx.translates(t.A.mask, range(f, ctx.M, f))
 
-    divisible = divides_mask(q, t.A)
     expected = len(t.B) // math.gcd(len(t.B), q)
-    saturated = divisible and all(
-        c == expected for c in _plane_counts(t.B, direction).values())
+    saturated = verdict is not None and all(
+        c == expected for c in planes.values())
 
     if not (fibered or saturated):
         return False, False
-    if not divisible:
+    if verdict is None:
         raise ImplicationViolationError(
             f"premise holds but Phi_{q} does not divide A={t.A.members} "
             f"in Z_{ctx.M}; slab conditions cannot be stated")
-    verdict = slab_equivalence_check(t, direction)
     if not verdict.holds:
         raise ImplicationViolationError(
             f"premise holds but slab conditions fail for A={t.A.members} "
@@ -335,12 +341,14 @@ def slabcor_check(t: Tiling, direction: int) -> tuple[bool, bool]:
     return True, True
 
 
-def plane_bound_check(B: TileSet, direction: int) -> bool:
-    """No plane Pi(z, p^n) holds more than gcd(|B|, M/p^n) members of B."""
+def plane_bound_check(B: TileSet, direction: int,
+                      planes: dict[int, int]) -> bool:
+    """No plane Pi(z, p^n) holds more than gcd(|B|, M/p^n) members of B:
+    `planes` is _plane_counts(B, direction), which slabcor_check reads too."""
     ctx = B.context
     p, n = ctx.check_direction(direction)
     bound = math.gcd(len(B), ctx.M // p ** n)
-    return all(c <= bound for c in _plane_counts(B, direction).values())
+    return all(c <= bound for c in planes.values())
 
 
 def blowbound_check(report: SplitReport) -> tuple[bool, bool]:

@@ -176,10 +176,14 @@ def test_criterion_05_splitting_slab_equivalence():
     held = 0
     for M in (12, 16, 24, 36, 48):
         for t in _tilings(M):
-            for d in range(len(t.context.primes)):
-                # Raises EquivalenceViolationError if (I), (II), (III)
-                # ever disagree; the return value is their common truth.
-                held += tl.splittingslab_equiv_check(tl.split_report(t, d))
+            for d, (p, n) in enumerate(t.context.primes):
+                # (I) reads the slab verdict, None when Phi_{p^n} does not
+                # divide A.  Raises EquivalenceViolationError if (I), (II),
+                # (III) ever disagree; the return value is their common truth.
+                verdict = (tl.slab_equivalence_check(t, d)
+                           if tl.divides_mask(p ** n, t.A) else None)
+                held += tl.splittingslab_equiv_check(tl.split_report(t, d),
+                                                     verdict)
                 checked += 1
     _report(5, f"splitting criteria (I)=(II)=(III) on {checked} "
                f"(tiling, direction) pairs ({held} hold)")

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import tilelab as tl
 import tilelab.cli
+import tilelab.cyclotomic
 import tilelab.reduction
 import tilelab.splitting
 from tilelab.cli import main
@@ -47,6 +48,104 @@ SPLIT_720 = json.dumps({   # 744 fibers over three directions
                 for b in range(3) for c in range(5)),
     "B": sorted(2 * a + 12 * b + 120 * c for a in range(2)
                 for b in range(2) for c in range(6))})
+
+
+def _overfull_plane(monkeypatch, worked):
+    """B's planes in direction p=2 hold 99 members of B at coordinate 0."""
+    real = tilelab.reduction._plane_counts
+
+    def counts(B, direction):
+        if B == worked.B and direction == 0:
+            return {0: 99}
+        return real(B, direction)
+
+    for module in (tilelab.reduction, tilelab.cli):
+        monkeypatch.setattr(module, "_plane_counts", counts, raising=False)
+
+
+def _flipped_fiber(direction):
+    """Fiber 0 of the report in `direction` takes the other parity."""
+    def force(monkeypatch, worked):
+        real = tilelab.cli.split_report
+
+        def report(t, i):
+            got = real(t, i)
+            if t == worked and i == direction:
+                return got._replace(ab_mask=got.ab_mask ^ 1)
+            return got
+
+        monkeypatch.setattr(tilelab.cli, "split_report", report)
+    return force
+
+
+def _phi_4_dropped(monkeypatch, worked):
+    """A's profile no longer lists Phi_4 (A is fibered in direction p=2)."""
+    real = tilelab.cyclotomic.cyclo_profile
+
+    def profile(T):
+        got = real(T)
+        if T == worked.A:
+            return got._replace(divisors_of_mask=got.divisors_of_mask - {4})
+        return got
+
+    for module in (tilelab.cyclotomic, tilelab.reduction, tilelab.cli):
+        monkeypatch.setattr(module, "cyclo_profile", profile)
+
+
+def _slab_condition_fails(name, witness):
+    """Slab condition `name` fails with `witness` on side A, direction p=2."""
+    def force(monkeypatch, worked):
+        real = getattr(tilelab.reduction, name)
+
+        def condition(t, direction):
+            if t == worked and direction == 0:
+                return False, witness
+            return real(t, direction)
+
+        monkeypatch.setattr(tilelab.reduction, name, condition)
+    return force
+
+
+_SIDE_A_P2 = "side A direction p=2: "
+_SPLIT_P2 = ("splitting criteria disagree in direction p=2 for A=(0, 1, 6, 7) "
+             "B=(0, 4, 8) M=12: (I)=True (II)=False (III)=True")
+_BLOWBOUND_B_P2 = ("side B direction p=2: uniformity forced but violated: "
+                   "A=(0, 4, 8) B=(0, 1, 6, 7) M=12 direction p=2")
+_DISAGREE_P2 = ("slab conditions disagree in direction p=2 for A=(0, 1, 6, 7) "
+                "B=(0, 4, 8) M=12: (i)=False (ii)=True (iii)=True, "
+                "witnesses=(0, None, None)")
+
+# case: (forces, recorded (check, detail) in order)
+SLAB_LOOP_RAISES = {
+    "plane_bound": ([_overfull_plane],
+                    [("plane_bound", "side A direction p=2")]),
+    "blowbound_p3_and_splitting": ([_flipped_fiber(1)], [
+        ("slab_suite", "side A direction p=3: uniformity forced but violated:"
+         " A=(0, 1, 6, 7) B=(0, 4, 8) M=12 direction p=3"),
+        ("slab_suite", "side B direction p=3: splitting criteria disagree in "
+         "direction p=3 for A=(0, 4, 8) B=(0, 1, 6, 7) M=12: (I)=True "
+         "(II)=False (III)=True")]),
+    "splitting_and_blowbound_p2": ([_flipped_fiber(0)], [
+        ("slab_suite", _SIDE_A_P2 + _SPLIT_P2),
+        ("slab_suite", _BLOWBOUND_B_P2)]),
+    "slabcor_not_divisible": ([_phi_4_dropped], [
+        ("slab_suite", _SIDE_A_P2 + "premise holds but Phi_4 does not divide"
+         " A=(0, 1, 6, 7) in Z_12; slab conditions cannot be stated")]),
+    "slabcor_conditions_fail": ([_slab_condition_fails("slab_cond_i", 1),
+                                 _slab_condition_fails("slab_cond_ii", 4),
+                                 _slab_condition_fails("slab_cond_iii", 12)], [
+        ("slab_suite", _SIDE_A_P2 + "premise holds but slab conditions fail "
+         "for A=(0, 1, 6, 7) B=(0, 4, 8) direction p=2: witnesses=(1, 4, 12)"
+         )]),
+    "slab_conditions_disagree": ([_slab_condition_fails("slab_cond_i", 0)],
+                                 [("slab_suite", _SIDE_A_P2 + _DISAGREE_P2)]),
+    # the disagreement comes before the split report's on the same side
+    "first_raise_only": ([_overfull_plane, _flipped_fiber(0),
+                          _slab_condition_fails("slab_cond_i", 0)], [
+        ("plane_bound", "side A direction p=2"),
+        ("slab_suite", _SIDE_A_P2 + _DISAGREE_P2),
+        ("slab_suite", _BLOWBOUND_B_P2)]),
+}
 
 
 class TestVerify:
@@ -398,6 +497,74 @@ class TestSweep:
         assert len(calls) == 48 and sum(calls) > 0
         assert repeats == []
 
+    @pytest.mark.parametrize("M, limit, exclusions, plane_counts",
+                             [("24", "48", 96, 192), ("60", "16", 48, 96)])
+    def test_slab_facts_are_decided_once_per_side_and_direction(
+            self, capsys, monkeypatch, M, limit, exclusions, plane_counts):
+        """Per (tiling, side, direction): one divisor-exclusion test where
+        Phi_{p^n} divides the side and none elsewhere, one plane count, and
+        no divides_mask call from cli."""
+        real_lemmas = tilelab.cli._sweep_lemmas
+        calls = {"slab_cond_ii": [], "_plane_counts": [], "divides_mask": []}
+        per_tiling = []
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name].append(args)
+                return real(*args)
+            return wrapper
+
+        def lemmas_of_one_tiling(t, counts, violations):
+            for seen in calls.values():
+                seen.clear()
+            real_lemmas(t, counts, violations)
+            per_tiling.append((t, {name: list(seen)
+                                   for name, seen in calls.items()}))
+
+        for name in ("slab_cond_ii", "_plane_counts"):
+            wrapper = counting(name, getattr(tilelab.reduction, name))
+            for module in (tilelab.reduction, tilelab.cli):
+                monkeypatch.setattr(module, name, wrapper, raising=False)
+        monkeypatch.setattr(tilelab.cli, "divides_mask",
+                            counting("divides_mask", tl.divides_mask))
+        monkeypatch.setattr(tilelab.cli, "_sweep_lemmas", lemmas_of_one_tiling)
+        code, rep, _ = run_json(capsys, "sweep", M, "--limit", limit,
+                                "--check", "lemmas")
+        assert code == 0 and rep["violations"] == []
+        assert len(per_tiling) == int(limit)
+        totals = dict.fromkeys(calls, 0)
+        for t, seen in per_tiling:
+            triples = [(tt, i, p ** n) for tt in (t, t.swapped())
+                       for i, (p, n) in enumerate(t.context.primes)]
+            assert sorted((tt.A.members, tt.B.members, i)
+                          for tt, i in seen["slab_cond_ii"]) == sorted(
+                (tt.A.members, tt.B.members, i) for tt, i, q in triples
+                if tl.divides_mask(q, tt.A))
+            assert sorted((B.members, i) for B, i in seen["_plane_counts"]) \
+                == sorted((tt.B.members, i) for tt, i, _ in triples)
+            for name in calls:
+                totals[name] += len(seen[name])
+        assert totals == {"slab_cond_ii": exclusions,
+                          "_plane_counts": plane_counts, "divides_mask": 0}
+
+    @pytest.mark.parametrize("case", sorted(SLAB_LOOP_RAISES))
+    def test_slab_loop_records_its_raises(self, capsys, monkeypatch, case):
+        """Each raise of the slab loop, forced on the WORKED tiling through
+        the kernels it reads, is recorded with its exact text; within one
+        (side, direction) only the first raise is."""
+        worked = tl.tiling_from_json(json.loads(WORKED))
+        forces, details = SLAB_LOOP_RAISES[case]
+        for force in forces:
+            force(monkeypatch, worked)
+        monkeypatch.setattr(tilelab.cli, "iter_tilings",
+                            lambda ctx: iter([worked]))
+        code, rep, _ = run_json(capsys, "sweep", "12", "--check", "lemmas")
+        assert code == 1
+        assert rep["counts"] == {"tilings": 1, "fibers": 10, "grids": 0}
+        assert rep["violations"] == [
+            {"check": check, "tiling": json.loads(WORKED), "detail": detail}
+            for check, detail in details]
+
     @pytest.mark.parametrize("name", ["slab_equivalence_check",
                                       "splittingslab_equiv_check"])
     def test_failed_slab_check_is_recorded_once(self, capsys, monkeypatch,
@@ -407,7 +574,8 @@ class TestSweep:
 
         def failing_on_worked(*args):
             # (tiling, direction), or the split report that carries them
-            t, direction = (args if len(args) == 2
+            # and the slab verdict
+            t, direction = (args if name == "slab_equivalence_check"
                             else (args[0].tiling, args[0].direction))
             if t == worked and direction == 0:
                 raise EquivalenceViolationError("injected")
@@ -454,9 +622,9 @@ class TestSweep:
         real_slabcor = tilelab.cli.slabcor_check
         slabcor = []
 
-        def counting(t, direction):
+        def counting(t, direction, *facts):
             slabcor.append((t.A.members, direction))
-            return real_slabcor(t, direction)
+            return real_slabcor(t, direction, *facts)
 
         monkeypatch.setattr(tilelab.splitting, "_ab_fibers",
                             failing_on_worked)
@@ -774,6 +942,21 @@ class TestRequestPoolReplay:
             assert workloads.request_ok(seen, want), (key, seen)
             kinds.add(kind)
         assert {"verify", "analyze", "prove"} <= kinds
+
+
+class TestSweepReplay:
+    """Every sweep call of the benchmark prints the bytes pinned for it in
+    perfbench/pinned.json, exits 0 and records no violation."""
+
+    def test_pinned_outputs(self):
+        workloads = perfbench_workloads()
+        pinned = json.loads((PERFBENCH / "pinned.json").read_text())["sweep"]
+        assert sorted(pinned) == sorted(
+            workloads.sweep_key(*call) for call in workloads.SWEEP_CALLS)
+        for key, want in pinned.items():
+            M, limit = map(int, key.split("/"))
+            seen = workloads.sweep_call(tl, M, limit)
+            assert workloads.sweep_ok(seen, want, limit), (key, seen)
 
 
 def literal_render_text(obj, indent=0, out=None):

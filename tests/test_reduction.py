@@ -33,6 +33,29 @@ def t12():
     return T(12, [0, 1, 6, 7], [0, 4, 8])
 
 
+def slab_verdict(t, direction):
+    """The slab verdict that the checks read, as the sweep builds it: None
+    when Phi_{p^n} does not divide A."""
+    p, n = t.context.primes[direction]
+    if not tl.divides_mask(p ** n, t.A):
+        return None
+    return rd.slab_equivalence_check(t, direction)
+
+
+def splitting_slab(t, direction):
+    return rd.splittingslab_equiv_check(sp.split_report(t, direction),
+                                        slab_verdict(t, direction))
+
+
+def slabcor(t, direction):
+    return rd.slabcor_check(t, direction, slab_verdict(t, direction),
+                            rd._plane_counts(t.B, direction))
+
+
+def plane_bound(B, direction):
+    return rd.plane_bound_check(B, direction, rd._plane_counts(B, direction))
+
+
 def product_tiling_900():
     """Coordinate-box tiling of Z_900: A = 30Z, B a box of small coords."""
     ctx = tl.factorize(900)
@@ -253,16 +276,16 @@ class TestSlabEquivalence:
 
 class TestSplittingSlab:
     def test_holding_direction(self):
-        assert rd.splittingslab_equiv_check(sp.split_report(t12(), 0)) is True
+        assert splitting_slab(t12(), 0) is True
 
     def test_failing_direction(self):
         # Phi_3 does not divide A, and the splitting criteria fail with it
-        assert rd.splittingslab_equiv_check(sp.split_report(t12(), 1)) is False
+        assert splitting_slab(t12(), 1) is False
 
     def test_three_way_equality_over_corpus(self):
         for t in corpus(12):
             for d in range(2):
-                rd.splittingslab_equiv_check(sp.split_report(t, d))
+                splitting_slab(t, d)
 
 
 # Literal forms of slab condition (i) and splitting statement (III), kept as
@@ -461,7 +484,7 @@ class TestLiteralOracles:
         failing = 0
         for tt, d in oracle_corpus():
             want = literal_statement_iii(tt, d)
-            got = rd.splittingslab_equiv_check(sp.split_report(tt, d))
+            got = splitting_slab(tt, d)
             assert got is want is literal_statement_ii(tt, d), (tt, d)
             failing += not want
         assert failing > 1000
@@ -538,15 +561,17 @@ class TestLiteralOracles:
             verdicts[got] += 1
         assert verdicts[True] > 1000 and verdicts[False] > 1000
 
-    def test_slabcor_premise_matches_member_scan(self, monkeypatch):
-        """The premise alone: the slab conditions it implies are stubbed
-        as holding."""
-        monkeypatch.setattr(rd, "slab_equivalence_check",
-                            lambda t, d: types.SimpleNamespace(holds=True))
+    def test_slabcor_premise_matches_member_scan(self):
+        """The premise alone: the slab verdict it reads, where Phi_{p^n}
+        divides A, is a stub that holds."""
         fibered_only = 0
         for tt, d in oracle_corpus():
             fibered, saturated = literal_slabcor_premise(tt, d)
-            assert rd.slabcor_check(tt, d) == (fibered or saturated,) * 2, (tt, d)
+            p, n = tt.context.primes[d]
+            verdict = (types.SimpleNamespace(holds=True)
+                       if tl.divides_mask(p ** n, tt.A) else None)
+            got = rd.slabcor_check(tt, d, verdict, rd._plane_counts(tt.B, d))
+            assert got == (fibered or saturated,) * 2, (tt, d)
             fibered_only += fibered and not saturated
         assert fibered_only > 1000
 
@@ -613,9 +638,9 @@ class TestStatementIIKernel:
         assert double > 1000 and uncovered > 1000
 
     def test_corpus_builds_no_reports(self, monkeypatch):
-        reports = [sp.split_report(tt, d) for t in corpus(24)
-                   for tt in (t, t.swapped())
-                   for d in range(len(tt.context.primes))]
+        facts = [(sp.split_report(tt, d), slab_verdict(tt, d))
+                 for t in corpus(24) for tt in (t, t.swapped())
+                 for d in range(len(tt.context.primes))]
         calls = collections.Counter()
 
         def counting(name, real):
@@ -630,44 +655,44 @@ class TestStatementIIKernel:
             "_ab_fibers", sp._ab_fibers))
         monkeypatch.setattr(tl.TileSet, "dilate", counting(
             "dilate", tl.TileSet.dilate))
-        for report in reports:
-            rd.splittingslab_equiv_check(report)
+        for report, verdict in facts:
+            rd.splittingslab_equiv_check(report, verdict)
         assert calls == {}
 
 
 class TestSlabcor:
     def test_fibered_tile_applies(self):
-        assert rd.slabcor_check(T(12, [0, 6], range(6)), 0) == (True, True)
+        assert slabcor(T(12, [0, 6], range(6)), 0) == (True, True)
 
     def test_plane_saturated_tile_applies(self):
-        assert rd.slabcor_check(t12(), 0) == (True, True)
+        assert slabcor(t12(), 0) == (True, True)
 
     def test_neither_hypothesis(self):
-        assert rd.slabcor_check(t12(), 1) == (False, False)
+        assert slabcor(t12(), 1) == (False, False)
 
     def test_implication_over_corpus(self):
         for t in corpus(12):
             for d in range(2):
-                applicable, implied = rd.slabcor_check(t, d)
+                applicable, implied = slabcor(t, d)
                 assert implied == applicable
 
 
 class TestPlaneBound:
     def test_worked_example(self):
-        assert rd.plane_bound_check(t12().B, 0)
+        assert plane_bound(t12().B, 0)
 
     def test_singleton(self):
-        assert rd.plane_bound_check(tl.TileSet(tl.factorize(12), [0]), 0)
+        assert plane_bound(tl.TileSet(tl.factorize(12), [0]), 0)
 
     def test_overloaded_plane_detected(self):
         bad = tl.TileSet(tl.factorize(12), [0, 1, 4, 8])
-        assert not rd.plane_bound_check(bad, 0)
+        assert not plane_bound(bad, 0)
 
     def test_holds_for_tiles_over_corpus(self):
         for t in corpus(12):
             for d in range(2):
-                assert rd.plane_bound_check(t.A, d)
-                assert rd.plane_bound_check(t.B, d)
+                assert plane_bound(t.A, d)
+                assert plane_bound(t.B, d)
 
 
 class TestBlowbound:

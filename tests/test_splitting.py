@@ -336,7 +336,8 @@ class TestDeciderDisagreement:
 
     def test_statement_ii_raises(self):
         with pytest.raises(InvariantViolationError, match="mask decider"):
-            rd.splittingslab_equiv_check(sp.split_report(t12(), 0))
+            rd.splittingslab_equiv_check(sp.split_report(t12(), 0),
+                                         rd.slab_equivalence_check(t12(), 0))
 
     def test_analyze_exits_three(self, capsys):
         code = cli.main(["analyze", '{"M":12,"A":[0,1,6,7],"B":[0,4,8]}',
