@@ -29,7 +29,6 @@ from .cyclotomic import (
     check_T1,
     check_T2,
     cyclo_profile,
-    divides_mask,
 )
 from .tiling import (
     Tiling,
@@ -224,8 +223,8 @@ def _report(command: str, t: Tiling) -> dict:
 # verify / analyze
 
 
-def cmd_verify(arg: str, fmt: str) -> int:
-    t = _parse_tiling(arg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    t = _parse_tiling(args.tiling)
     results = {
         "direct": verify_direct(t.A, t.B),
         "sands": verify_sands(t.A, t.B),
@@ -234,7 +233,7 @@ def cmd_verify(arg: str, fmt: str) -> int:
     agree = len(set(results.values())) == 1
     report = _report("verify", t)
     report["verification"] = {**results, "agree": agree}
-    _emit(report, fmt)
+    _emit(report, args.format)
     if not agree:
         raise InvariantViolationError(
             f"verifiers disagree on {report['input']}: {results}")
@@ -253,9 +252,9 @@ def _tile_section(T: TileSet) -> dict:
     }
 
 
-def cmd_analyze(arg: str, fmt: str, split: bool, slab: bool,
-                boxgrid: bool) -> int:
-    t = _parse_tiling(arg)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    t = _parse_tiling(args.tiling)
+    fmt = args.format
     report = _report("analyze", t)
     if not verify_direct(t.A, t.B):
         report["verification"] = {"direct": False}
@@ -264,23 +263,21 @@ def cmd_analyze(arg: str, fmt: str, split: bool, slab: bool,
     report["verification"] = {"direct": True}
     report["tiles"] = {"A": _tile_section(t.A), "B": _tile_section(t.B)}
     code = 0
-    if split:
+    if args.split:
         reports = [split_report(t, i) for i in range(len(t.context.primes))]
         # the JSON writer writes a SplitReport itself, without to_json()
         report["split"] = (reports if fmt == "json"
                            else [r.to_json() for r in reports])
-    if slab:
+    if args.slab:
         section = []
-        for i, (p, n) in enumerate(t.context.primes):
-            if divides_mask(p ** n, t.A):
-                entry = slab_equivalence_check(t, i).to_json()
-                entry["hypothesis"] = True
-            else:
-                entry = {"direction": p, "direction_index": i,
-                         "hypothesis": False}
+        for i, (p, _) in enumerate(t.context.primes):
+            verdict = slab_equivalence_check(t, i)
+            entry = ({"direction": p, "direction_index": i}
+                     if verdict is None else verdict.to_json())
+            entry["hypothesis"] = verdict is not None
             section.append(entry)
         report["slab"] = section
-    if boxgrid:
+    if args.boxgrid:
         ok = box_product_all_ones(t)
         report["boxgrid"] = {"all_ones": ok, "pairs": t.context.M ** 2}
         if not ok:
@@ -293,14 +290,13 @@ def cmd_analyze(arg: str, fmt: str, split: bool, slab: bool,
 # complements
 
 
-def cmd_complements(arg: str, fmt: str, limit: int | None,
-                    normalize: bool) -> int:
-    obj = _load_json_arg(arg)
+def cmd_complements(args: argparse.Namespace) -> int:
+    obj = _load_json_arg(args.tile)
     if "M" not in obj or "A" not in obj:
         raise InputError('complement search needs {"M": ..., "A": [...]}')
     (A,) = _tiles_from_json(obj, ("A",))
-    for B in iter_complements(A, normalize=normalize, limit=limit):
-        if fmt == "json":
+    for B in iter_complements(A, normalize=args.normalize, limit=args.limit):
+        if args.format == "json":
             print(json.dumps({"B": list(B)}))
         else:
             print("B: " + " ".join(str(b) for b in B))
@@ -346,8 +342,7 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
     swapped = [report and report.swapped() for report in reports]
     for side, tt, side_reports in (("A", t, reports),
                                    ("B", t.swapped(), swapped)):
-        divisors_of_a = cyclo_profile(tt.A).divisors_of_mask
-        for i, (p, n) in enumerate(ctx.primes):
+        for i, (p, _) in enumerate(ctx.primes):
             planes = _plane_counts(tt.B, i)
             if not plane_bound_check(tt.B, i, planes):
                 _record(violations, t, "plane_bound",
@@ -356,9 +351,7 @@ def _sweep_lemmas(t: Tiling, counts: dict, violations: list) -> None:
             try:
                 if report is not None:
                     blowbound_check(report)
-                # None when Phi_{p^n} does not divide the side
-                verdict = (slab_equivalence_check(tt, i)
-                           if p ** n in divisors_of_a else None)
+                verdict = slab_equivalence_check(tt, i)
                 slabcor_check(tt, i, verdict, planes)
                 if report is not None:
                     splittingslab_equiv_check(report, verdict)
@@ -393,7 +386,7 @@ def _sweep_t2(t: Tiling, violations: list, reports: list) -> None:
     for name, tile in (("A", t.A), ("B", t.B)):
         if not check_T1(tile):
             _record(violations, t, "T1", f"tile {name}")
-        distinct = len(prime_factorization(len(tile))) if len(tile) > 1 else 0
+        distinct = len(prime_factorization(len(tile)))
         holds = check_T2(tile)
         if distinct <= 2:
             if not holds:
@@ -438,8 +431,8 @@ def _sweep_one(t: Tiling, check: str) -> tuple[dict, list, list]:
     return counts, violations, reports
 
 
-def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
-              jobs: int) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    M, check, limit, jobs = args.M, args.check, args.limit, args.jobs
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
     if limit is not None and limit < 0:
@@ -482,7 +475,7 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
         "violations": violations,
         "reports": reports,
     }
-    _emit(summary, fmt)
+    _emit(summary, args.format)
     return 0 if not violations else 1
 
 
@@ -490,8 +483,9 @@ def cmd_sweep(M: int, fmt: str, check: str, limit: int | None,
 # prove
 
 
-def cmd_prove(arg: str, fmt: str) -> int:
-    t = _parse_tiling(arg)
+def cmd_prove(args: argparse.Namespace) -> int:
+    t = _parse_tiling(args.tiling)
+    fmt = args.format
     report = _report("prove", t)
     try:
         cert = prove_t2_largeprime(t)
@@ -516,18 +510,20 @@ def cmd_prove(arg: str, fmt: str) -> int:
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args gives each call a fresh
-    Namespace, so nothing carries over between calls."""
+    Namespace, so nothing carries over between calls.  Each subcommand's
+    `run` is its cmd_* handler, which takes that Namespace."""
     parser = argparse.ArgumentParser(
         prog="tilelab",
         description="Exact arithmetic for translational tilings of Z_M.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p):
+    def add_format(p, run):
         p.add_argument("--format", choices=("json", "text"), default="json")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("verify", help="run all three tiling verifiers")
     p.add_argument("tiling", help="tiling JSON: inline, file path, or -")
-    add_format(p)
+    add_format(p, cmd_verify)
 
     p = sub.add_parser("analyze", help="cyclotomic profile and structure report")
     p.add_argument("tiling")
@@ -537,14 +533,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="slab condition verdicts per direction")
     p.add_argument("--boxgrid", action="store_true",
                    help="check the box product equals 1 at all point pairs")
-    add_format(p)
+    add_format(p, cmd_analyze)
 
     p = sub.add_parser("complements", help="stream tiling complements of A")
     p.add_argument("tile", help='JSON {"M": ..., "A": [...]}')
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction,
                    default=True, help="require 0 in B")
-    add_format(p)
+    add_format(p, cmd_complements)
 
     p = sub.add_parser("sweep", help="run property suites over all tilings of Z_M")
     p.add_argument("M", type=int)
@@ -552,11 +548,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None,
                    help="cap the corpus via stratified sampling")
     p.add_argument("--jobs", type=int, default=1)
-    add_format(p)
+    add_format(p, cmd_sweep)
 
     p = sub.add_parser("prove", help="produce and replay a (T2) certificate")
     p.add_argument("tiling")
-    add_format(p)
+    add_format(p, cmd_prove)
 
     return parser
 
@@ -569,20 +565,7 @@ def main(argv=None) -> int:
         # return the code so callers of main see it as for any other input
         return exc.code
     try:
-        if args.subcommand == "verify":
-            return cmd_verify(args.tiling, args.format)
-        if args.subcommand == "analyze":
-            return cmd_analyze(args.tiling, args.format, args.split,
-                               args.slab, args.boxgrid)
-        if args.subcommand == "complements":
-            return cmd_complements(args.tile, args.format, args.limit,
-                                   args.normalize)
-        if args.subcommand == "sweep":
-            return cmd_sweep(args.M, args.format, args.check, args.limit,
-                             args.jobs)
-        if args.subcommand == "prove":
-            return cmd_prove(args.tiling, args.format)
-        raise InputError(f"unknown subcommand {args.subcommand!r}")
+        return args.run(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

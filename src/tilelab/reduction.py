@@ -179,43 +179,39 @@ def slab_cond_iii(t: Tiling, direction: int) -> tuple[bool, Optional[int]]:
 
 
 class SlabVerdict(NamedTuple):
-    """Three independently evaluated slab conditions for one direction, the
-    record that the checks reading them take, as the parity checks take a
-    SplitReport: slabcor_check reads `holds`, and statement (I) `cond_ii`."""
+    """The common truth value of the three slab conditions in one direction,
+    with their witnesses: the record that the checks reading them take, as
+    the parity checks take a SplitReport.  slab_equivalence_check produces
+    it only where Phi_{p^n} divides A, and only when (i), (ii) and (iii)
+    agree, so slabcor_check and statement (I) both read `holds`."""
 
     direction: int
     prime: int
-    cond_i: bool
-    cond_ii: bool
-    cond_iii: bool
+    holds: bool
     witnesses: tuple[Optional[int], Optional[int], Optional[int]]
-
-    @property
-    def holds(self) -> bool:
-        return self.cond_i
 
     def to_json(self) -> dict:
         return {
             "direction": self.prime,
             "direction_index": self.direction,
-            "cond_i": self.cond_i,
-            "cond_ii": self.cond_ii,
-            "cond_iii": self.cond_iii,
+            "cond_i": self.holds,
+            "cond_ii": self.holds,
+            "cond_iii": self.holds,
         }
 
 
-def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
+def slab_equivalence_check(t: Tiling, direction: int) -> Optional[SlabVerdict]:
     """Evaluate all three slab conditions; they must agree.
 
-    Requires Phi_{p^n} | A. Disagreement is an implementation defect, not a
-    property of the input, hence the hard error.
+    The paper states them only when Phi_{p^n} | A: off that hypothesis
+    there is no verdict, and the answer is None.  Disagreement is an
+    implementation defect, not a property of the input, hence the hard
+    error.
     """
     ctx = t.context
     p, n = ctx.check_direction(direction)
     if not divides_mask(p ** n, t.A):
-        raise InputError(
-            f"slab equivalence needs Phi_{p ** n} | A; not satisfied for "
-            f"A={t.A.members} in Z_{ctx.M}")
+        return None
     one, w1 = slab_cond_i(t, direction)
     two, w2 = slab_cond_ii(t, direction)
     three, w3 = slab_cond_iii(t, direction)
@@ -224,7 +220,7 @@ def slab_equivalence_check(t: Tiling, direction: int) -> SlabVerdict:
             f"slab conditions disagree in direction p={p} for A={t.A.members}"
             f" B={t.B.members} M={ctx.M}: "
             f"(i)={one} (ii)={two} (iii)={three}, witnesses={w1, w2, w3}")
-    return SlabVerdict(direction, p, one, two, three, (w1, w2, w3))
+    return SlabVerdict(direction, p, one, (w1, w2, w3))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +256,9 @@ def splittingslab_equiv_check(report: SplitReport,
     (III) fails exactly when the union of A's fibers meets A + E, the OR of
     rotate(E, a) over a in A.
 
-    (I) reads `verdict`, the SlabVerdict of the same tiling and direction
-    or None when Phi_{p^n} does not divide A, and its cond_ii.
+    (I) reads `verdict`, slab_equivalence_check of the same tiling and
+    direction: None when Phi_{p^n} does not divide A, and otherwise its
+    `holds`, which is the divisor exclusion slab_cond_ii.
 
     Returns the common truth value; raises if the three ever disagree.
     """
@@ -270,7 +267,7 @@ def splittingslab_equiv_check(report: SplitReport,
     p, n = ctx.primes[direction]
     q = p ** n
 
-    first = verdict is not None and verdict.cond_ii
+    first = verdict is not None and verdict.holds
 
     second = report.uniform_ba
 
@@ -313,8 +310,8 @@ def slabcor_check(t: Tiling, direction: int, verdict: Optional[SlabVerdict],
     exactly M/p, or (ii) Phi_{p^n} | A and every plane through a B-member
     meets B in exactly |B| / gcd(|B|, p^n) points.  Returns
     (applicable, implied); when applicable, a missing or failing verdict
-    raises.  `verdict` is slab_equivalence_check(t, direction), None if
-    Phi_{p^n} does not divide A; `planes` is _plane_counts(t.B, direction).
+    raises.  `verdict` is slab_equivalence_check(t, direction), None off
+    its hypothesis Phi_{p^n} | A; `planes` is _plane_counts(t.B, direction).
     """
     ctx = t.context
     p, n = ctx.check_direction(direction)
@@ -480,7 +477,8 @@ def _slab_child(t: Tiling) -> Tiling:
     leaves no prime power in both S_A and S_B.
 
     Gates on the directly checked hypotheses (Phi_{p^n} divides a tile;
-    divisor exclusion cond_ii) and raises InputError when the gate fails.
+    the divisor exclusion slab_cond_ii) and raises InputError when the
+    gate fails.
     The projected pair is built unchecked: replay verifies it.
     """
     ctx = t.context

@@ -4,7 +4,8 @@ Every name that tilelab/__init__.py exports must have a caller: a reference
 in src/tilelab outside its own definition, or a `tl.<name>` use in the
 release gate.  Every private module-level function and class must be read
 in src/tilelab outside its own definition; tests alone do not keep one.
-No module may import a name it never uses.  And only the context's
+No module may import a name it never uses, and the private names one
+module imports from another are pinned.  And only the context's
 translates, the slab walk and the two searches shift a mask by M - k.
 
 Below the module level, the readers are src/tilelab, the gate and
@@ -105,6 +106,23 @@ def test_no_module_imports_an_unused_name():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     assert bound in used, f"{module}.py imports unused {bound}"
+
+
+def test_private_imports_across_modules_are_pinned():
+    """A new reach into another module's internals is a visible edit here."""
+    reaches = defaultdict(set)
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                reaches[module].update(alias.name for alias in node.names
+                                       if alias.name.startswith("_"))
+    assert {module: names for module, names in reaches.items() if names} == {
+        "cli": {"_tiles_from_json", "_plane_counts"},
+        "cyclotomic": {"_packed_indicator"},
+        "reduction": {"_class_bits"},
+        "structure": {"_packed_indicator", "_same_context"},
+        "tiling": {"_class_bits", "_same_context", "_set_div"},
+    }
 
 
 def _attribute_reads(tree: ast.AST) -> Counter:

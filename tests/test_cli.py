@@ -502,10 +502,12 @@ class TestSweep:
     def test_slab_facts_are_decided_once_per_side_and_direction(
             self, capsys, monkeypatch, M, limit, exclusions, plane_counts):
         """Per (tiling, side, direction): one divisor-exclusion test where
-        Phi_{p^n} divides the side and none elsewhere, one plane count, and
-        no divides_mask call from cli."""
+        Phi_{p^n} divides the side and none elsewhere, and one plane count.
+        The test of Phi_{p^n} | A is the slab check's own: cli does not
+        bind divides_mask."""
+        assert not hasattr(tilelab.cli, "divides_mask")
         real_lemmas = tilelab.cli._sweep_lemmas
-        calls = {"slab_cond_ii": [], "_plane_counts": [], "divides_mask": []}
+        calls = {"slab_cond_ii": [], "_plane_counts": []}
         per_tiling = []
 
         def counting(name, real):
@@ -525,8 +527,6 @@ class TestSweep:
             wrapper = counting(name, getattr(tilelab.reduction, name))
             for module in (tilelab.reduction, tilelab.cli):
                 monkeypatch.setattr(module, name, wrapper, raising=False)
-        monkeypatch.setattr(tilelab.cli, "divides_mask",
-                            counting("divides_mask", tl.divides_mask))
         monkeypatch.setattr(tilelab.cli, "_sweep_lemmas", lemmas_of_one_tiling)
         code, rep, _ = run_json(capsys, "sweep", M, "--limit", limit,
                                 "--check", "lemmas")
@@ -545,7 +545,7 @@ class TestSweep:
             for name in calls:
                 totals[name] += len(seen[name])
         assert totals == {"slab_cond_ii": exclusions,
-                          "_plane_counts": plane_counts, "divides_mask": 0}
+                          "_plane_counts": plane_counts}
 
     @pytest.mark.parametrize("case", sorted(SLAB_LOOP_RAISES))
     def test_slab_loop_records_its_raises(self, capsys, monkeypatch, case):
